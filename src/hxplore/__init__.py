@@ -5,13 +5,9 @@ harness for the giant-component limit laws."""
 
 from .doob import ConditionalMoments, DoobTrace, approx_gap, conditional_moments, decompose, duality_diagnostic
 from .explore import (
-    Census,
     ComponentRecord,
     ExplorationConfig,
-    ExplorationTrace,
-    ImplicitState,
     RunResult,
-    StepRecord,
     census,
     explore,
     materialize,

@@ -35,6 +35,7 @@ from .oracle import enumerate_all, enumerate_step
 from .theory import clt_targets, derived_constants, drift_sequences, p_from_lambda, rho_r
 
 TRACE_HEADER = "t,edges,eta,xi,zeta,nullity_inc,A,C,X,new_component"
+TRACE_COLUMNS = ("edge_counts", "eta", "xi", "zeta", "nullity_inc", "A", "C", "X", "new_component")
 COMPONENTS_HEADER = "index,t_start,t_end,vertices,edges,nullity"
 DOOB_HEADER = "t,D,Delta,Dstar,DeltaStar,S,Xtilde,Shat"
 
@@ -124,12 +125,21 @@ def _parse_stop(args):
     meaning the default 2 t0."""
     if args.stop is None or args.stop == "full":
         return "full", 0
-    if args.stop.startswith("giant"):
-        margin = None
-        if ":" in args.stop:
-            margin = int(args.stop.split(":", 1)[1])
-        return "giant", margin
-    raise UsageError(f"unknown stop rule {args.stop!r}")
+    rule, sep, margin = args.stop.partition(":")
+    if rule != "giant":
+        raise UsageError(f"unknown stop rule {args.stop!r}")
+    if not sep:
+        return "giant", None
+    if not margin.isdecimal():
+        raise UsageError(f"giant stop margin must be a nonnegative integer, got {margin!r}")
+    return "giant", int(margin)
+
+
+def _workers(args) -> int:
+    try:
+        return resolve_workers(args.threads)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _emit(out_path, sections) -> None:
@@ -178,6 +188,14 @@ def cmd_theory(args) -> int:
     return 0
 
 
+def _trace_rows(run):
+    """(t, *TRACE_COLUMNS) tuples of Python scalars, one per step, converted
+    from the arrays 4096 steps at a time to keep the copies small."""
+    for lo in range(0, run.n_steps, 4096):
+        cols = [getattr(run, name)[lo : lo + 4096].tolist() for name in TRACE_COLUMNS]
+        yield from zip(range(lo + 1, lo + 1 + len(cols[0])), *cols)
+
+
 def cmd_run(args) -> int:
     _require(args, "n", "r", "seed")
     p = _resolve_p(args)
@@ -196,36 +214,19 @@ def cmd_run(args) -> int:
         margin=margin or 0, census_t0=t0 if stop == "giant" else None,
     )
     trace = explore(cfg)
+    rows = _trace_rows(trace)
     if args.format == "json":
+        names = TRACE_HEADER.split(",")
         doc = {
-            "trace": [
-                {
-                    "t": s.t, "edges": s.edge_count, "eta": s.eta, "xi": s.xi,
-                    "zeta": s.zeta, "nullity_inc": s.nullity_inc, "A": s.A,
-                    "C": s.C, "X": s.X, "new_component": s.started_new_component,
-                }
-                for s in trace.steps()
-            ],
-            "components": [
-                {
-                    "index": c.index, "t_start": c.t_start, "t_end": c.t_end,
-                    "vertices": c.vertices, "edges": c.edges, "nullity": c.nullity,
-                }
-                for c in trace.components
-            ],
+            "trace": [dict(zip(names, row)) for row in rows],
+            "components": [c._asdict() for c in trace.components],
             "complete": trace.complete,
         }
         sections = [("json", json.dumps(doc, indent=2, sort_keys=True) + "\n")]
     else:
-        lines = [TRACE_HEADER]
-        for s in trace.steps():
-            lines.append(
-                f"{s.t},{s.edge_count},{s.eta},{s.xi},{s.zeta},{s.nullity_inc},"
-                f"{s.A},{s.C},{s.X},{int(s.started_new_component)}"
-            )
-        comp_lines = [COMPONENTS_HEADER]
-        for c in trace.components:
-            comp_lines.append(f"{c.index},{c.t_start},{c.t_end},{c.vertices},{c.edges},{c.nullity}")
+        row_fmt = ",".join(["%d"] * (len(TRACE_COLUMNS) + 1))
+        lines = [TRACE_HEADER] + [row_fmt % row for row in rows]
+        comp_lines = [COMPONENTS_HEADER] + [",".join(map(str, c)) for c in trace.components]
         sections = [("trace.csv", "\n".join(lines) + "\n"),
                     ("components.csv", "\n".join(comp_lines) + "\n")]
     if args.doob:
@@ -262,7 +263,7 @@ def cmd_mc(args) -> int:
                           master_seed=args.seed,
                           omega=args.omega if args.omega is not None else 4.0,
                           collect=collect)
-    workers = resolve_workers(args.threads)
+    workers = _workers(args)
     results = run_experiment(plan, workers=workers)
     csv_text = CELL_CSV_HEADER + "\n" + "\n".join(format_cell_row(r) for r in results) + "\n"
     report = []
@@ -294,7 +295,7 @@ def cmd_mc(args) -> int:
 
 def cmd_tails(args) -> int:
     _require(args, "n", "r", "eps", "seed", "replicates")
-    workers = resolve_workers(args.threads)
+    workers = _workers(args)
     if args.l_grid:
         grid = [int(x) for x in args.l_grid.split(",")]
     else:
@@ -337,7 +338,7 @@ def cmd_oracle(args) -> int:
             "moments": law.moments(),
         }
     else:
-        workers = resolve_workers(args.threads)
+        workers = _workers(args)
         dist = enumerate_all(args.n, args.r, args.p, workers=workers)
         out = {
             "n": args.n, "r": args.r, "p": args.p,
@@ -351,8 +352,14 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     keys = None
     if args.criteria:
-        keys = [int(x) for x in args.criteria.split(",")]
-    workers = resolve_workers(args.threads)
+        try:
+            keys = [int(x) for x in args.criteria.split(",")]
+        except ValueError:
+            raise UsageError(f"--criteria takes comma-separated integers, got {args.criteria!r}") from None
+        unknown = sorted(set(keys) - {number for number, _ in acceptance.CRITERIA})
+        if unknown:
+            raise UsageError(f"unknown criteria {unknown}")
+    workers = _workers(args)
     results = acceptance.run_all(keys=keys, workers=workers, progress=print)
     return 0 if all(r.passed for r in results) else 1
 

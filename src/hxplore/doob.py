@@ -106,9 +106,8 @@ class DoobTrace:
 
 
 def _paths_from_run(run):
-    """(A, xi, n, r, p) out of a RunResult or ExplorationTrace with at least
-    a light record."""
-    if getattr(run, "A", None) is None or getattr(run, "xi", None) is None:
+    """(A, xi, n, r, p) out of a RunResult with at least a light record."""
+    if run.A is None or run.xi is None:
         raise ValueError("decompose needs a run recorded at level 'light' or 'full'")
     cfg = run.config
     return run.A, run.xi, cfg.n, cfg.r, cfg.p

@@ -25,7 +25,12 @@ no state and may execute concurrently.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from operator import sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +40,8 @@ from .util import colex_unrank, comb0, comb_float
 
 __all__ = [
     "ExplorationConfig",
-    "StepRecord",
     "ComponentRecord",
-    "ExplorationTrace",
-    "Census",
     "RunResult",
-    "ImplicitState",
     "sample_step",
     "run_exploration",
     "explore",
@@ -94,22 +95,7 @@ class ExplorationConfig:
         return cls.from_lambda(n, r, 1.0 + eps, seed, **kw)
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    t: int
-    edge_count: int
-    eta: int
-    xi: int
-    zeta: int
-    nullity_inc: int
-    A: int
-    C: int
-    X: int
-    started_new_component: bool
-
-
-@dataclass(frozen=True)
-class ComponentRecord:
+class ComponentRecord(NamedTuple):
     index: int
     t_start: int  # close time of the previous component
     t_end: int  # record-low time of this component
@@ -118,28 +104,12 @@ class ComponentRecord:
     nullity: int
 
 
-@dataclass(frozen=True)
-class Census:
-    """Component summary of one run, anchored at the cutoff t0."""
-
-    t0: int
-    L1: int
-    L2: int
-    M1: int
-    N1: int
-    Z: int
-    T0: int
-    T1: int | None
-    giant_nullity: int | None  # nullity gathered between T0 and T1
-    component_count: int
-    l1_tie: bool
-    l2_is_lower_bound: bool
-
-
 @dataclass
 class RunResult:
-    """Everything one exploration run produces; array fields depend on the
-    requested record level ('none' < 'light' < 'full')."""
+    """Everything one exploration run produces.  The census fields (L1 to
+    giant_nullity) are anchored at config.census_t0; the per-step arrays and
+    the component table depend on the requested record level ('none' <
+    'light' < 'full').  L2 is a lower bound when the run is not complete."""
 
     config: ExplorationConfig
     n_steps: int
@@ -157,7 +127,7 @@ class RunResult:
     T1: int | None
     c_t0p1: int | None  # C_{t0+1}
     giant_vertices: int | None
-    giant_nullity: int | None
+    giant_nullity: int | None  # nullity gathered between T0 and T1
     A: np.ndarray | None = None
     xi: np.ndarray | None = None
     edge_counts: np.ndarray | None = None
@@ -170,68 +140,19 @@ class RunResult:
     components: list = field(default_factory=list)
 
 
-@dataclass
-class ExplorationTrace:
-    """Full per-step record of a run plus its component table."""
-
-    config: ExplorationConfig
-    edge_counts: np.ndarray
-    eta: np.ndarray
-    xi: np.ndarray
-    zeta: np.ndarray
-    nullity_inc: np.ndarray
-    A: np.ndarray
-    C: np.ndarray
-    X: np.ndarray
-    new_component: np.ndarray
-    components: list
-    complete: bool
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.edge_counts.shape[0])
-
-    @property
-    def total_edges(self) -> int:
-        return int(self.edge_counts.sum())
-
-    @property
-    def total_nullity(self) -> int:
-        return int(self.nullity_inc.sum())
-
-    def step(self, t: int) -> StepRecord:
-        """StepRecord for step t (1-based)."""
-        i = t - 1
-        return StepRecord(
-            t=t,
-            edge_count=int(self.edge_counts[i]),
-            eta=int(self.eta[i]),
-            xi=int(self.xi[i]),
-            zeta=int(self.zeta[i]),
-            nullity_inc=int(self.nullity_inc[i]),
-            A=int(self.A[i]),
-            C=int(self.C[i]),
-            X=int(self.X[i]),
-            started_new_component=bool(self.new_component[i]),
-        )
-
-    def steps(self):
-        for t in range(1, self.n_steps + 1):
-            yield self.step(t)
-
-
 # ---------------------------------------------------------------------------
-# implicit-mode sampling primitives
+# implicit-mode step law
 # ---------------------------------------------------------------------------
 
 
-def _draw_distinct(rng, m: int, k: int) -> tuple:
-    """Sorted tuple of k distinct uniform indices from range(m)."""
+def _draw_distinct(rand, m: int, k: int) -> tuple:
+    """Sorted tuple of k distinct uniform indices from range(m), built from
+    the uniforms that successive rand() calls return."""
     if k == 1:
-        return (int(rng.random() * m),)
+        return (int(rand() * m),)
     if k == 2:
-        a = int(rng.random() * m)
-        b = int(rng.random() * (m - 1))
+        a = int(rand() * m)
+        b = int(rand() * (m - 1))
         if b >= a:
             b += 1
         return (a, b) if a < b else (b, a)
@@ -239,39 +160,47 @@ def _draw_distinct(rng, m: int, k: int) -> tuple:
         pool = list(range(m))
         out = []
         for j in range(k):
-            i = int(rng.random() * (m - j))
+            i = int(rand() * (m - j))
             out.append(pool.pop(i))
         return tuple(sorted(out))
     out = set()
     while len(out) < k:
-        out.add(int(rng.random() * m))
+        out.add(int(rand() * m))
     return tuple(sorted(out))
 
 
-def _multi_edge_counts(rng, m: int, ap: int, rr: int, k: int):
-    """(eta, xi, zeta) for a step revealing k >= 2 edges.
+def _step_counts(rand, m: int, ap: int, rr: int, k: int, u) -> tuple:
+    """(eta, xi, zeta) for a step revealing k >= 1 edges among the m = n - t
+    unexplored others, indexed so that the `ap` active ones come first.
 
-    Companion sets are resampled until the k sets are pairwise distinct, so
+    k = 1: the single companion (r-1)-set is sampled sequentially from the
+    rr uniforms in `u`.  k >= 2: companion sets are drawn from the uniforms
+    of rand() and resampled until the k sets are pairwise distinct, so
     conditional on the count they form a uniform k-subset of the tested
-    r-sets.  Indices below `ap` are the active others.
+    r-sets.
     """
+    if k == 1:
+        xi = 0
+        rem_act = ap
+        rem_tot = m
+        for x in u:
+            if x * rem_tot < rem_act:
+                xi += 1
+                rem_act -= 1
+            rem_tot -= 1
+        return rr - xi, xi, 0
     sets = []
-    seen = set()
     for _ in range(k):
-        while True:
-            s = _draw_distinct(rng, m, rr)
-            if s not in seen:
-                break
-        seen.add(s)
-        sets.append(frozenset(s))
-    union = frozenset().union(*sets)
-    xi = sum(1 for v in union if v < ap)
-    eta = len(union) - xi
-    zeta = 0
-    for i in range(k - 1):
-        for j in range(i + 1, k):
-            zeta += len(sets[i] & sets[j])
-    return eta, xi, zeta
+        s = _draw_distinct(rand, m, rr)
+        while s in sets:
+            s = _draw_distinct(rand, m, rr)
+        sets.append(s)
+    union = set().union(*sets)
+    xi = len([v for v in union if v < ap])
+    zeta = 0  # sum of |S_i & S_j| over pairs: C(c, 2) for a vertex in c of the sets
+    if len(union) < k * rr:
+        zeta = sum(c * (c - 1) // 2 for c in Counter(v for s in sets for v in s).values())
+    return len(union) - xi, xi, zeta
 
 
 def sample_step(rng, n: int, r: int, p: float, t: int, active_excl: int):
@@ -282,54 +211,11 @@ def sample_step(rng, n: int, r: int, p: float, t: int, active_excl: int):
     the exploration of H^r(n, p).
     """
     m = n - t
-    rr = r - 1
-    k = sample_binomial(rng, comb0(m, rr), p)
+    k = sample_binomial(rng, comb0(m, r - 1), p)
     if k == 0:
         return 0, 0, 0, 0
-    if k == 1:
-        rem_act, rem_tot = active_excl, m
-        xi = 0
-        for _ in range(rr):
-            if rng.random() * rem_tot < rem_act:
-                xi += 1
-                rem_act -= 1
-            rem_tot -= 1
-        return 1, rr - xi, xi, 0
-    eta, xi, zeta = _multi_edge_counts(rng, m, active_excl, rr, k)
-    return k, eta, xi, zeta
-
-
-class ImplicitState:
-    """Mutable count state of an implicit exploration, advanced one step at
-    a time.  The fast path lives in run_exploration; this class exists for
-    stepwise inspection and single-step replay tests."""
-
-    def __init__(self, n: int, r: int, p: float, rng: np.random.Generator):
-        self.n, self.r, self.p = n, r, p
-        self.rng = rng
-        self.t = 0
-        self.A = 0
-        self.C = 0
-        self.X = 0
-        self.nullity = 0
-
-    def step(self) -> StepRecord:
-        if self.t >= self.n:
-            raise ValueError("exploration already complete")
-        started = self.A == 0
-        ap = 0 if started else self.A - 1
-        if started:
-            self.C += 1
-        self.t += 1
-        k, eta, xi, zeta = sample_step(self.rng, self.n, self.r, self.p, self.t, ap)
-        nullinc = (self.r - 1) * k - eta
-        self.A = ap + eta
-        self.X += eta - 1
-        self.nullity += nullinc
-        return StepRecord(
-            t=self.t, edge_count=k, eta=eta, xi=xi, zeta=zeta, nullity_inc=nullinc,
-            A=self.A, C=self.C, X=self.X, started_new_component=started,
-        )
+    u = rng.random(r - 1).tolist() if k == 1 else None
+    return (k, *_step_counts(rng.random, m, active_excl, r - 1, k, u))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +227,8 @@ def run_exploration(config: ExplorationConfig, record: str = "none") -> RunResul
     """Run one exploration to completion (or to the stop rule).
 
     record: 'none' keeps only the census summary, 'light' additionally
-    stores the A_t and xi_t paths, 'full' stores every StepRecord column
-    and the component table.
+    stores the A_t and xi_t paths, 'full' stores every per-step column and
+    the component table.
     """
     if record not in ("none", "light", "full"):
         raise ValueError(f"record must be 'none', 'light' or 'full', got {record!r}")
@@ -351,12 +237,43 @@ def run_exploration(config: ExplorationConfig, record: str = "none") -> RunResul
     return _run_implicit(config, record)
 
 
+def _uniform_groups(rng, rr: int, steps_left: int):
+    """The next _U_CHUNK uniforms of the stream as rows of rr, one row per
+    one-edge step, and each row's minimum.  Only the rows that the
+    remaining steps can use are drawn; the stream skips over the rest."""
+    rows = min(_U_CHUNK // rr, steps_left)
+    u = rng.random(rows * rr).reshape(rows, rr)
+    rng.bit_generator.advance(_U_CHUNK - rows * rr)  # one 64-bit state step per uniform
+    return u, u.min(axis=1).tolist()
+
+
+def _scalar_uniforms(rng, block: int = 128):
+    """rand() returning the stream's next uniform from blocks drawn ahead,
+    and give_back() rewinding the stream over the unread ones.  PCG64 spends
+    one 64-bit step per uniform, so the stream reads as if rand() had been
+    rng.random()."""
+    buf: list = []
+
+    def rand():
+        if not buf:
+            buf.extend(rng.random(block)[::-1].tolist())
+        return buf.pop()
+
+    def give_back():
+        if buf:
+            rng.bit_generator.advance(-len(buf))
+            buf.clear()
+
+    return rand, give_back
+
+
 def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
     n, r, p = config.n, config.r, config.p
     rr = r - 1
     rng = np.random.default_rng(config.seed)
     t0c = -1 if config.census_t0 is None else int(config.census_t0)
-    stop_giant = config.stop_rule == "giant"
+    # the first close after stop_after is T_1, which starts the giant stop rule's margin
+    stop_after = t0c if config.stop_rule == "giant" and t0c >= 0 else n
     margin = config.margin
 
     light = record != "none"
@@ -366,152 +283,135 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
     rec_E = [] if full else None
     rec_eta = [] if full else None
     rec_zeta = [] if full else None
-    rec_new = [] if full else None
-    components = []
+    close_t: list = []  # the component table: close times and cumulative edge counts
+    close_e: list = []
 
-    # presampled randomness
-    e_buf: list = []
-    e_idx = 0
-    u_buf = rng.random(_U_CHUNK).tolist()
-    u_idx = 0
-
+    groups = _U_CHUNK // rr
+    u_rows, u_min = _uniform_groups(rng, rr, n)  # presampled uniforms for one-edge steps
+    rand, give_back = _scalar_uniforms(rng)  # uniforms for the companions of multi-edge steps
+    j = 0
     A = 0
-    X = 0
-    C = 0
     total_edges = 0
-    total_null = 0
-    cur_v = cur_e = cur_null = 0
-    cur_start = 0
-    best_v = best_e = best_null = 0
-    second_v = 0
-    l1_tie = False
-    closes = 0
-    Z = 0
-    T0 = 0
     T1 = None
-    c_t0p1 = None
-    giant_v = None
-    giant_null = None
+    t_stop = -1
 
     t = 0
     while t < n:
-        if e_idx == len(e_buf):
-            lo = t + 1
-            hi = min(n, t + _E_CHUNK)
-            counts = comb_float(np.arange(n - lo, n - hi - 1, -1, dtype=np.float64), rr)
-            e_buf = sample_binomial_array(rng, counts, p).tolist()
-            e_idx = 0
-        t += 1
-        k = e_buf[e_idx]
-        e_idx += 1
-        if A == 0:
-            C += 1
-            ap = 0
-            started = True
-            cur_start = t - 1
-        else:
-            ap = A - 1
-            started = False
-        if t == t0c + 1:
-            c_t0p1 = C
-        if k == 0:
-            eta = 0
-            xi = 0
-            zeta = 0
-        elif k == 1:
-            m = n - t
-            if u_idx + rr > _U_CHUNK:
-                u_buf = rng.random(_U_CHUNK).tolist()
-                u_idx = 0
-            xi = 0
-            rem_act = ap
-            rem_tot = m
-            for _ in range(rr):
-                if u_buf[u_idx] * rem_tot < rem_act:
-                    xi += 1
-                    rem_act -= 1
-                u_idx += 1
-                rem_tot -= 1
-            eta = rr - xi
-            zeta = 0
-        else:
-            eta, xi, zeta = _multi_edge_counts(rng, n - t, ap, rr, k)
-        nullinc = rr * k - eta
-        A = ap + eta
-        X += eta - 1
-        total_edges += k
-        total_null += nullinc
-        cur_v += 1
-        cur_e += k
-        cur_null += nullinc
-        if light:
-            rec_A.append(A)
-            rec_xi.append(xi)
-            if full:
-                rec_E.append(k)
-                rec_eta.append(eta)
-                rec_zeta.append(zeta)
-                rec_new.append(started)
-        if A == 0:
-            closes += 1
-            if cur_v > best_v:
-                second_v = best_v
-                best_v, best_e, best_null = cur_v, cur_e, cur_null
-                l1_tie = False
-            elif cur_v == best_v:
-                second_v = cur_v
-                l1_tie = True
-            elif cur_v > second_v:
-                second_v = cur_v
-            if full:
-                components.append(
-                    ComponentRecord(closes, cur_start, t, cur_v, cur_e, cur_null)
-                )
-            if t0c >= 0:
-                if t <= t0c:
-                    Z = closes
-                    T0 = t
-                elif T1 is None:
+        # edge counts of steps t+1 .. hi, drawn once the previous chunk is used up
+        hi = min(n, t + _E_CHUNK)
+        tested = comb_float(np.arange(n - t - 1, n - hi - 1, -1, dtype=np.float64), rr)
+        give_back()
+        for k in sample_binomial_array(rng, tested, p).tolist():
+            t += 1
+            ap = A - 1 if A else 0
+            if k == 0:
+                A = ap
+                eta = xi = zeta = 0
+            else:
+                if k == 1:
+                    if j == groups:
+                        give_back()
+                        u_rows, u_min = _uniform_groups(rng, rr, n - t + 1)
+                        j = 0
+                    # each companion uniform x has x * (n - t - rr + 1) >= ap, so the kernel
+                    # finds no active companion: its xi = 0 outcome
+                    if u_min[j] * (n - t - rr + 1) >= ap:
+                        eta, xi, zeta = rr, 0, 0
+                    else:
+                        eta, xi, zeta = _step_counts(rand, n - t, ap, rr, 1, u_rows[j].tolist())
+                    j += 1
+                else:
+                    eta, xi, zeta = _step_counts(rand, n - t, ap, rr, k, None)
+                A = ap + eta
+                total_edges += k
+            if light:
+                rec_A.append(A)
+                rec_xi.append(xi)
+                if full:
+                    rec_E.append(k)
+                    rec_eta.append(eta)
+                    rec_zeta.append(zeta)
+            if A == 0:
+                close_t.append(t)
+                close_e.append(total_edges)
+                if T1 is None and t > stop_after:
                     T1 = t
-                    giant_v = cur_v
-                    giant_null = cur_null
-            cur_v = cur_e = cur_null = 0
-        if stop_giant and T1 is not None and t - T1 >= margin:
-            break
+                    t_stop = t + margin
+            if t == t_stop:
+                break
+        else:
+            continue
+        break  # the stop rule ended the chunk early
 
-    complete = t >= n
+    return _result(config, record, t, close_t, close_e, total_edges, A,
+                   rec_A, rec_xi, rec_E, rec_eta, rec_zeta)
+
+
+def _result(config, record, n_steps, close_t, close_e, total_edges, A_end,
+            A, xi, E, eta, zeta) -> RunResult:
+    """RunResult of either engine from its final counts, its component table
+    (close times and the cumulative edge counts at each close) and its
+    recorded per-step lists (None below the record level that keeps them)."""
+    rr = config.r - 1
+    C_end = len(close_t) + (A_end > 0)  # components started: the closed ones and an open one
     res = RunResult(
         config=config,
-        n_steps=t,
-        complete=complete,
-        components_closed=closes,
+        n_steps=n_steps,
+        complete=n_steps >= config.n,
+        components_closed=len(close_t),
         total_edges=total_edges,
-        total_nullity=total_null,
-        L1=best_v,
-        L2=second_v,
-        M1=best_e,
-        N1=best_null,
-        l1_tie=l1_tie,
-        Z=Z,
-        T0=T0,
-        T1=T1,
-        c_t0p1=c_t0p1,
-        giant_vertices=giant_v,
-        giant_nullity=giant_null,
+        # every vertex but the C_end roots was discovered once, as part of some eta_t
+        total_nullity=rr * total_edges - (n_steps + A_end - C_end),
+        **_census(close_t, close_e, rr, -1 if config.census_t0 is None else config.census_t0,
+                  n_steps),
     )
-    if light:
-        res.A = np.asarray(rec_A, dtype=np.int64)
-        res.xi = np.asarray(rec_xi, dtype=np.int64)
-    if full:
-        res.edge_counts = np.asarray(rec_E, dtype=np.int64)
-        res.eta = np.asarray(rec_eta, dtype=np.int64)
-        res.zeta = np.asarray(rec_zeta, dtype=np.int64)
+    if record != "none":
+        res.A = np.asarray(A, dtype=np.int64)
+        res.xi = np.asarray(xi, dtype=np.int64)
+    if record == "full":
+        res.edge_counts = np.asarray(E, dtype=np.int64)
+        res.eta = np.asarray(eta, dtype=np.int64)
+        res.zeta = np.asarray(zeta, dtype=np.int64)
         res.nullity_inc = rr * res.edge_counts - res.eta
-        res.new_component = np.asarray(rec_new, dtype=bool)
+        res.new_component = np.concatenate(([True], res.A[:-1] == 0))  # step t starts one iff A_{t-1} = 0
         res.C = np.cumsum(res.new_component).astype(np.int64)
         res.X = np.cumsum(res.eta - 1).astype(np.int64)
-        res.components = components
+        res.components = [_component(close_t, close_e, rr, i) for i in range(len(close_t))]
     return res
+
+
+def _component(close_t: list, close_e: list, rr: int, i: int) -> ComponentRecord:
+    """Row i (0-based) of a component table kept as the close times and the
+    cumulative edge counts at each close."""
+    t_start = close_t[i - 1] if i else 0
+    v = close_t[i] - t_start
+    e = close_e[i] - (close_e[i - 1] if i else 0)
+    return ComponentRecord(i + 1, t_start, close_t[i], v, e, 1 + rr * e - v)  # n(C) = 1 + (r-1) e(C) - |C|
+
+
+def _census(close_t: list, close_e: list, rr: int, t0: int, n_steps: int) -> dict:
+    """Census fields of RunResult from a component table given as the close
+    times and the cumulative edge counts at each close, anchored at cutoff
+    t0 (none when t0 < 0): largest and second-largest component orders,
+    the largest component's edge count and nullity (ties broken toward the
+    earliest-explored component), the window quantities Z, T_0, T_1 with
+    the order and nullity of the component closing at T_1, and C_{t0+1}."""
+    sizes = list(map(sub, close_t, [0, *close_t]))
+    L1 = max(sizes)
+    i = sizes.index(L1)
+    tie = sizes.count(L1) > 1
+    sizes[i] = 0
+    largest = _component(close_t, close_e, rr, i)
+    Z = bisect_right(close_t, t0) if t0 >= 0 else 0  # components closed by t0
+    T1 = giant_v = giant_null = None
+    if 0 <= t0 < close_t[-1]:
+        giant = _component(close_t, close_e, rr, Z)
+        T1, giant_v, giant_null = giant.t_end, giant.vertices, giant.nullity
+    return dict(L1=L1, L2=max(sizes),  # L1 again on a tie
+                M1=largest.edges, N1=largest.nullity, l1_tie=tie,
+                Z=Z, T0=close_t[Z - 1] if Z else 0, T1=T1,
+                c_t0p1=Z + 1 if 0 <= t0 < n_steps else None,  # the Z closed ones and the current one
+                giant_vertices=giant_v, giant_nullity=giant_null)
 
 
 def materialize(n: int, r: int, p: float, rng: np.random.Generator) -> list:
@@ -533,9 +433,7 @@ def materialize(n: int, r: int, p: float, rng: np.random.Generator) -> list:
 
 def _run_explicit(config: ExplorationConfig, record: str) -> RunResult:
     """Explicit engine: real vertex identities, a status bitmap, and a lazy
-    min-heap over active vertices.  Always runs with full per-step records
-    (n is small by the mode's edge-count guard) and derives the census
-    post-hoc so both engines share one census code path."""
+    min-heap over active vertices, with the implicit engine's bookkeeping."""
     n, r, p = config.n, config.r, config.p
     rng = np.random.default_rng(config.seed)
     edges = materialize(n, r, p, rng)
@@ -548,14 +446,15 @@ def _run_explicit(config: ExplorationConfig, record: str) -> RunResult:
     heap: list = []
     cursor = 0
 
-    rec = {k: [] for k in ("E", "eta", "xi", "zeta", "A", "new")}
+    rec = {k: [] for k in ("E", "eta", "xi", "zeta", "A")}
+    close_t: list = []
+    close_e: list = []
     A = 0
+    total_edges = 0
     t = 0
-    stop_giant = config.stop_rule == "giant"
     t0c = -1 if config.census_t0 is None else int(config.census_t0)
+    stop_after = t0c if config.stop_rule == "giant" and t0c >= 0 else n
     T1 = None
-    closes = 0
-    X = 0
     while t < n:
         t += 1
         if A > 0:
@@ -563,13 +462,11 @@ def _run_explicit(config: ExplorationConfig, record: str) -> RunResult:
                 heapq.heappop(heap)
             v = heapq.heappop(heap)
             ap = A - 1
-            started = False
         else:
             while status[cursor] != 0:
                 cursor += 1
             v = cursor
             ap = 0
-            started = True
         revealed = []
         for idx in incidence[v]:
             if alive[idx]:
@@ -596,153 +493,43 @@ def _run_explicit(config: ExplorationConfig, record: str) -> RunResult:
         for u in newly:
             status[u] = 1
             heapq.heappush(heap, u)
+        k = len(revealed)
         eta = len(newly)
-        xi = len(hit_active)
         A = ap + eta
-        X += eta - 1
-        rec["E"].append(len(revealed))
+        total_edges += k
+        rec["E"].append(k)
         rec["eta"].append(eta)
-        rec["xi"].append(xi)
+        rec["xi"].append(len(hit_active))
         rec["zeta"].append(zeta)
         rec["A"].append(A)
-        rec["new"].append(started)
         if A == 0:
-            closes += 1
-            if t0c >= 0 and t > t0c and T1 is None:
+            close_t.append(t)
+            close_e.append(total_edges)
+            if T1 is None and t > stop_after:
                 T1 = t
-        if stop_giant and T1 is not None and t - T1 >= config.margin:
+        if T1 is not None and t - T1 >= config.margin:
             break
 
-    E = np.asarray(rec["E"], dtype=np.int64)
-    eta_a = np.asarray(rec["eta"], dtype=np.int64)
-    new_a = np.asarray(rec["new"], dtype=bool)
-    res = RunResult(
-        config=config,
-        n_steps=t,
-        complete=t >= n,
-        components_closed=closes,
-        total_edges=int(E.sum()),
-        total_nullity=int(((r - 1) * E - eta_a).sum()),
-        L1=0, L2=0, M1=0, N1=0, l1_tie=False, Z=0, T0=0, T1=None,
-        c_t0p1=None, giant_vertices=None, giant_nullity=None,
-        A=np.asarray(rec["A"], dtype=np.int64),
-        xi=np.asarray(rec["xi"], dtype=np.int64),
-        edge_counts=E,
-        eta=eta_a,
-        zeta=np.asarray(rec["zeta"], dtype=np.int64),
-        nullity_inc=(r - 1) * E - eta_a,
-        C=np.cumsum(new_a).astype(np.int64),
-        X=np.cumsum(eta_a - 1).astype(np.int64),
-        new_component=new_a,
-    )
-    res.components = _components_from_arrays(res.A, res.edge_counts, res.nullity_inc)
-    _fill_census_from_components(res, t0c)
-    return res
+    return _result(config, record, t, close_t, close_e, total_edges, A,
+                   rec["A"], rec["xi"], rec["E"], rec["eta"], rec["zeta"])
 
 
-def _components_from_arrays(A, edge_counts, nullity_inc) -> list:
-    closes = np.nonzero(A == 0)[0] + 1  # 1-based close times
-    out = []
-    prev = 0
-    ecum = np.concatenate([[0], np.cumsum(edge_counts)])
-    ncum = np.concatenate([[0], np.cumsum(nullity_inc)])
-    for i, tend in enumerate(closes, start=1):
-        tend = int(tend)
-        out.append(
-            ComponentRecord(
-                index=i,
-                t_start=prev,
-                t_end=tend,
-                vertices=tend - prev,
-                edges=int(ecum[tend] - ecum[prev]),
-                nullity=int(ncum[tend] - ncum[prev]),
-            )
-        )
-        prev = tend
-    return out
+def explore(config: ExplorationConfig) -> RunResult:
+    """Run to completion (or the stop rule) with the full per-step record."""
+    return run_exploration(config, record="full")
 
 
-def _fill_census_from_components(res: RunResult, t0c: int) -> None:
-    best_v = best_e = best_null = 0
-    second = 0
-    tie = False
-    Z = 0
-    T0 = 0
-    T1 = None
-    giant_v = giant_null = None
-    for comp in res.components:
-        v = comp.vertices
-        if v > best_v:
-            second = best_v
-            best_v, best_e, best_null = v, comp.edges, comp.nullity
-            tie = False
-        elif v == best_v:
-            second = v
-            tie = True
-        elif v > second:
-            second = v
-        if t0c >= 0:
-            if comp.t_end <= t0c:
-                Z = comp.index
-                T0 = comp.t_end
-            elif T1 is None:
-                T1 = comp.t_end
-                giant_v = comp.vertices
-                giant_null = comp.nullity
-    res.L1, res.L2, res.M1, res.N1, res.l1_tie = best_v, second, best_e, best_null, tie
-    res.Z, res.T0, res.T1 = Z, T0, T1
-    res.giant_vertices, res.giant_nullity = giant_v, giant_null
-    if t0c >= 0 and res.n_steps >= t0c + 1:
-        res.c_t0p1 = int(res.C[t0c]) if res.C is not None else None
-
-
-def explore(config: ExplorationConfig) -> ExplorationTrace:
-    """Run to completion (or the stop rule) and return the full trace."""
-    res = run_exploration(config, record="full")
-    return ExplorationTrace(
-        config=config,
-        edge_counts=res.edge_counts,
-        eta=res.eta,
-        xi=res.xi,
-        zeta=res.zeta,
-        nullity_inc=res.nullity_inc,
-        A=res.A,
-        C=res.C,
-        X=res.X,
-        new_component=res.new_component,
-        components=res.components,
-        complete=res.complete,
-    )
-
-
-def census(trace: ExplorationTrace, t0: int) -> Census:
-    """Component census of a trace anchored at cutoff t0: largest and
+def census(run: RunResult, t0: int) -> RunResult:
+    """The run with its census fields re-anchored at cutoff t0: largest and
     second-largest component orders, the largest component's edge count and
     nullity (ties broken toward the earliest-explored component), and the
     window quantities Z, T_0, T_1 with the nullity collected between T_0
-    and T_1."""
+    and T_1.  Needs a run recorded at level 'full'."""
     if t0 < 0:
         raise ValueError("t0 must be nonnegative")
-    res = RunResult(
-        config=trace.config, n_steps=trace.n_steps, complete=trace.complete,
-        components_closed=len(trace.components), total_edges=trace.total_edges,
-        total_nullity=trace.total_nullity, L1=0, L2=0, M1=0, N1=0, l1_tie=False,
-        Z=0, T0=0, T1=None, c_t0p1=None, giant_vertices=None, giant_nullity=None,
-        C=trace.C,
-    )
-    res.components = trace.components
-    _fill_census_from_components(res, t0)
-    return Census(
-        t0=t0,
-        L1=res.L1,
-        L2=res.L2,
-        M1=res.M1,
-        N1=res.N1,
-        Z=res.Z,
-        T0=res.T0,
-        T1=res.T1,
-        giant_nullity=res.giant_nullity,
-        component_count=len(trace.components),
-        l1_tie=res.l1_tie,
-        l2_is_lower_bound=not trace.complete,
-    )
+    if run.C is None:
+        raise ValueError("census needs a run recorded at level 'full'")
+    close_t = [c.t_end for c in run.components]
+    close_e = list(accumulate(c.edges for c in run.components))
+    return replace(run, config=replace(run.config, census_t0=t0),
+                   **_census(close_t, close_e, run.config.r - 1, t0, run.n_steps))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .doob import approx_gap, decompose
+from .doob import approx_gap, decompose, duality_diagnostic
 from .explore import ExplorationConfig, run_exploration
 from .stats import BivariateMoments, ks_distance, wilson_interval
 from .theory import CltTargets, clt_targets, drift_sequences, dual_lambda, p_from_lambda, rho_r
@@ -52,7 +52,10 @@ def resolve_workers(requested: int | None) -> int:
     """Advisory parallelism: the smaller of the request, the CPU count, and
     the HXPLORE_MAX_WORKERS cap.  Never affects results, only scheduling."""
     cap = os.environ.get(ENV_WORKER_CAP)
-    cap = int(cap) if cap else 1 << 30
+    try:
+        cap = int(cap) if cap else 1 << 30
+    except ValueError:
+        raise ValueError(f"{ENV_WORKER_CAP} must be an integer, got {cap!r}") from None
     cpus = os.cpu_count() or 1
     if requested is None:
         requested = cpus
@@ -134,8 +137,7 @@ class ReplicateStats(NamedTuple):
     n_steps: int
     max_s_pre: float | None = None
     max_s_t1: float | None = None
-    s_t1: float | None = None
-    xtilde_t1: float | None = None
+    duality: tuple | None = None  # (T1 - t1, Xtilde_{t1} / (1 - lambda*))
     v1: float | None = None
     v2: float | None = None
     v12: float | None = None
@@ -203,9 +205,9 @@ class MCAggregate:
             if rep.c_t0p1 is not None:
                 self.zc_checked += 1
                 self.zc_ok += rep.Z + 1 == rep.c_t0p1
-            if rep.T1 is not None and rep.xtilde_t1 is not None:
-                self.duality_dt.append(float(rep.T1 - ctx.t1))
-                self.duality_pred.append(rep.xtilde_t1 / (1.0 - ctx.lambda_star))
+            if rep.duality is not None:
+                self.duality_dt.append(rep.duality[0])
+                self.duality_pred.append(rep.duality[1])
             if rep.max_s_t1 is not None:
                 self.max_s_t1_values.append(rep.max_s_t1)
         if ctx.collect_doob and rep.v1 is not None:
@@ -333,7 +335,7 @@ def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
         census_t0=ctx.t0,
     )
     res = run_exploration(cfg, record=trace_level)
-    max_s_pre = max_s_t1 = s_t1 = xt1 = v1 = v2 = v12 = l1 = l2 = gap = None
+    max_s_pre = max_s_t1 = duality = v1 = v2 = v12 = l1 = l2 = gap = None
     if trace_level == "light":
         seq = _get_seq(ctx.n, ctx.r, ctx.p, ctx.t1)
         need_t1 = ctx.collect_doob or ctx.collect_windows
@@ -347,8 +349,8 @@ def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
             abs_s = np.abs(dt.S)
             max_s_pre = float(np.max(abs_s[:upto]))
             max_s_t1 = float(np.max(abs_s[: ctx.t1]))
-            s_t1 = float(dt.S[ctx.t1 - 1])
-            xt1 = float(dt.Xtilde[ctx.t1 - 1])
+            if res.T1 is not None:
+                duality = duality_diagnostic(dt, res, ctx.lambda_star)
         if ctx.collect_doob:
             v1, v2, v12 = dt.V1, dt.V2, dt.V12
             l1, l2 = dt.lindeberg1, dt.lindeberg2
@@ -358,21 +360,38 @@ def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
         L1=res.L1, N1=res.N1, M1=res.M1, L2=res.L2, Z=res.Z, T0=res.T0,
         T1=res.T1, c_t0p1=res.c_t0p1, complete=res.complete, l1_tie=res.l1_tie,
         closes=res.components_closed, n_steps=res.n_steps,
-        max_s_pre=max_s_pre, max_s_t1=max_s_t1, s_t1=s_t1, xtilde_t1=xt1,
+        max_s_pre=max_s_pre, max_s_t1=max_s_t1, duality=duality,
         v1=v1, v2=v2, v12=v12, lind1=l1, lind2=l2, gap=gap,
     )
 
 
-def _chunk_worker(args):
-    ctx, master_seed, cell_index, lo, hi = args
+def _replicate_chunk(args):
+    fn, ctx, master_seed, salt, lo, hi = args
     out = []
     for rep in range(lo, hi):
-        seed = derive_seed(master_seed, cell_index, rep)
+        seed = derive_seed(master_seed, salt, rep)
         try:
-            out.append((rep, _run_replicate(ctx, seed)))
-        except Exception as exc:  # aborts the cell upstream, with context
-            out.append((rep, ("error", repr(exc))))
-    return out
+            out.append(fn(ctx, seed))
+        except Exception as exc:  # reported upstream with the replicate's seed
+            return out, f"replicate {rep} (seed {seed}) failed: {exc!r}"
+    return out, None
+
+
+def _map_replicates(fn, ctx, R: int, master_seed: int, salt: int, workers: int) -> list:
+    """[fn(ctx, derive_seed(master_seed, salt, rep)) for rep in range(R)],
+    in chunks over a fork pool when workers > 1.  Raises RuntimeError naming
+    the lowest failed replicate and its derived seed."""
+    chunk = max(1, min(512, -(-R // (workers * 4)))) if workers > 1 else R
+    tasks = [(fn, ctx, master_seed, salt, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
+    if workers > 1 and len(tasks) > 1:
+        with get_context("fork").Pool(workers) as pool:
+            parts = pool.map(_replicate_chunk, tasks, chunksize=1)
+    else:
+        parts = [_replicate_chunk(t) for t in tasks]
+    for _, error in parts:
+        if error is not None:
+            raise RuntimeError(error)
+    return [item for out, _ in parts for item in out]
 
 
 def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
@@ -414,27 +433,15 @@ def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
 def run_cell(spec: CellSpec, plan: ExperimentPlan, cell_index: int = 0,
              workers: int = 1) -> CellResult:
     ctx = make_context(spec, plan)
-    R = plan.replicates
-    chunk = max(1, min(512, -(-R // (workers * 4)))) if workers > 1 else R
-    tasks = [
-        (ctx, plan.master_seed, cell_index, lo, min(lo + chunk, R))
-        for lo in range(0, R, chunk)
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_chunk_worker, tasks, chunksize=1)
-    else:
-        parts = [_chunk_worker(t) for t in tasks]
-    results = [item for part in parts for item in part]
-    results.sort(key=lambda kv: kv[0])
+    try:
+        reps = _map_replicates(_run_replicate, ctx, plan.replicates, plan.master_seed,
+                               cell_index, workers)
+    except RuntimeError as exc:
+        raise RuntimeError(f"cell {spec.name()} aborted: {exc}") from None
     agg = MCAggregate(z_cap=plan.z_cap)
-    for rep_idx, stats in results:
-        if isinstance(stats, tuple) and stats and stats[0] == "error":
-            raise RuntimeError(
-                f"cell {spec.name()} aborted: replicate {rep_idx} failed: {stats[1]}"
-            )
+    for stats in reps:
         agg.add(stats, ctx)
-    return CellResult(spec=spec, ctx=ctx, replicates=R, aggregate=agg)
+    return CellResult(spec=spec, ctx=ctx, replicates=plan.replicates, aggregate=agg)
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
@@ -502,29 +509,10 @@ class TailReport:
         return all(a > b for a, b in zip(ps, ps[1:]))
 
 
-def _tail_worker(args):
-    n, r, p, master_seed, salt, lo, hi = args
-    out = []
-    for rep in range(lo, hi):
-        seed = derive_seed(master_seed, salt, rep)
-        cfg = ExplorationConfig(n=n, r=r, p=p, seed=seed)
-        res = run_exploration(cfg)
-        out.append((rep, res.L1, res.L2))
-    return out
-
-
-def _collect_l1_l2(n, r, p, R, master_seed, salt, workers):
-    chunk = max(1, min(512, -(-R // (max(workers, 1) * 4)))) if workers > 1 else R
-    tasks = [(n, r, p, master_seed, salt, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
-    if workers > 1 and len(tasks) > 1:
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_tail_worker, tasks, chunksize=1)
-    else:
-        parts = [_tail_worker(t) for t in tasks]
-    rows = sorted(item for part in parts for item in part)
-    l1 = np.array([x[1] for x in rows], dtype=np.int64)
-    l2 = np.array([x[2] for x in rows], dtype=np.int64)
-    return l1, l2
+def _l1_l2(ctx, seed: int) -> tuple:
+    n, r, p = ctx
+    res = run_exploration(ExplorationConfig(n=n, r=r, p=p, seed=seed))
+    return res.L1, res.L2
 
 
 def _bound_value(eps, n, L, c):
@@ -562,7 +550,8 @@ def tail_subcritical(n: int, r: int, eps: float, L_grid, R: int, master_seed: in
     if not 0.0 < eps < 1.0:
         raise ValueError("subcritical eps must lie in (0, 1)")
     p = p_from_lambda(n, r, 1.0 - eps)
-    l1, _ = _collect_l1_l2(n, r, p, R, master_seed, 0, workers)
+    pairs = _map_replicates(_l1_l2, (n, r, p), R, master_seed, 0, workers)
+    l1, _ = np.array(pairs, dtype=np.int64).T
     rows = _tail_rows(l1, L_grid, eps, n, c_bound)
     slope, intercept, resid = _affine_fit(rows)
     largest = rows[-1]
@@ -584,7 +573,8 @@ def tail_supercritical(n: int, r: int, eps: float, omega_grid, L_grid, R: int,
         raise ValueError("supercritical eps must be positive")
     lam = 1.0 + eps
     p = p_from_lambda(n, r, lam)
-    l1, l2 = _collect_l1_l2(n, r, p, R, master_seed, 1, workers)
+    pairs = _map_replicates(_l1_l2, (n, r, p), R, master_seed, 1, workers)
+    l1, l2 = np.array(pairs, dtype=np.int64).T
     rho_n = rho_r(r, lam) * n
     dev = np.abs(l1 - rho_n)
     scale = math.sqrt(n / eps)

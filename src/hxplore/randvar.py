@@ -116,8 +116,8 @@ def sample_binomial_array(rng: np.random.Generator, trials, p: float) -> np.ndar
     All entries with trials*p <= 30 run through a compressed vectorized
     inversion (one pmf-ratio update per support point, applied only to the
     still-unresolved lanes); larger-mean entries fall back to the scalar
-    mode-centered path.  Consumes exactly len(trials) + (#large-mean)
-    uniforms from `rng`, in index order.
+    mode-centered path, which reuses the entry's own uniform.  Consumes
+    exactly len(trials) uniforms from `rng`, in one call.
     """
     trials = np.asarray(trials, dtype=np.float64)
     if not 0.0 <= p < 1.0:

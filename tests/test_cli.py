@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from hxplore.cli import main
 
 
@@ -172,3 +174,18 @@ def test_verify_subset(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("criterion")]
     assert len(lines) == 2 and all("[PASS]" in l for l in lines)
+
+
+@pytest.mark.parametrize("argv,worker_cap", [
+    (["verify", "--criteria", "1,x"], None),
+    (["verify", "--criteria", "99"], None),
+    (["oracle", "--n", "3", "--r", "2", "--p", "0.5"], "two"),
+    (["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "1", "--stop", "giant:abc"], None),
+    (["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "1", "--stop", "giant:-5"], None),
+])
+def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, worker_cap):
+    if worker_cap is not None:
+        monkeypatch.setenv("HXPLORE_MAX_WORKERS", worker_cap)
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and err.startswith("usage-error:"), err
+    assert "criterion" not in out

@@ -6,7 +6,6 @@ import pytest
 from hxplore.doob import conditional_moments
 from hxplore.explore import (
     ExplorationConfig,
-    ImplicitState,
     census,
     explore,
     materialize,
@@ -147,25 +146,6 @@ def test_step_mean_matches_conditional_formula():
     assert abs(etas.mean() - cm.mean_eta) < 3 * se
 
 
-def test_zero_edge_step_drops_x_by_one():
-    rng = np.random.default_rng(5)
-    st = ImplicitState(50, 3, 1e-9, rng)
-    rec = st.step()
-    assert rec.edge_count == 0 and rec.eta == 0 and rec.xi == 0 and rec.zeta == 0
-    assert rec.X == -1 and rec.nullity_inc == 0
-
-
-def test_implicit_state_agrees_with_trace_invariants():
-    rng = np.random.default_rng(13)
-    st = ImplicitState(100, 3, p_from_lambda(100, 3, 1.2), rng)
-    prev_x = 0
-    for _ in range(100):
-        rec = st.step()
-        assert rec.X - prev_x == rec.eta - 1
-        assert rec.A == st.A and rec.X == st.X
-        prev_x = rec.X
-
-
 def test_implicit_vs_explicit_l1_distribution():
     # two-sample check through the exact law: both modes chi-square against
     # the enumeration at (5, 3, 0.15)
@@ -251,9 +231,11 @@ def test_census_requires_full_trace_semantics():
                             census_t0=t0)
     tr = explore(cfg)
     cen = census(tr, t0=t0)
-    assert cen.l2_is_lower_bound
+    assert not cen.complete  # L2 is a lower bound
     assert cen.T0 <= t0
     assert cen.T1 is None or cen.T1 > t0
+    with pytest.raises(ValueError):
+        census(run_exploration(cfg, record="light"), t0=t0)
 
 
 from hypothesis import given, settings, strategies as st

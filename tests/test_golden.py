@@ -1,0 +1,179 @@
+"""Golden streams: SHA-256 digests of exact outputs for fixed seeds.
+
+A refactor of the engines, the census, the replicate scheduler or the CLI
+writers must keep every digest here byte-identical.  A change that alters a
+random stream on purpose must say so and update the digests in the same
+change.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from hxplore.cli import main
+from hxplore.explore import ExplorationConfig, census, explore, run_exploration
+from hxplore.mc import (
+    CellSpec,
+    ExperimentPlan,
+    format_cell_row,
+    format_tail_row,
+    run_cell,
+    tail_subcritical,
+    tail_supercritical,
+)
+from hxplore.theory import p_from_lambda
+
+TRACE_COLUMNS = ("edge_counts", "eta", "xi", "zeta", "nullity_inc", "A", "C", "X", "new_component")
+CENSUS_FIELDS = ("L1", "L2", "M1", "N1", "Z", "T0", "T1", "c_t0p1", "l1_tie")
+COMPONENT_FIELDS = ("index", "t_start", "t_end", "vertices", "edges", "nullity")
+
+
+def _t0(n, eps):
+    return int(math.floor(4.0 * math.sqrt(n / eps)))
+
+
+# name -> ExplorationConfig keyword arguments
+CASES = {
+    "implicit_r2_full": dict(n=3000, r=2, p=p_from_lambda(3000, 2, 1.3), seed=11,
+                             census_t0=_t0(3000, 0.3)),
+    "implicit_r3_giant": dict(n=20_000, r=3, p=p_from_lambda(20_000, 3, 1.2), seed=12,
+                              stop_rule="giant", margin=2 * _t0(20_000, 0.2),
+                              census_t0=_t0(20_000, 0.2)),
+    "implicit_r4_sub": dict(n=900, r=4, p=p_from_lambda(900, 4, 0.8), seed=13, census_t0=300),
+    "explicit_r3_full": dict(n=60, r=3, p=p_from_lambda(60, 3, 1.4), seed=14, mode="explicit",
+                             census_t0=20),
+    "explicit_r2_giant": dict(n=300, r=2, p=p_from_lambda(300, 2, 1.5), seed=15, mode="explicit",
+                              stop_rule="giant", margin=10, census_t0=_t0(300, 0.5)),
+    "single_vertex": dict(n=1, r=3, p=0.1, seed=7, census_t0=0),
+    "implicit_r3_tie": dict(n=40, r=3, p=p_from_lambda(40, 3, 0.9), seed=21, census_t0=10),
+    "explicit_r2_tie": dict(n=40, r=2, p=p_from_lambda(40, 2, 0.9), seed=8, mode="explicit",
+                            census_t0=10),
+    "implicit_r3_refill": dict(n=30_000, r=3, p=p_from_lambda(30_000, 3, 2.0), seed=16,
+                               census_t0=_t0(30_000, 1.0)),
+    "implicit_r4_refill": dict(n=30_000, r=4, p=p_from_lambda(30_000, 4, 2.0), seed=17,
+                               census_t0=_t0(30_000, 1.0)),
+}
+
+GOLDEN_RUNS = {
+    "implicit_r2_full": "a00d583476b077947ed48c4b5358c58ce58abefc519ece67f8e200eabfff7a8c",
+    "implicit_r3_giant": "aed07200f778452af81c8456b02e7b7ed62e213c10f30dab40d9496d6d197691",
+    "implicit_r4_sub": "6121e3401de0fb08b1b6d91366c29e121ff4a4191ee32b8b61ec828dea8656e5",
+    "explicit_r3_full": "fb17712bfa6baa4ee93ec09f38a322cf0c12d73f69f82d7ece7af40ee8f96f34",
+    "explicit_r2_giant": "e702ad00b922ee66108ce165faf9f63578dbbd95c78dc0a9beb806823332586d",
+    "single_vertex": "56d10a6ebf3db1501220b3cf3e04009423f2870882fd0c03dd2ebcab66fb5232",
+    "implicit_r3_tie": "11e3660c1e63228d1a8eaf52a51b00e77dfca36b385ab6357dd36537c3e54679",
+    "explicit_r2_tie": "26794f49ac1ad206748dc2feaf2a5383f2808d49c13a25bfc6112c13729d10db",
+    "implicit_r3_refill": "f6d3ad28e1bf172313198e4b1da0425b491918753c1003990a5c25ed71381d6b",
+    "implicit_r4_refill": "ca0abf6343e346aa46b5f544b789bfae468ad89a6b88ad448dd27c9c9c367021",
+}
+GOLDEN_CENSUS = {
+    "implicit_r2_full": "afa9611b458206b0a87d4c3f798f7f5038f6d18aa190e5f9acc1e4f259814a8a",
+    "implicit_r3_giant": "9124c9b866d90275d9b4f5e2a933f72c4ec7ce7644e1b3de77c4716d6ee1dbc3",
+    "implicit_r4_sub": "be1e57080ca16c66fc113015eee0ed733d885757db3aea1d0e24f3b629f1a85c",
+    "explicit_r3_full": "60fbcdd24d27219b574d068c339000c6c08297c69dc6588a5222be0b0190aa87",
+    "explicit_r2_giant": "e5b699a9b5ab20e0363a89130f1e2c1c808ff991f2189f2e3a93d4e865db40c6",
+    "single_vertex": "6df51f5f2f704406d961d59065ed786f96647147a5a0db2a91a5396339671dfd",
+    "implicit_r3_tie": "6330e4cdfc00bd35586da6854ad6364271dd636049567c50d7f419df0361a070",
+    "explicit_r2_tie": "ec484c397270c3d54545bcdde4403c95636565f8a5a7f78df36155c78f16efe8",
+    "implicit_r3_refill": "1634ed6a94cfabad344275ddeba6b64254e06fd83d0d394de84c94a820e008c7",
+    "implicit_r4_refill": "ab50bf989f77fa074da2a01376a578587be165b666d94c7394b9d89505a451d6",
+}
+GOLDEN_CELL = "a8b23032946c151aea89819d23142f473686367e04684be3de0c26246f9278ad"
+GOLDEN_TAILS = "1037f0d7cf5b34d5deb50ccf49e77dc4558d943019d10c3e86afeb2cbf199cd0"
+GOLDEN_CLI = {
+    "csv": "e0555ffd0fd3e5633fe454d7d09419ee62f2e2644e592779d240cf621ff9ceea",
+    "json": "454ce0a9e45d089c4320ebff9ea1002e45d933d97da5d7f09c6e612eb7721c6f",
+}
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+def _run_digest(res) -> str:
+    parts = []
+    for name in TRACE_COLUMNS:
+        a = np.ascontiguousarray(getattr(res, name))
+        parts += [name, a.dtype.str, a.shape, a.tobytes()]
+    parts.append([tuple(getattr(c, f) for f in COMPONENT_FIELDS) for c in res.components])
+    parts.append([getattr(res, f) for f in CENSUS_FIELDS])
+    parts.append((res.n_steps, res.complete, res.components_closed, res.total_edges,
+                  res.total_nullity, res.giant_vertices, res.giant_nullity))
+    return _sha(*parts)
+
+
+def _census_digest(cen) -> str:
+    return _sha([getattr(cen, f) for f in ("L1", "L2", "M1", "N1", "Z", "T0", "T1", "l1_tie",
+                                            "giant_nullity")])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_run(name):
+    cfg = ExplorationConfig(**CASES[name])
+    full = run_exploration(cfg, record="full")
+    assert _run_digest(full) == GOLDEN_RUNS[name]
+    # every record level carries the same census, and explore() the same trace
+    for level in ("none", "light"):
+        res = run_exploration(cfg, record=level)
+        assert [getattr(res, f) for f in CENSUS_FIELDS] == [getattr(full, f) for f in CENSUS_FIELDS]
+        assert res.n_steps == full.n_steps
+    tr = explore(cfg)
+    for col in TRACE_COLUMNS:
+        assert np.array_equal(getattr(tr, col), getattr(full, col))
+    assert _census_digest(census(tr, cfg.census_t0)) == GOLDEN_CENSUS[name]
+
+
+def _full(name):
+    return run_exploration(ExplorationConfig(**CASES[name]), record="full")
+
+
+def test_golden_cases_cover_the_engine_paths():
+    for name in ("implicit_r3_giant", "explicit_r3_full"):
+        assert np.any(_full(name).edge_counts >= 2), name
+    for name in ("implicit_r3_tie", "explicit_r2_tie"):
+        assert _full(name).l1_tie, name
+    # one-edge steps use r - 1 presampled uniforms each, refilled 8192 at a time
+    for name in ("implicit_r3_refill", "implicit_r4_refill"):
+        res = _full(name)
+        assert np.count_nonzero(res.edge_counts == 1) * (res.config.r - 1) > 8192, name
+
+
+def test_golden_mc_cell():
+    spec = CellSpec(n=20_000, r=3, eps=0.2, stop="giant")
+    plan = ExperimentPlan(cells=(spec,), replicates=6, master_seed=2024, omega=4.0,
+                          collect=("census", "windows", "doob"))
+    rows = []
+    for workers in (1, 2):
+        res = run_cell(spec, plan, workers=workers)
+        agg = res.aggregate
+        rows.append(_sha(format_cell_row(res), agg.z1, agg.z2, agg.duality_dt, agg.duality_pred,
+                         agg.max_s_t1_values, agg.win_e1, agg.win_e2, agg.win_e3, agg.win_all,
+                         agg.win_t0, agg.zc_ok, agg.zc_checked, agg.v1_sum, agg.v2_sum,
+                         agg.v12_sum, agg.lind1_sum, agg.lind2_sum, agg.doob_count))
+    assert rows[0] == rows[1] == GOLDEN_CELL
+
+
+def test_golden_tails():
+    sub = tail_subcritical(n=2000, r=3, eps=0.3, L_grid=[10, 20, 40], R=60, master_seed=9,
+                           workers=2)
+    sup = tail_supercritical(n=5000, r=3, eps=0.3, omega_grid=(1.0, 2.0), L_grid=[10, 30],
+                             R=30, master_seed=9, workers=2)
+    digest = _sha([format_tail_row(row) for row in sub.rows],
+                  [format_tail_row(row) for row in sup.rows], sup.omega_rows)
+    assert digest == GOLDEN_TAILS
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_golden_cli_run_doob(tmp_path, fmt):
+    prefix = str(tmp_path / "run")
+    code = main(["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "5",
+                 "--doob", "--format", fmt, "--out", prefix])
+    assert code == 0
+    files = sorted(tmp_path.iterdir())
+    assert _sha(*[(f.name, f.read_bytes()) for f in files]) == GOLDEN_CLI[fmt]

@@ -176,3 +176,13 @@ def test_cell_row_formatting_round_trip():
     fields = row.split(",")
     assert len(fields) == len(CELL_CSV_HEADER.split(","))
     assert float(fields[5]) == res.aggregate.biv.mean_x  # 17g round-trips
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_replicate_names_its_seed(workers):
+    # margin 0 stops some replicates before the t1 horizon the doob sums need
+    spec = CellSpec(n=20_000, r=3, eps=0.2, stop="giant", margin=0)
+    plan = ExperimentPlan(cells=(spec,), replicates=4, master_seed=3, collect=("census", "doob"))
+    seed = derive_seed(3, 0, 2)
+    with pytest.raises(RuntimeError, match=rf"replicate 2 \(seed {seed}\) failed: .*too short"):
+        run_cell(spec, plan, workers=workers)
