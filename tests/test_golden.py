@@ -86,6 +86,20 @@ GOLDEN_CLI = {
     "csv": "e0555ffd0fd3e5633fe454d7d09419ee62f2e2644e592779d240cf621ff9ceea",
     "json": "454ce0a9e45d089c4320ebff9ea1002e45d933d97da5d7f09c6e612eb7721c6f",
 }
+# edge cases of the `hxplore run --doob` CSV writer: the sections on stdout, a giant stop
+# that ends inside an open component, and a subcritical run (t1 = 0, every Shat empty)
+WRITER_CASES = {
+    "stdout": ["run", "--n", "300", "--r", "3", "--lambda", "1.4", "--seed", "6", "--doob"],
+    "giant_open": ["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "12",
+                   "--stop", "giant", "--doob", "--out"],
+    "subcritical": ["run", "--n", "500", "--r", "3", "--lambda", "0.8", "--seed", "8",
+                    "--doob", "--out"],
+}
+GOLDEN_WRITER = {
+    "stdout": "3675a3dad8e0680d58edf66dc63c54aeed5e4b9cf05cba83011b1faa6e05318c",
+    "giant_open": "ce37fa1f547fb23c4a8111ba55c43110fd82d6c9224046043f5e8277cfbaa739",
+    "subcritical": "1f7ae4bcbf7c21e6b8bccf2f518468aa8387dbf10efed2678c6c20758f7f4509",
+}
 
 
 def _sha(*parts) -> str:
@@ -177,3 +191,20 @@ def test_golden_cli_run_doob(tmp_path, fmt):
     assert code == 0
     files = sorted(tmp_path.iterdir())
     assert _sha(*[(f.name, f.read_bytes()) for f in files]) == GOLDEN_CLI[fmt]
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_golden_cli_writer_edge_cases(tmp_path, capsys, name):
+    argv = WRITER_CASES[name]
+    if argv[-1] == "--out":
+        argv = argv + [str(tmp_path / "run")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    files = {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())}
+    if name == "giant_open":
+        last = files["run.trace.csv"].rstrip(b"\n").rsplit(b"\n", 1)[1].split(b",")
+        assert int(last[6]) > 0  # A at the last step
+    if name == "subcritical":
+        rows = files["run.doob.csv"].splitlines()[1:-1]
+        assert rows and all(row.endswith(b",") for row in rows)
+    assert _sha(out, *sorted(files.items())) == GOLDEN_WRITER[name]
