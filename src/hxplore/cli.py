@@ -15,6 +15,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import acceptance
 from .doob import approx_gap, decompose
 from .explore import ExplorationConfig, explore
@@ -38,6 +40,7 @@ TRACE_HEADER = "t,edges,eta,xi,zeta,nullity_inc,A,C,X,new_component"
 TRACE_COLUMNS = ("edge_counts", "eta", "xi", "zeta", "nullity_inc", "A", "C", "X", "new_component")
 COMPONENTS_HEADER = "index,t_start,t_end,vertices,edges,nullity"
 DOOB_HEADER = "t,D,Delta,Dstar,DeltaStar,S,Xtilde,Shat"
+_BLOCK = 4096  # CSV rows formatted per text chunk
 
 
 class UsageError(Exception):
@@ -94,8 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args) -> None:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            defaults = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                defaults = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"--config {args.config}: {exc}") from None
+        if not isinstance(defaults, dict):
+            raise UsageError(f"--config {args.config}: expected a JSON object")
         for key, val in defaults.items():
             key = key.replace("-", "_")
             if key == "lambda":
@@ -135,6 +143,13 @@ def _parse_stop(args):
     return "giant", int(margin)
 
 
+def _parse_list(text, conv, flag) -> list:
+    try:
+        return [conv(x) for x in text.split(",") if x]
+    except ValueError:
+        raise UsageError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _workers(args) -> int:
     try:
         return resolve_workers(args.threads)
@@ -143,20 +158,23 @@ def _workers(args) -> int:
 
 
 def _emit(out_path, sections) -> None:
-    """sections: list of (suffix, text); to files PREFIX.suffix, or stdout
-    separated by blank lines when no --out is given."""
-    if out_path:
-        for suffix, text in sections:
+    """sections: (suffix, iterable of text chunks ending in a newline) pairs, streamed to
+    the files PREFIX.suffix, or to stdout with a blank line between sections."""
+    for i, (suffix, chunks) in enumerate(sections):
+        if out_path:
             with open(f"{out_path}.{suffix}", "w") as fh:
-                fh.write(text)
-    else:
-        sys.stdout.write("\n\n".join(text.rstrip("\n") for _, text in sections) + "\n")
+                fh.writelines(chunks)
+        else:
+            sys.stdout.write("\n" if i else "")
+            sys.stdout.writelines(chunks)
 
 
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) is None:
             raise UsageError(f"--{name.replace('_', '-')} is required")
+    if "replicates" in names and args.replicates < 1:
+        raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
 
 
 def cmd_theory(args) -> int:
@@ -184,16 +202,48 @@ def cmd_theory(args) -> int:
             "mean_N1": t.mean_N1, "sd_N1": t.sd_N1, "corr": t.corr,
         }
         out["p"] = p_from_lambda(args.n, args.r, lam)
-    _emit(args.out, [("json", json.dumps(out, indent=2, sort_keys=True) + "\n")])
+    _emit(args.out, [("json", [json.dumps(out, indent=2, sort_keys=True) + "\n"])])
     return 0
 
 
-def _trace_rows(run):
-    """(t, *TRACE_COLUMNS) tuples of Python scalars, one per step, converted
-    from the arrays 4096 steps at a time to keep the copies small."""
-    for lo in range(0, run.n_steps, 4096):
-        cols = [getattr(run, name)[lo : lo + 4096].tolist() for name in TRACE_COLUMNS]
-        yield from zip(range(lo + 1, lo + 1 + len(cols[0])), *cols)
+def _csv_rows(template, cols, lo, hi):
+    """Rows lo+1 .. hi of a CSV table in chunks of _BLOCK rows: the row number, then
+    the fields of rows a+1 .. b in the arrays cols(a, b), through a %-template of one row."""
+    for a in range(lo, hi, _BLOCK):
+        b = min(a + _BLOCK, hi)
+        block = np.column_stack([np.arange(a + 1, b + 1), *cols(a, b)])
+        yield (template + "\n") * (b - a) % tuple(block.ravel().tolist())
+
+
+def _trace_csv(run):
+    yield TRACE_HEADER + "\n"
+    yield from _csv_rows(",".join(["%d"] * (len(TRACE_COLUMNS) + 1)),
+                         lambda a, b: [getattr(run, name)[a:b] for name in TRACE_COLUMNS],
+                         0, run.n_steps)
+
+
+def _components_csv(run):
+    """Components close at each A_t = 0; columns made per block keep the memory small."""
+    ends = np.concatenate(([0], np.flatnonzero(run.A == 0) + 1))  # 0, then the close times
+    cum = np.concatenate(([0], np.cumsum(run.edge_counts)[ends[1:] - 1]))
+    def cols(a, b):
+        t, e = ends[a : b + 1], np.diff(cum[a : b + 1])
+        v = np.diff(t)
+        return [t[:-1], t[1:], v, e, 1 + (run.config.r - 1) * e - v]  # n(C) = 1 + (r-1) e(C) - |C|
+    yield COMPONENTS_HEADER + "\n"
+    yield from _csv_rows("%d,%d,%d,%d,%d,%d", cols, 0, len(ends) - 1)
+
+
+def _doob_csv(dt, gap):
+    """Rows t <= t1 carry Shat, later rows leave it empty; "%.17g" writes mc.fmt17's bytes."""
+    cols = [dt.D, dt.Delta, dt.Dstar, dt.DeltaStar, dt.S, dt.Xtilde]
+    yield DOOB_HEADER + "\n"
+    yield from _csv_rows("%d" + ",%.17g" * 7, lambda a, b: [c[a:b] for c in cols + [dt.Shat]],
+                         0, dt.t1)
+    yield from _csv_rows("%d" + ",%.17g" * 6 + ",", lambda a, b: [c[a:b] for c in cols],
+                         dt.t1, dt.n_steps)
+    yield (f"# V1={fmt17(dt.V1)} V2={fmt17(dt.V2)} V12={fmt17(dt.V12)} "
+           f"lindeberg1={fmt17(dt.lindeberg1)} lindeberg2={fmt17(dt.lindeberg2)} c1={fmt17(gap)}\n")
 
 
 def cmd_run(args) -> int:
@@ -214,39 +264,23 @@ def cmd_run(args) -> int:
         margin=margin or 0, census_t0=t0 if stop == "giant" else None,
     )
     trace = explore(cfg)
-    rows = _trace_rows(trace)
     if args.format == "json":
         names = TRACE_HEADER.split(",")
+        cols = [range(1, trace.n_steps + 1)] + [getattr(trace, c).tolist() for c in TRACE_COLUMNS]
         doc = {
-            "trace": [dict(zip(names, row)) for row in rows],
+            "trace": [dict(zip(names, row)) for row in zip(*cols)],
             "components": [c._asdict() for c in trace.components],
             "complete": trace.complete,
         }
-        sections = [("json", json.dumps(doc, indent=2, sort_keys=True) + "\n")]
+        sections = [("json", [json.dumps(doc, indent=2, sort_keys=True) + "\n"])]
     else:
-        row_fmt = ",".join(["%d"] * (len(TRACE_COLUMNS) + 1))
-        lines = [TRACE_HEADER] + [row_fmt % row for row in rows]
-        comp_lines = [COMPONENTS_HEADER] + [",".join(map(str, c)) for c in trace.components]
-        sections = [("trace.csv", "\n".join(lines) + "\n"),
-                    ("components.csv", "\n".join(comp_lines) + "\n")]
+        sections = [("trace.csv", _trace_csv(trace)), ("components.csv", _components_csv(trace))]
     if args.doob:
         t1 = int(math.floor(rho_r(args.r, 1.0 + eps) * args.n)) if eps > 0 else 0
         t1 = min(t1, trace.n_steps)
         seq = drift_sequences(args.n, args.r, p, t1)
         dt = decompose(trace, seq, t1=t1)
-        dlines = [DOOB_HEADER]
-        for i in range(dt.n_steps):
-            shat = fmt17(dt.Shat[i]) if i < dt.t1 else ""
-            dlines.append(
-                f"{i + 1},{fmt17(dt.D[i])},{fmt17(dt.Delta[i])},{fmt17(dt.Dstar[i])},"
-                f"{fmt17(dt.DeltaStar[i])},{fmt17(dt.S[i])},{fmt17(dt.Xtilde[i])},{shat}"
-            )
-        gap = approx_gap(trace, dt)
-        dlines.append(
-            f"# V1={fmt17(dt.V1)} V2={fmt17(dt.V2)} V12={fmt17(dt.V12)} "
-            f"lindeberg1={fmt17(dt.lindeberg1)} lindeberg2={fmt17(dt.lindeberg2)} c1={fmt17(gap)}"
-        )
-        sections.append(("doob.csv", "\n".join(dlines) + "\n"))
+        sections.append(("doob.csv", _doob_csv(dt, approx_gap(trace, dt))))
     _emit(args.out, sections)
     return 0
 
@@ -289,7 +323,7 @@ def cmd_mc(args) -> int:
         }
         report.append(verdict)
     json_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _emit(args.out, [("cells.csv", csv_text), ("report.json", json_text)])
+    _emit(args.out, [("cells.csv", [csv_text]), ("report.json", [json_text])])
     return 0
 
 
@@ -297,19 +331,19 @@ def cmd_tails(args) -> int:
     _require(args, "n", "r", "eps", "seed", "replicates")
     workers = _workers(args)
     if args.l_grid:
-        grid = [int(x) for x in args.l_grid.split(",")]
+        grid = _parse_list(args.l_grid, int, "--L-grid")
     else:
         grid = [max(1, round(x / args.eps**2)) for x in (3.0, 4.5, 6.0, 8.0)]
     if args.kind == "sub":
         rep = tail_subcritical(args.n, args.r, args.eps, grid, args.replicates,
                                args.seed, workers=workers, c_bound=args.bound_c)
     else:
-        omega_grid = [float(x) for x in args.omega_grid.split(",")]
+        omega_grid = _parse_list(args.omega_grid, float, "--omega-grid")
         rep = tail_supercritical(args.n, args.r, args.eps, omega_grid, grid,
                                  args.replicates, args.seed, workers=workers,
                                  c_bound=args.bound_c)
-    lines = [TAILS_CSV_HEADER] + [format_tail_row(row) for row in rep.rows]
-    sections = [("tails.csv", "\n".join(lines) + "\n")]
+    rows = [TAILS_CSV_HEADER, *map(format_tail_row, rep.rows)]
+    sections = [("tails.csv", [f"{row}\n" for row in rows])]
     meta = {
         "kind": rep.kind, "n": rep.n, "r": rep.r, "eps": rep.eps, "R": rep.R,
         "c_bound": rep.c_bound, "measurable": rep.measurable,
@@ -318,7 +352,7 @@ def cmd_tails(args) -> int:
                     "max_residual": rep.max_fit_residual},
         "omega_rows": [{"omega": om, "count": c, "freq": f} for om, c, f in rep.omega_rows],
     }
-    sections.append(("report.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"))
+    sections.append(("report.json", [json.dumps(meta, indent=2, sort_keys=True) + "\n"]))
     _emit(args.out, sections)
     return 0
 
@@ -328,8 +362,8 @@ def cmd_oracle(args) -> int:
     if args.format == "csv":
         raise UsageError("oracle output is JSON only")
     if args.step:
-        explored = [int(x) for x in args.explored.split(",") if x != ""]
-        active = [int(x) for x in args.active.split(",") if x != ""]
+        explored = _parse_list(args.explored, int, "--explored")
+        active = _parse_list(args.active, int, "--active")
         law = enumerate_step(args.n, args.r, args.p, explored, active)
         out = {
             "n": args.n, "r": args.r, "p": args.p, "t": law.t, "v": law.v,
@@ -345,17 +379,14 @@ def cmd_oracle(args) -> int:
             "support": [list(k) for k in dist.support],
             "probability": [float(q) for q in dist.probability],
         }
-    _emit(args.out, [("json", json.dumps(out, indent=2, sort_keys=True) + "\n")])
+    _emit(args.out, [("json", [json.dumps(out, indent=2, sort_keys=True) + "\n"])])
     return 0
 
 
 def cmd_verify(args) -> int:
     keys = None
     if args.criteria:
-        try:
-            keys = [int(x) for x in args.criteria.split(",")]
-        except ValueError:
-            raise UsageError(f"--criteria takes comma-separated integers, got {args.criteria!r}") from None
+        keys = _parse_list(args.criteria, int, "--criteria")
         unknown = sorted(set(keys) - {number for number, _ in acceptance.CRITERIA})
         if unknown:
             raise UsageError(f"unknown criteria {unknown}")

@@ -27,8 +27,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import sub
 from typing import NamedTuple
 
@@ -128,6 +128,8 @@ class RunResult:
     c_t0p1: int | None  # C_{t0+1}
     giant_vertices: int | None
     giant_nullity: int | None  # nullity gathered between T0 and T1
+    close_t: list | None = None  # the component table at level 'full': close times
+    close_e: list | None = None  # and the cumulative edge counts at each close
     A: np.ndarray | None = None
     xi: np.ndarray | None = None
     edge_counts: np.ndarray | None = None
@@ -137,7 +139,12 @@ class RunResult:
     C: np.ndarray | None = None
     X: np.ndarray | None = None
     new_component: np.ndarray | None = None
-    components: list = field(default_factory=list)
+
+    @cached_property
+    def components(self) -> list:
+        """The component table, built on first access from close_t and close_e."""
+        rr = self.config.r - 1
+        return [_component(self.close_t, self.close_e, rr, i) for i in range(len(self.close_t or ()))]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +383,7 @@ def _result(config, record, n_steps, close_t, close_e, total_edges, A_end,
         res.new_component = np.concatenate(([True], res.A[:-1] == 0))  # step t starts one iff A_{t-1} = 0
         res.C = np.cumsum(res.new_component).astype(np.int64)
         res.X = np.cumsum(res.eta - 1).astype(np.int64)
-        res.components = [_component(close_t, close_e, rr, i) for i in range(len(close_t))]
+        res.close_t, res.close_e = close_t, close_e
     return res
 
 
@@ -527,9 +534,7 @@ def census(run: RunResult, t0: int) -> RunResult:
     and T_1.  Needs a run recorded at level 'full'."""
     if t0 < 0:
         raise ValueError("t0 must be nonnegative")
-    if run.C is None:
+    if run.close_t is None:
         raise ValueError("census needs a run recorded at level 'full'")
-    close_t = [c.t_end for c in run.components]
-    close_e = list(accumulate(c.edges for c in run.components))
     return replace(run, config=replace(run.config, census_t0=t0),
-                   **_census(close_t, close_e, run.config.r - 1, t0, run.n_steps))
+                   **_census(run.close_t, run.close_e, run.config.r - 1, t0, run.n_steps))

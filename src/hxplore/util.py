@@ -47,13 +47,17 @@ def colex_rank(rset) -> int:
 def colex_unrank(rank: int, r: int) -> tuple:
     """Inverse of colex_rank: the r-set of nonnegative ints with this rank."""
     out = []
-    for i in range(r, 0, -1):
-        # largest a with binom(a, i) <= rank
-        a = i - 1
-        while comb0(a + 1, i) <= rank:
-            a += 1
-        out.append(a)
-        rank -= comb0(a, i)
+    hi = rank + r  # binom(rank + r, r) > rank
+    for i in range(r, 1, -1):
+        # the largest a with binom(a, i) <= rank, by bisection: binom(lo, i) <= rank < binom(hi, i)
+        lo = i - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if math.comb(mid, i) <= rank else (lo, mid)
+        out.append(lo)
+        rank -= math.comb(lo, i)
+        hi = lo  # the next coordinate is smaller
+    out.append(rank)  # binom(a, 1) = a
     return tuple(reversed(out))
 
 

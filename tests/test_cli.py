@@ -1,8 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from hxplore import cli
 from hxplore.cli import main
 
 
@@ -60,6 +62,29 @@ def test_run_writes_files(tmp_path, capsys):
     assert comps.splitlines()[0] == "index,t_start,t_end,vertices,edges,nullity"
     assert doob.splitlines()[0] == "t,D,Delta,Dstar,DeltaStar,S,Xtilde,Shat"
     assert doob.splitlines()[-1].startswith("# V1=")
+
+
+def test_run_writer_memory_is_bounded(tmp_path, monkeypatch):
+    """Once the Doob replay is done, writing `run --doob` at n = 1e5 holds
+    less than a quarter of the bytes it writes; a whole-file string alone
+    would hold all of them."""
+    real_gap = cli.approx_gap
+
+    def gap_then_trace(*args):
+        gap = real_gap(*args)
+        tracemalloc.start()
+        return gap
+
+    monkeypatch.setattr(cli, "approx_gap", gap_then_trace)
+    try:
+        code = main(["run", "--n", "100000", "--r", "3", "--lambda", "1.15", "--seed", "1",
+                     "--doob", "--out", str(tmp_path / "big")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    written = sum(f.stat().st_size for f in tmp_path.iterdir())
+    assert peak < 0.25 * written, (peak, written)
 
 
 def test_mc_deterministic_across_invocations_and_threads(tmp_path, capsys):
@@ -182,10 +207,22 @@ def test_verify_subset(capsys):
     (["oracle", "--n", "3", "--r", "2", "--p", "0.5"], "two"),
     (["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "1", "--stop", "giant:abc"], None),
     (["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "1", "--stop", "giant:-5"], None),
+    (["theory", "--config", "MALFORMED_JSON"], None),
+    (["tails", "--kind", "sub", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "10",
+      "--seed", "1", "--L-grid", "1,x"], None),
+    (["tails", "--kind", "super", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "10",
+      "--seed", "1", "--omega-grid", "2,x"], None),
+    (["mc", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "0", "--seed", "1"], None),
+    (["tails", "--kind", "sub", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "0",
+      "--seed", "1", "--L-grid", "1,2"], None),
+    (["oracle", "--n", "5", "--r", "3", "--p", "0.1", "--step", "--explored", "1,x"], None),
 ])
-def test_bad_input_is_a_usage_error(capsys, monkeypatch, argv, worker_cap):
+def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:
         monkeypatch.setenv("HXPLORE_MAX_WORKERS", worker_cap)
+    malformed = tmp_path / "bad.json"
+    malformed.write_text('{"r": 3,')
+    argv = [str(malformed) if a == "MALFORMED_JSON" else a for a in argv]
     code, out, err = _run(capsys, argv)
     assert code == 2 and err.startswith("usage-error:"), err
     assert "criterion" not in out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
+from hxplore.theory import MAX_R
 from hxplore.util import colex_rank, colex_unrank, comb0, comb_float, derive_seed, splitmix64
 
 
@@ -32,6 +33,16 @@ def test_colex_rank_order_is_dense():
 @given(st.integers(min_value=0, max_value=200000), st.integers(min_value=1, max_value=6))
 def test_colex_roundtrip(rank, r):
     assert colex_rank(colex_unrank(rank, r)) == rank
+
+
+def test_colex_unrank_inverts_rank_up_to_max_r():
+    from itertools import combinations
+
+    n = 12
+    for r in range(2, MAX_R + 1):
+        sets = sorted(combinations(range(n), r), key=colex_rank)
+        assert [colex_unrank(k, r) for k in range(len(sets))] == sets, r
+        assert all(colex_rank(colex_unrank(k, r)) == k for k in range(math.comb(n, r))), r
 
 
 def test_derive_seed_is_deterministic_and_spread():
