@@ -9,6 +9,8 @@ change.
 import hashlib
 import math
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,9 @@ from hxplore.mc import (
     tail_supercritical,
 )
 from hxplore.theory import p_from_lambda
+from hxplore.util import comb0
+
+explore_module = importlib.import_module("hxplore.explore")  # the package re-exports explore()
 
 TRACE_COLUMNS = ("edge_counts", "eta", "xi", "zeta", "nullity_inc", "A", "C", "X", "new_component")
 CENSUS_FIELDS = ("L1", "L2", "M1", "N1", "Z", "T0", "T1", "c_t0p1", "l1_tie")
@@ -54,6 +59,20 @@ CASES = {
                                census_t0=_t0(30_000, 1.0)),
     "implicit_r4_refill": dict(n=30_000, r=4, p=p_from_lambda(30_000, 4, 2.0), seed=17,
                                census_t0=_t0(30_000, 1.0)),
+    # one-companion edges that collide within a step and are redrawn, at t = 8789 and 22782
+    "implicit_r2_redraw": dict(n=100_000, r=2, p=p_from_lambda(100_000, 2, 1.3), seed=47,
+                               stop_rule="giant", margin=500, census_t0=_t0(100_000, 0.3)),
+    # r = MAX_R: multi-edge steps with n - t < 3 (r - 1) draw companions from a pool
+    "implicit_r10_pool": dict(n=30, r=10, p=15.0 / comb0(30, 9), seed=5, census_t0=10),
+    # r = MAX_R: a uniform block holds 910 one-edge steps
+    "implicit_r10_refill": dict(n=30_000, r=10, p=p_from_lambda(30_000, 10, 12.0), seed=18,
+                                census_t0=_t0(30_000, 1.0)),
+    # one step past a whole 4,096-step edge-count chunk
+    "implicit_r3_n4097": dict(n=4097, r=3, p=p_from_lambda(4097, 3, 1.3), seed=20,
+                              census_t0=_t0(4097, 0.3)),
+    # the giant stop lands on step T1 + margin = 8192, the end of the second chunk
+    "implicit_r3_stop8192": dict(n=20_000, r=3, p=p_from_lambda(20_000, 3, 1.25), seed=19,
+                                 stop_rule="giant", margin=3558, census_t0=_t0(20_000, 0.25)),
 }
 
 GOLDEN_RUNS = {
@@ -67,6 +86,11 @@ GOLDEN_RUNS = {
     "explicit_r2_tie": "26794f49ac1ad206748dc2feaf2a5383f2808d49c13a25bfc6112c13729d10db",
     "implicit_r3_refill": "f6d3ad28e1bf172313198e4b1da0425b491918753c1003990a5c25ed71381d6b",
     "implicit_r4_refill": "ca0abf6343e346aa46b5f544b789bfae468ad89a6b88ad448dd27c9c9c367021",
+    "implicit_r2_redraw": "3034d6e19ae8f9177ba66c9d29603e08fa72e24ba5d37b7fe9fb68178935716e",
+    "implicit_r10_pool": "d52dd5d8b01c8821572389be0fbf70b678079b501088097990652179b7c75d7f",
+    "implicit_r10_refill": "813822d441d63673d36db615574f0a6d44ed7c1336129ead6dba3d610f54d358",
+    "implicit_r3_n4097": "99868827e960099376b524225cda241a5917d43eedbfe6b9858f8ad64f36b270",
+    "implicit_r3_stop8192": "90b40f25b7ea01b8bd1bfce79c621d305fabd1b9efe50e13726383202fe78c96",
 }
 GOLDEN_CENSUS = {
     "implicit_r2_full": "afa9611b458206b0a87d4c3f798f7f5038f6d18aa190e5f9acc1e4f259814a8a",
@@ -79,6 +103,11 @@ GOLDEN_CENSUS = {
     "explicit_r2_tie": "ec484c397270c3d54545bcdde4403c95636565f8a5a7f78df36155c78f16efe8",
     "implicit_r3_refill": "1634ed6a94cfabad344275ddeba6b64254e06fd83d0d394de84c94a820e008c7",
     "implicit_r4_refill": "ab50bf989f77fa074da2a01376a578587be165b666d94c7394b9d89505a451d6",
+    "implicit_r2_redraw": "f6de7d293be4861b69c4dbc7d0fd85230ddf80aeb319729492c062f2c93894ae",
+    "implicit_r10_pool": "8c45f8ceff2d086a76e2b3fd86bdebf4851224a789f671dcc1f3014c6b6795d7",
+    "implicit_r10_refill": "6edcbc568533b8f15debb7694532dc7f22e019c008628242fa398e7fb8495e90",
+    "implicit_r3_n4097": "a2eaa86db90c21e7de9aa875d16dcadf7ebfa77dab4c8e9a63df31b214b4eeab",
+    "implicit_r3_stop8192": "507da09367ac5a9a1ee528389a68d6e3f841ab8800606f645a8cd338a206a4fe",
 }
 GOLDEN_CELL = "a8b23032946c151aea89819d23142f473686367e04684be3de0c26246f9278ad"
 GOLDEN_TAILS = "1037f0d7cf5b34d5deb50ccf49e77dc4558d943019d10c3e86afeb2cbf199cd0"
@@ -156,6 +185,31 @@ def test_golden_cases_cover_the_engine_paths():
     for name in ("implicit_r3_refill", "implicit_r4_refill"):
         res = _full(name)
         assert np.count_nonzero(res.edge_counts == 1) * (res.config.r - 1) > 8192, name
+
+
+def test_golden_edge_cases_cover_their_paths(monkeypatch):
+    draws = {}  # m -> the companion sets drawn by _draw_distinct at the step with n - t = m
+    draw_distinct = explore_module._draw_distinct
+
+    def recording(rand, m, k):
+        out = draw_distinct(rand, m, k)
+        draws.setdefault(m, []).append(out)
+        return out
+    monkeypatch.setattr(explore_module, "_draw_distinct", recording)
+    _full("implicit_r2_redraw")
+    assert any(len(set(sets)) < len(sets) for sets in draws.values())  # a set was drawn twice
+    monkeypatch.undo()
+
+    res = _full("implicit_r10_pool")
+    n, rr = res.config.n, res.config.r - 1
+    t = np.arange(1, res.n_steps + 1)
+    assert np.any((res.edge_counts >= 2) & (n - t < 3 * rr))
+    res = _full("implicit_r10_refill")
+    assert np.count_nonzero(res.edge_counts == 1) > 2 * (8192 // 9)
+    res = _full("implicit_r3_n4097")
+    assert res.complete and res.n_steps == 4097
+    res = _full("implicit_r3_stop8192")
+    assert not res.complete and res.n_steps == res.T1 + res.config.margin == 8192
 
 
 def test_golden_mc_cell():
