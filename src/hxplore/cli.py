@@ -30,11 +30,12 @@ from .mc import (
     format_tail_row,
     resolve_workers,
     run_experiment,
+    tail_p,
     tail_subcritical,
     tail_supercritical,
 )
 from .oracle import enumerate_all, enumerate_step
-from .theory import clt_targets, derived_constants, drift_sequences, p_from_lambda, rho_r
+from .theory import MAX_R, clt_targets, derived_constants, drift_sequences, p_from_lambda, rho_r
 
 TRACE_HEADER = "t,edges,eta,xi,zeta,nullity_inc,A,C,X,new_component"
 TRACE_COLUMNS = ("edge_counts", "eta", "xi", "zeta", "nullity_inc", "A", "C", "X", "new_component")
@@ -112,12 +113,26 @@ def _merge_config(args) -> None:
                 setattr(args, key, val)
 
 
+def _checked(fn, *args, **kw):
+    """fn(*args, **kw), with the ValueError it raises on bad input reported as a usage error."""
+    try:
+        return fn(*args, **kw)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _check_r(args) -> None:
+    if not 2 <= args.r <= MAX_R:
+        raise UsageError(f"--r must be an integer in [2, {MAX_R}], got {args.r}")
+
+
 def _resolve_p(args) -> float:
     given = [x is not None for x in (args.eps, args.lam, args.p)]
     if sum(given) != 1:
         raise UsageError("give exactly one of --eps, --lambda, --p")
     if args.n is None or args.r is None:
         raise UsageError("--n and --r are required")
+    _check_r(args)
     if args.p is not None:
         return args.p
     lam = args.lam if args.lam is not None else 1.0 + args.eps
@@ -258,8 +273,8 @@ def cmd_run(args) -> int:
             raise UsageError("stop rule 'giant' needs a supercritical cell")
         if margin is None:
             margin = 2 * t0
-    cfg = ExplorationConfig(
-        n=args.n, r=args.r, p=p, seed=args.seed,
+    cfg = _checked(
+        ExplorationConfig, n=args.n, r=args.r, p=p, seed=args.seed,
         mode=args.mode or "implicit", stop_rule=stop,
         margin=margin or 0, census_t0=t0 if stop == "giant" else None,
     )
@@ -290,6 +305,9 @@ def cmd_mc(args) -> int:
     p = _resolve_p(args)
     eps = _eps_of(args, p)
     stop, margin = _parse_stop(args) if args.stop else (("giant", None) if eps > 0 else ("full", 0))
+    if stop == "giant" and eps <= 0:
+        raise UsageError("stop rule 'giant' needs a supercritical cell")
+    _checked(ExplorationConfig, n=args.n, r=args.r, p=p, seed=args.seed, mode=args.mode or "implicit")
     spec = CellSpec(n=args.n, r=args.r, p=p, mode=args.mode or "implicit",
                     stop=stop, margin=margin if stop == "giant" else None)
     collect = ("census", "windows") if eps > 0 else ("census",)
@@ -334,6 +352,8 @@ def cmd_tails(args) -> int:
         grid = _parse_list(args.l_grid, int, "--L-grid")
     else:
         grid = [max(1, round(x / args.eps**2)) for x in (3.0, 4.5, 6.0, 8.0)]
+    _check_r(args)
+    _checked(tail_p, args.kind, args.n, args.r, args.eps)
     if args.kind == "sub":
         rep = tail_subcritical(args.n, args.r, args.eps, grid, args.replicates,
                                args.seed, workers=workers, c_bound=args.bound_c)

@@ -18,17 +18,38 @@ Two modes produce identically distributed traces:
 * explicit -- materializes the full edge list up front and replays the same
   bookkeeping on real vertex identities; feasible while binom(n, r) <= 1e8.
 
+The implicit engine draws edge counts 4,096 steps at a time and walks each
+such chunk as a block of numpy operations, with exactly the random stream
+and the outputs of a step-by-step loop.  Two facts make that exact:
+
+* The stream does not depend on the state.  Which uniforms a step reads
+  (its edge count, its companion indices, the refills of the one-edge
+  uniform block) is a function of (seed, n, r, p, t) alone; only the number
+  xi_t of active companions depends on A'_t = max(A_{t-1} - 1, 0).  So the
+  union size s_t (which is eta_t when xi_t = 0), zeta_t and a threshold
+  theta_t with xi_t = 0 exactly when A'_t <= theta_t are read off the stream
+  first.
+* The Lindley map A_t = A'_t + s_t - xi_t is monotone in A_{t-1}, since a
+  larger A'_t raises xi_t by at most its own increase.  So the path with
+  every xi = 0 bounds A from above, only the few steps whose theta_t lies
+  below that bound can have xi_t > 0, and between two of them A follows the
+  partial sums of s - 1 exactly.  Those steps are visited in order and get
+  their exact xi from the step kernel; one cumulative sum and one running
+  minimum then give the whole A column.
+
+Chunks shorter than _SHORT_CHUNK steps, where numpy's per-call cost would
+outweigh the block walk, run the step-by-step loop itself.
+
 A single run is strictly sequential; distinct runs with distinct seeds share
 no state and may execute concurrently.
 """
-
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import sub
 from typing import NamedTuple
 
@@ -53,6 +74,7 @@ EXPLICIT_EDGE_LIMIT = 10**8
 BRANCHING_LIMIT = 16.0  # cap on p * binom(n, r-1); keeps E_t means O(1)
 _E_CHUNK = 4096
 _U_CHUNK = 8192
+_SHORT_CHUNK = 512  # edge-count chunks shorter than this are walked step by step
 
 
 @dataclass(frozen=True)
@@ -176,15 +198,27 @@ def _draw_distinct(rand, m: int, k: int) -> tuple:
     return tuple(sorted(out))
 
 
+def _companion_sets(rand, m: int, rr: int, k: int) -> list:
+    """The companion (r-1)-sets of a step revealing k >= 2 edges, as sorted
+    tuples drawn from the uniforms of rand(), each redrawn until it differs
+    from the earlier ones, so that conditional on the count they form a
+    uniform k-subset of the tested r-sets."""
+    sets = []
+    for _ in range(k):
+        s = _draw_distinct(rand, m, rr)
+        while s in sets:
+            s = _draw_distinct(rand, m, rr)
+        sets.append(s)
+    return sets
+
+
 def _step_counts(rand, m: int, ap: int, rr: int, k: int, u) -> tuple:
     """(eta, xi, zeta) for a step revealing k >= 1 edges among the m = n - t
     unexplored others, indexed so that the `ap` active ones come first.
 
     k = 1: the single companion (r-1)-set is sampled sequentially from the
-    rr uniforms in `u`.  k >= 2: companion sets are drawn from the uniforms
-    of rand() and resampled until the k sets are pairwise distinct, so
-    conditional on the count they form a uniform k-subset of the tested
-    r-sets.
+    rr uniforms in `u`.  k >= 2: the companion sets come from
+    _companion_sets.
     """
     if k == 1:
         xi = 0
@@ -196,12 +230,7 @@ def _step_counts(rand, m: int, ap: int, rr: int, k: int, u) -> tuple:
                 rem_act -= 1
             rem_tot -= 1
         return rr - xi, xi, 0
-    sets = []
-    for _ in range(k):
-        s = _draw_distinct(rand, m, rr)
-        while s in sets:
-            s = _draw_distinct(rand, m, rr)
-        sets.append(s)
+    sets = _companion_sets(rand, m, rr, k)
     union = set().union(*sets)
     xi = len([v for v in union if v < ap])
     zeta = 0  # sum of |S_i & S_j| over pairs: C(c, 2) for a vertex in c of the sets
@@ -244,14 +273,14 @@ def run_exploration(config: ExplorationConfig, record: str = "none") -> RunResul
     return _run_implicit(config, record)
 
 
-def _uniform_groups(rng, rr: int, steps_left: int):
+def _uniform_groups(rng, rr: int, steps_left: int) -> np.ndarray:
     """The next _U_CHUNK uniforms of the stream as rows of rr, one row per
-    one-edge step, and each row's minimum.  Only the rows that the
-    remaining steps can use are drawn; the stream skips over the rest."""
+    one-edge step.  Only the rows that the remaining steps can use are
+    drawn; the stream skips over the rest."""
     rows = min(_U_CHUNK // rr, steps_left)
     u = rng.random(rows * rr).reshape(rows, rr)
     rng.bit_generator.advance(_U_CHUNK - rows * rr)  # one 64-bit state step per uniform
-    return u, u.min(axis=1).tolist()
+    return u
 
 
 def _scalar_uniforms(rng, block: int = 128):
@@ -274,6 +303,143 @@ def _scalar_uniforms(rng, block: int = 128):
     return rand, give_back
 
 
+def _union_stats(c: np.ndarray, ks: np.ndarray, rr: int) -> tuple:
+    """For multi-edge steps with edge counts ks whose companion sets are the
+    rows of c (one row per edge, steps in order): each step's union size,
+    least union vertex and zeta, the unions sorted and concatenated, and
+    whether every row holds rr distinct vertices and the rows of every step
+    are pairwise distinct sets."""
+    entries = ks * rr
+    off = np.zeros(ks.size, dtype=np.int64)
+    np.cumsum(entries[:-1], out=off[1:])
+    base = np.repeat(off * int(c.max() + 1), entries)  # step-major keys, as offsets keep step order
+    key = base + c.ravel()
+    key.sort()
+    vals = key - base
+    new = np.empty(key.size, dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    size = np.add.reduceat(new, off, dtype=np.int64)
+    zeta = np.zeros(ks.size, dtype=np.int64)
+    valid = True
+    for i in np.flatnonzero(size < entries).tolist():  # the rare steps whose sets overlap
+        zeta[i] = sum(x * (x - 1) // 2 for x in Counter(vals[off[i]:off[i] + entries[i]].tolist()).values())
+        sets = {frozenset(row) for row in c[off[i] // rr:off[i] // rr + ks[i]].tolist()}
+        valid = valid and len(sets) == ks[i] and all(len(x) == rr for x in sets)
+    return size, vals[off], zeta, vals[new], valid
+
+
+def _segment_sets(rng, rand, give_back, m: np.ndarray, ks: np.ndarray, rr: int) -> tuple:
+    """_union_stats of a run of multi-edge steps (m = n - t and the edge
+    count per step) that read consecutive uniforms.  Their companion sets
+    are read as one vector of uniforms, the same ones _draw_distinct reads
+    when no set is redrawn and no pool is used; otherwise the stream is
+    rewound and the steps are replayed through _companion_sets."""
+    set_m = np.repeat(m, ks)
+    u = rng.random(set_m.size * rr).reshape(-1, rr)
+    c = (u * set_m[:, None]).astype(np.int64)
+    if rr == 2:  # the second index skips over the first
+        b = (u[:, 1] * (set_m - 1)).astype(np.int64)
+        c[:, 1] = b + (b >= c[:, 0])
+    if rr < 3 or set_m.min() >= 3 * rr:
+        *stats, valid = _union_stats(c, ks, rr)
+        if valid:
+            return stats
+    rng.bit_generator.advance(-u.size)
+    rows = [s for mi, k in zip(m.tolist(), ks.tolist()) for s in _companion_sets(rand, mi, rr, k)]
+    give_back()
+    return _union_stats(np.array(rows, dtype=np.int64), ks, rr)[:-1]
+
+
+def _lindley(Q: np.ndarray, A0: int) -> np.ndarray:
+    """A after each step of a chunk that starts at A0, given Q = (0, the
+    partial sums of eta - 1): A_t = Q_t - min(-A0, min_{u<t} Q_u - 1)."""
+    return Q[1:] - np.minimum(np.minimum.accumulate(Q[:-1]) - 1, -A0)
+
+
+def _block_chunk(rng, rand, give_back, ks: np.ndarray, t: int, n: int, rr: int, A0: int,
+                 u_rows: np.ndarray, j: int) -> tuple:
+    """Steps t+1 .. t+len(ks) of an implicit run, with edge counts ks, from
+    A_t = A0 and row j of the uniform block u_rows, read from the stream in
+    the order of the step loop.  Returns the chunk's A, xi, eta and zeta
+    columns and the uniform block and row that the next chunk starts from."""
+    L = ks.size
+    groups = _U_CHUNK // rr
+    top = n - t - 1  # m = n - t at the chunk's first step; m = top - i at its step i
+    one = np.flatnonzero(ks == 1)
+    multi = np.flatnonzero(ks > 1)
+    # 1. descriptors: the stream is read in step order, the multi-edge companions
+    # between the uniform-block refills of the one-edge steps
+    refills = one[groups - j::groups].tolist()  # the one-edge steps that refill the block
+    blocks = [u_rows[j:]]
+    stats = []
+    lo = 0
+    for hi in [*np.searchsorted(multi, refills).tolist(), multi.size]:
+        if hi > lo:
+            stats.append(_segment_sets(rng, rand, give_back, top - multi[lo:hi], ks[multi[lo:hi]], rr))
+        if len(blocks) <= len(refills):
+            blocks.append(_uniform_groups(rng, rr, n - t - refills[len(blocks) - 1]))
+        lo = hi
+    if refills:
+        rows = np.concatenate(blocks)[:one.size]
+        u_rows, j = blocks[-1], j + one.size - len(refills) * groups
+    else:
+        rows, j = u_rows[j:j + one.size], j + one.size
+    # s: the union size, which is eta when xi = 0; xi > 0 exactly when A'_t > theta
+    s = ks * rr
+    zeta = np.zeros(L, dtype=np.int64)
+    theta = np.full(L, np.inf)
+    m1 = (top - one).astype(np.float64)
+    th1 = rows[:, 0] * m1  # min over i of the kernel's x_i * (m - i)
+    for i in range(1, rr):
+        np.minimum(th1, rows[:, i] * (m1 - i), out=th1)
+    theta[one] = th1
+    if stats:
+        size, least, zeta_m, union = stats[0] if len(stats) == 1 else map(np.concatenate, zip(*stats))
+        s[multi], theta[multi], zeta[multi] = size, least, zeta_m
+        uoff = np.zeros(multi.size + 1, dtype=np.int64)
+        np.cumsum(size, out=uoff[1:])
+
+    # 2. walk: the path with xi = 0 bounds A from above, so only the steps whose
+    # theta lies below its A' can have xi > 0; between two of them A is exact
+    Q = np.zeros(L + 1, dtype=np.int64)
+    np.cumsum(s - 1, out=Q[1:])
+    A = _lindley(Q, A0)
+    bound = np.empty(L, dtype=np.int64)
+    bound[0] = A0 - 1
+    np.subtract(A[:-1], 1, out=bound[1:])
+    cand = np.flatnonzero(theta < bound)
+    xi = np.zeros(L, dtype=np.int64)
+    if cand.size == 0:
+        return A, xi, s, zeta, u_rows, j
+    # A before each candidate from the state after the previous one: A = Q - min(Q - A
+    # there, Q - 1 since).  The minimum also takes Q at the candidate, which can only
+    # turn A = 0 into A = 1, and A' = 0 either way.
+    starts = np.zeros(cand.size, dtype=np.int64)
+    starts[1:] = cand[:-1] + 1
+    gap_min = np.minimum.reduceat(Q[:cand[-1] + 1], starts)
+    slot = np.where(ks[cand] == 1, np.searchsorted(one, cand), np.searchsorted(multi, cand))
+    floor = -A0
+    for c, k, sc, q, q1, th, g, i in zip(cand.tolist(), ks[cand].tolist(), s[cand].tolist(),
+                                         Q[cand].tolist(), Q[cand + 1].tolist(),
+                                         theta[cand].tolist(), gap_min.tolist(), slot.tolist()):
+        a = q - min(floor, g - 1)
+        ap = a - 1 if a else 0
+        x = 0
+        if ap > th:
+            if k == 1:
+                x = _step_counts(None, top - c, ap, rr, 1, rows[i].tolist())[1]
+            else:
+                x = int(np.searchsorted(union[uoff[i]:uoff[i + 1]], ap))
+            xi[c] = x
+        floor = q1 - (ap + sc - x)
+
+    # 3. outputs
+    eta = s - xi
+    np.cumsum(eta - 1, out=Q[1:])
+    return _lindley(Q, A0), xi, eta, zeta, u_rows, j
+
+
 def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
     n, r, p = config.n, config.r, config.p
     rr = r - 1
@@ -285,16 +451,12 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
 
     light = record != "none"
     full = record == "full"
-    rec_A = [] if light else None
-    rec_xi = [] if light else None
-    rec_E = [] if full else None
-    rec_eta = [] if full else None
-    rec_zeta = [] if full else None
+    cols: list = []  # per chunk: the recorded columns A, xi (light), edge counts, eta, zeta (full)
     close_t: list = []  # the component table: close times and cumulative edge counts
     close_e: list = []
 
     groups = _U_CHUNK // rr
-    u_rows, u_min = _uniform_groups(rng, rr, n)  # presampled uniforms for one-edge steps
+    u_rows = _uniform_groups(rng, rr, n)  # presampled uniforms for one-edge steps
     rand, give_back = _scalar_uniforms(rng)  # uniforms for the companions of multi-edge steps
     j = 0
     A = 0
@@ -308,7 +470,34 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
         hi = min(n, t + _E_CHUNK)
         tested = comb_float(np.arange(n - t - 1, n - hi - 1, -1, dtype=np.float64), rr)
         give_back()
-        for k in sample_binomial_array(rng, tested, p).tolist():
+        ks = sample_binomial_array(rng, tested, p)
+        if hi - t >= _SHORT_CHUNK:
+            cA, cxi, ceta, czeta, u_rows, j = _block_chunk(rng, rand, give_back, ks, t, n, rr, A,
+                                                          u_rows, j)
+            z = np.flatnonzero(cA == 0)
+            ct = (z + (t + 1)).tolist()
+            if T1 is None and ct and ct[-1] > stop_after:
+                T1 = ct[bisect_right(ct, stop_after)]
+                t_stop = T1 + margin
+            end = t_stop if t < t_stop <= hi else hi
+            cut = bisect_right(ct, end)
+            close_t += ct[:cut]
+            close_e += (np.cumsum(ks)[z[:cut]] + total_edges).tolist()
+            L = end - t
+            total_edges += int(ks[:L].sum())
+            A = int(cA[L - 1])
+            if light:
+                cols.append((cA[:L], cxi[:L], ks[:L], ceta[:L], czeta[:L]))
+            t = end
+            if t == t_stop:
+                break
+            continue
+
+        # a short chunk: step by step, as the block walk's fixed cost would not pay
+        u_min = reduce(np.minimum, u_rows.T).tolist()  # row minima, column by column
+        rec = ([], [], [], [], [])
+        rec_A, rec_xi, rec_E, rec_eta, rec_zeta = rec
+        for k in ks.tolist():
             t += 1
             ap = A - 1 if A else 0
             if k == 0:
@@ -318,7 +507,8 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
                 if k == 1:
                     if j == groups:
                         give_back()
-                        u_rows, u_min = _uniform_groups(rng, rr, n - t + 1)
+                        u_rows = _uniform_groups(rng, rr, n - t + 1)
+                        u_min = reduce(np.minimum, u_rows.T).tolist()  # row minima, column by column
                         j = 0
                     # each companion uniform x has x * (n - t - rr + 1) >= ap, so the kernel
                     # finds no active companion: its xi = 0 outcome
@@ -346,12 +536,14 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
                     t_stop = t + margin
             if t == t_stop:
                 break
-        else:
-            continue
-        break  # the stop rule ended the chunk early
+        if light:
+            cols.append(rec)
+        if t == t_stop:
+            break
 
-    return _result(config, record, t, close_t, close_e, total_edges, A,
-                   rec_A, rec_xi, rec_E, rec_eta, rec_zeta)
+    recorded = [col[0] if len(col) == 1 else np.concatenate([np.asarray(x, dtype=np.int64) for x in col])
+                for col in zip(*cols)] if cols else [None] * 5
+    return _result(config, record, t, close_t, close_e, total_edges, A, *recorded)
 
 
 def _result(config, record, n_steps, close_t, close_e, total_edges, A_end,

@@ -33,6 +33,7 @@ __all__ = [
     "run_experiment",
     "run_cell",
     "ks_normality",
+    "tail_p",
     "tail_subcritical",
     "tail_supercritical",
     "window_report",
@@ -542,14 +543,25 @@ def _affine_fit(rows):
     return float(slope), float(intercept), float(np.max(np.abs(resid)))
 
 
+def tail_p(kind: str, n: int, r: int, eps: float) -> float:
+    """The edge probability of a tail experiment, at lambda = 1 - eps for
+    kind 'sub' and 1 + eps for 'super'.  Raises ValueError on inputs that
+    the experiment or the exploration rejects, before any replicate runs."""
+    if kind == "sub" and not 0.0 < eps < 1.0:
+        raise ValueError("subcritical eps must lie in (0, 1)")
+    if kind == "super" and not eps > 0.0:
+        raise ValueError("supercritical eps must be positive")
+    p = p_from_lambda(n, r, 1.0 - eps if kind == "sub" else 1.0 + eps)
+    ExplorationConfig(n=n, r=r, p=p, seed=0)
+    return p
+
+
 def tail_subcritical(n: int, r: int, eps: float, L_grid, R: int, master_seed: int,
                      workers: int = 1, c_bound: float = 10.0) -> TailReport:
     """Empirical Pr(L1 > L) in the subcritical regime p = (1-eps)(r-2)! n^(1-r),
     with Wilson intervals, an affine fit of log Pr against L, and the
     exponential tail bound with the frozen constant."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("subcritical eps must lie in (0, 1)")
-    p = p_from_lambda(n, r, 1.0 - eps)
+    p = tail_p("sub", n, r, eps)
     pairs = _map_replicates(_l1_l2, (n, r, p), R, master_seed, 0, workers)
     l1, _ = np.array(pairs, dtype=np.int64).T
     rows = _tail_rows(l1, L_grid, eps, n, c_bound)
@@ -569,10 +581,8 @@ def tail_supercritical(n: int, r: int, eps: float, omega_grid, L_grid, R: int,
     Pr(|L1 - rho n| >= omega sqrt(n/eps)) per omega (nested events over one
     run set, hence non-increasing), and Pr(L2 > L) with the subcritical-form
     bound."""
-    if eps <= 0.0:
-        raise ValueError("supercritical eps must be positive")
     lam = 1.0 + eps
-    p = p_from_lambda(n, r, lam)
+    p = tail_p("super", n, r, eps)
     pairs = _map_replicates(_l1_l2, (n, r, p), R, master_seed, 1, workers)
     l1, l2 = np.array(pairs, dtype=np.int64).T
     rho_n = rho_r(r, lam) * n

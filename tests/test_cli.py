@@ -216,6 +216,12 @@ def test_verify_subset(capsys):
     (["tails", "--kind", "sub", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "0",
       "--seed", "1", "--L-grid", "1,2"], None),
     (["oracle", "--n", "5", "--r", "3", "--p", "0.1", "--step", "--explored", "1,x"], None),
+    # values the exploration or the tail experiments reject, caught before any run starts
+    (["run", "--n", "100", "--r", "12", "--p", "0.1", "--seed", "1"], None),
+    (["run", "--n", "100", "--r", "3", "--p", "0.5", "--seed", "1"], None),
+    (["tails", "--kind", "sub", "--n", "2000", "--r", "3", "--eps", "2", "--replicates", "10",
+      "--seed", "1"], None),
+    (["mc", "--n", "2000", "--r", "12", "--eps", "0.3", "--replicates", "4", "--seed", "1"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:

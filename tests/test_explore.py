@@ -1,4 +1,7 @@
+import dataclasses
+import importlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from hxplore.oracle import enumerate_all
 from hxplore.stats import chi_square_gof
 from hxplore.theory import p_from_lambda
 from hxplore.util import comb0
+
+explore_module = importlib.import_module("hxplore.explore")  # the package re-exports explore()
 
 
 def _trace_identities(tr, n, r):
@@ -263,3 +268,43 @@ def test_online_census_equals_posthoc():
         cen = census(tr, t0=150)
         assert (res.L1, res.L2, res.M1, res.N1, res.Z, res.T0, res.T1) == (
             cen.L1, cen.L2, cen.M1, cen.N1, cen.Z, cen.T0, cen.T1)
+
+
+def _walker_configs(count: int, seed: int) -> list:
+    """Seeded implicit configs over r = 2..10 and n = 1..5000, both stop
+    rules (the giant stop with margin 0 half of the time) and p from deep
+    subcritical up to the branching limit."""
+    rnd = random.Random(seed)
+    out = []
+    for i in range(count):
+        r = 2 + i % 9
+        n = rnd.choice([rnd.randint(1, 40), rnd.randint(1, 700), rnd.randint(1, 5000)])
+        tested = comb0(n, r - 1)
+        if tested == 0:
+            p = 0.5
+        elif rnd.random() < 0.5 and n > r:
+            p = min(p_from_lambda(n, r, rnd.uniform(0.3, 3.0)), 16.0 / tested)
+        else:
+            p = rnd.uniform(0.05, 1.0) * 16.0 / tested
+        giant = i % 2 == 1
+        out.append(ExplorationConfig(
+            n=n, r=r, p=min(p, 0.9), seed=rnd.randrange(2**32), census_t0=rnd.randint(0, n),
+            stop_rule="giant" if giant else "full",
+            margin=0 if not giant or i % 4 == 1 else rnd.randint(0, n)))
+    return out
+
+
+def test_block_walk_equals_step_loop(monkeypatch):
+    # every edge-count chunk walked as a block, then every chunk step by step
+    for cfg in _walker_configs(240, seed=4):
+        for record in ("none", "light", "full"):
+            monkeypatch.setattr(explore_module, "_SHORT_CHUNK", 0)
+            block = run_exploration(cfg, record=record)
+            monkeypatch.setattr(explore_module, "_SHORT_CHUNK", 10**9)
+            steps = run_exploration(cfg, record=record)
+            for field in dataclasses.fields(block):
+                a, b = getattr(block, field.name), getattr(steps, field.name)
+                if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (cfg, record, field.name)
+                else:
+                    assert a == b, (cfg, record, field.name)
