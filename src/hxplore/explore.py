@@ -354,7 +354,10 @@ def _segment_sets(rng, rand, give_back, m: np.ndarray, ks: np.ndarray, rr: int) 
 def _lindley(Q: np.ndarray, A0: int) -> np.ndarray:
     """A after each step of a chunk that starts at A0, given Q = (0, the
     partial sums of eta - 1): A_t = Q_t - min(-A0, min_{u<t} Q_u - 1)."""
-    return Q[1:] - np.minimum(np.minimum.accumulate(Q[:-1]) - 1, -A0)
+    low = np.minimum.accumulate(Q[:-1])
+    low -= 1
+    np.minimum(low, -A0, out=low)
+    return np.subtract(Q[1:], low, out=low)
 
 
 def _block_chunk(rng, rand, give_back, ks: np.ndarray, t: int, n: int, rr: int, A0: int,
