@@ -43,6 +43,7 @@ outweigh the block walk, run the step-by-step loop itself.
 A single run is strictly sequential; distinct runs with distinct seeds share
 no state and may execute concurrently.
 """
+
 from __future__ import annotations
 
 import heapq
@@ -323,7 +324,8 @@ def _union_stats(c: np.ndarray, ks: np.ndarray, rr: int) -> tuple:
     zeta = np.zeros(ks.size, dtype=np.int64)
     valid = True
     for i in np.flatnonzero(size < entries).tolist():  # the rare steps whose sets overlap
-        zeta[i] = sum(x * (x - 1) // 2 for x in Counter(vals[off[i]:off[i] + entries[i]].tolist()).values())
+        counts = Counter(vals[off[i]:off[i] + entries[i]].tolist()).values()
+        zeta[i] = sum(x * (x - 1) // 2 for x in counts)
         sets = {frozenset(row) for row in c[off[i] // rr:off[i] // rr + ks[i]].tolist()}
         valid = valid and len(sets) == ks[i] and all(len(x) == rr for x in sets)
     return size, vals[off], zeta, vals[new], valid
