@@ -16,6 +16,7 @@ import pytest
 
 from hxplore.cli import main
 from hxplore.explore import ExplorationConfig, census, explore, run_exploration
+from hxplore.oracle import enumerate_all
 from hxplore.mc import (
     CellSpec,
     ExperimentPlan,
@@ -124,6 +125,21 @@ WRITER_CASES = {
     "subcritical": ["run", "--n", "500", "--r", "3", "--lambda", "0.8", "--seed", "8",
                     "--doob", "--out"],
 }
+# (n, r, p) of the exact oracle: criterion 4's cells, L1 ties at (4, 2), n > 8 at (12, 11),
+# and the p = 0 and p = 1 atoms
+ORACLE_CASES = [(5, 3, 0.15), (7, 2, 0.2), (8, 2, 0.2), (6, 3, 0.1), (4, 2, 0.5), (12, 11, 0.3),
+                (5, 3, 0.0), (5, 3, 1.0)]
+GOLDEN_ORACLE = {
+    (5, 3, 0.15): "f3b45d6bc162b0bf20b2fbe569499d09225ad5f798f54f888a81f3467659208d",
+    (7, 2, 0.2): "2ab97d4b8287906cc3dbc3a75574fac31699433824f7b70917a29c209dbae550",
+    (8, 2, 0.2): "086741bfbe439eb348dd5200ab7eefd20a95af33d89bb97234dda4a81f3e4d80",
+    (6, 3, 0.1): "dbee767ba3b7c3ce9496c44b095d17e569d217566bb541496c1a478b1520a6cc",
+    (4, 2, 0.5): "d749883562b9f82cf4de59086c4c40efb1f7736240fd2658c79a0835c8906c53",
+    (12, 11, 0.3): "08bd81bc40c49a961a113d0f24a7d4a929eecef1006e22bfca242b2fce531c01",
+    (5, 3, 0.0): "6e1f5ed84173a048e407968ad7dbac79a83fbdea2c53ebfc4dfd30c00a5c207b",
+    (5, 3, 1.0): "60a39c687f8a0f3d3ca3bd83a7f63482f0e6f3ba3e086968641b22db6183a508",
+}
+GOLDEN_CLI_ORACLE = "3fb067cbe6471cc8ae22fed795cbfa938b9bd693f2e0eb21e52a01d24cdcf420"
 GOLDEN_WRITER = {
     "stdout": "3675a3dad8e0680d58edf66dc63c54aeed5e4b9cf05cba83011b1faa6e05318c",
     "giant_open": "ce37fa1f547fb23c4a8111ba55c43110fd82d6c9224046043f5e8277cfbaa739",
@@ -262,3 +278,16 @@ def test_golden_cli_writer_edge_cases(tmp_path, capsys, name):
         rows = files["run.doob.csv"].splitlines()[1:-1]
         assert rows and all(row.endswith(b",") for row in rows)
     assert _sha(out, *sorted(files.items())) == GOLDEN_WRITER[name]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "n%d_r%d_p%g" % c)
+def test_golden_oracle(case):
+    d = enumerate_all(*case)
+    digest = _sha(d.support, d.probability.dtype.str, d.probability.tobytes(),
+                  list(d.strata.items()))
+    assert digest == GOLDEN_ORACLE[case]
+
+
+def test_golden_cli_oracle(capsys):
+    assert main(["oracle", "--n", "5", "--r", "3", "--p", "0.15"]) == 0
+    assert _sha(capsys.readouterr().out) == GOLDEN_CLI_ORACLE
