@@ -1,19 +1,40 @@
-"""Exact ground truth at tiny scale by full enumeration.
+"""Exact ground truth at tiny scale, by counting and by enumeration.
 
-enumerate_all iterates every edge subset of H^r(n, p) (a binary counter over
-the colex-ranked r-sets), computes components and nullities, and returns the
-exact joint law of (L1, N1, L2).  Subsets are binned into exact integer
-strata by edge count, so the Bernoulli weights enter once per stratum in log
-space and extreme p costs no accuracy.
+enumerate_all returns the exact joint law of (L1, N1, L2) over H^r(n, p) by
+counting labelled hypergraphs instead of visiting them.  Its strata are
+exact integer counts per (edge count, L1, N1, L2), so the Bernoulli weights
+enter once per stratum in log space and extreme p costs no accuracy.  The
+count takes three polynomial recursions in Python ints, each polynomial in
+the number of edges:
+
+* g(s) = sum_e binom(binom(s, r), e) x^e counts all hypergraphs on s
+  labelled vertices, and the connected ones follow by rooting at the
+  smallest vertex:  c(s) = g(s) - sum_{k<s} binom(s-1, k-1) c(k) g(s-k)
+  (Karonski & Luczak, The number of connected sparsely edged uniform
+  hypergraphs, 1997).
+* For a cap L, D_L(m) counts hypergraphs on m vertices whose components
+  all have order <= L, split by their largest order M and their number j
+  of components of order L.  Peeling off the component of the smallest
+  vertex gives D_L(m) = sum_{k<=L} binom(m-1, k-1) c(k) D_L(m-k).
+* Marking one component of order L = L1 with e1 edges and filling the rest
+  from D_L(n - L) counts the pairs (hypergraph, marked largest component)
+  with binom(n, L) c(L)[e1] D_L(n - L)[M, j].
+
+N1 = 1 + (r - 1) e1 - L belongs to the largest component that contains
+the smallest vertex, and L2 is the largest order among the others: M if
+j = 0, else L.  A hypergraph with j + 1 components of order L is counted
+once per component, so the stratum count divides the pair count by j + 1.
+The division is exact and does not bias N1 towards the smallest vertex:
+given the vertex sets of the tied components, the connected structures on
+them are exchangeable, so each one is the tie-break winner with the same
+edge-count law.  Brute force over all 2^binom(n, r) edge subsets is kept
+only in the tests, as a cross-check.
 
 enumerate_step iterates every subset of the r-sets tested in a single
 exploration step and returns the exact joint law of (E_t, eta_t, xi_t,
 zeta_t) -- the validation target for the implicit step sampler and for the
-conditional-moment formulas.
-
-Both enumerations are embarrassingly parallel over subset ranges; chunk
-results are exact integer counts, so any summation order reproduces the
-same distribution bit for bit.
+conditional-moment formulas.  Its chunk results are exact integer counts,
+so the summation order does not change the distribution.
 """
 
 from __future__ import annotations
@@ -21,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -29,13 +49,10 @@ from .util import colex_rank
 
 __all__ = ["ExactDistribution", "StepLaw", "enumerate_all", "enumerate_step"]
 
-MAX_EDGES_SMALL_N = 28  # n <= 8 uses the packed bit-matrix kernel
+MAX_EDGES_SMALL_N = 28  # the edge-count limit at n <= 8
 MAX_EDGES_GENERAL = 20
 MAX_STEP_FAMILY = 22
 _CHUNK = 1 << 21
-
-_BYTE0 = np.uint64(0x0101010101010101)
-_TZ8 = np.array([(i & -i).bit_length() - 1 if i else 8 for i in range(256)], dtype=np.uint8)
 
 
 def _edge_weights(n_edges: int, p: float) -> np.ndarray:
@@ -84,182 +101,79 @@ class ExactDistribution:
         return out
 
 
-def _colex_rsets(n: int, r: int) -> list:
-    return sorted(combinations(range(n), r), key=colex_rank)
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-# ---------------------------------------------------------------------------
-# packed kernel for n <= 8
-# ---------------------------------------------------------------------------
+def _connected_counts(n: int, r: int) -> list:
+    """c[s][e]: connected r-uniform hypergraphs on s labelled vertices with e edges."""
+    g = [[math.comb(math.comb(s, r), e) for e in range(math.comb(s, r) + 1)] for s in range(n + 1)]
+    c = [[], [1]]
+    for s in range(2, n + 1):
+        cs = list(g[s])
+        for k in range(1, s):
+            for e, x in enumerate(_poly_mul(c[k], g[s - k])):
+                cs[e] -= math.comb(s - 1, k - 1) * x
+        c.append(cs)
+    return c
 
 
-def _small_tables(n: int, edges: list):
-    ne = len(edges)
-    masks = [sum(1 << v for v in e) for e in edges]
-    ident = np.uint64(sum(1 << (8 * v + v) for v in range(n)))
-    adds = []
-    for em in masks:
-        add = 0
-        for v in range(n):
-            if em >> v & 1:
-                add |= em << (8 * v)
-        adds.append(add)
-    groups = []
-    for off in range(0, ne, 8):
-        bits = min(8, ne - off)
-        table = np.zeros(1 << bits, dtype=np.uint64)
-        for word in range(1 << bits):
-            acc = 0
-            for b in range(bits):
-                if word >> b & 1:
-                    acc |= adds[off + b]
-            table[word] = acc
-        groups.append((off, bits, table))
-    inside = np.zeros(1 << n, dtype=np.uint32)
-    for cmask in range(1 << n):
-        acc = 0
-        for b, em in enumerate(masks):
-            if em & ~cmask == 0:
-                acc |= 1 << b
-        inside[cmask] = acc
-    return ident, groups, inside
-
-
-def _chunk_small(n: int, r: int, ne: int, tables, lo: int, hi: int, key_dims):
-    ident, groups, inside = tables
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    m = np.full(idx.shape, ident, dtype=np.uint64)
-    for off, bits, table in groups:
-        m |= table[((idx >> np.uint64(off)) & np.uint64((1 << bits) - 1)).astype(np.int64)]
-    ecnt = np.bitwise_count(idx).astype(np.int64)
-    # transitive closure of (adjacency | identity) by 3 squarings (paths <= 8)
-    for _ in range(3):
-        c = np.zeros_like(m)
-        for j in range(n):
-            colbit = (m >> np.uint64(j)) & _BYTE0
-            rowj = (m >> np.uint64(8 * j)) & np.uint64(0xFF)
-            c |= colbit * rowj
-        m = c
-    best = np.zeros(idx.shape, dtype=np.uint8)
-    second = np.zeros(idx.shape, dtype=np.uint8)
-    bestmask = np.zeros(idx.shape, dtype=np.uint8)
-    for v in range(n):
-        row = ((m >> np.uint64(8 * v)) & np.uint64(0xFF)).astype(np.uint8)
-        sz = np.bitwise_count(row)
-        better = sz > best
-        second = np.where(better, best, second)
-        bestmask = np.where(better, row, bestmask)
-        best = np.where(better, sz, best)
-        runner_up = ~better & (row != bestmask) & (sz > second)
-        second = np.where(runner_up, sz, second)
-    ein = np.bitwise_count(idx.astype(np.uint32) & inside[bestmask.astype(np.int64)]).astype(np.int64)
-    l1 = best.astype(np.int64)
-    n1 = 1 + (r - 1) * ein - l1
-    l2 = second.astype(np.int64)
-    de, dl, dn = key_dims
-    key = ((ecnt * dl + l1) * dn + n1) * dl + l2
-    return np.bincount(key, minlength=de * dl * dn * dl)
-
-
-def _enum_all_worker(args):
-    n, r, edges, lo, hi, key_dims = args
-    tables = _small_tables(n, edges)
-    return _chunk_small(n, r, len(edges), tables, lo, hi, key_dims)
-
-
-# ---------------------------------------------------------------------------
-# general (n > 8) kernel: plain bitmask peeling per subset
-# ---------------------------------------------------------------------------
-
-
-def _chunk_general(n: int, r: int, masks: list, lo: int, hi: int) -> dict:
-    strata: dict = {}
-    full = (1 << n) - 1
-    for word in range(lo, hi):
-        vertex_adj = [0] * n
-        bits = word
-        ecnt = 0
-        while bits:
-            b = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            ecnt += 1
-            em = masks[b]
-            mm = em
-            while mm:
-                v = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                vertex_adj[v] |= em
-        remaining = full
-        best = second = 0
-        bestmask = 0
-        while remaining:
-            comp = remaining & -remaining
-            while True:
-                grow = comp
-                mm = comp
-                while mm:
-                    v = (mm & -mm).bit_length() - 1
-                    mm &= mm - 1
-                    grow |= vertex_adj[v]
-                if grow == comp:
-                    break
-                comp = grow
-            sz = comp.bit_count()
-            if sz > best:
-                second = best
-                best = sz
-                bestmask = comp
-            elif sz > second:
-                second = sz
-            remaining &= ~comp
-        ein = 0
-        bits = word
-        while bits:
-            b = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if masks[b] & ~bestmask == 0:
-                ein += 1
-        key = (ecnt, best, 1 + (r - 1) * ein - best, second)
-        strata[key] = strata.get(key, 0) + 1
-    return strata
+def _capped_counts(m: int, cap: int, c: list) -> dict:
+    """(M, j) -> edge polynomial of the hypergraphs on m labelled vertices whose
+    components have order <= cap, with largest order M and j of order cap."""
+    d = [{(0, 0): [1]}]
+    for size in range(1, m + 1):
+        acc: dict = {}
+        for k in range(1, min(cap, size) + 1):
+            root = [math.comb(size - 1, k - 1) * x for x in c[k]]
+            for (big, j), poly in d[size - k].items():
+                key = (max(big, k), j + (k == cap))
+                prod = _poly_mul(root, poly)
+                old = acc.get(key, [])
+                if len(old) < len(prod):
+                    old, prod = prod, old
+                for e, x in enumerate(prod):
+                    old[e] += x
+                acc[key] = old
+        d.append(acc)
+    return d[m]
 
 
 def enumerate_all(n: int, r: int, p: float, workers: int = 1) -> ExactDistribution:
-    """Exact joint law of (L1, N1, L2) by iterating all 2^binom(n, r) edge
-    subsets.  Ties in L1 go to the component containing the smallest vertex.
+    """Exact joint law of (L1, N1, L2) by counting hypergraphs per stratum.
+    Ties in L1 go to the component containing the smallest vertex.  `workers`
+    is accepted for compatibility and unused: the count takes milliseconds.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if n < 1 or r < 2:
         raise ValueError("need n >= 1 and r >= 2")
-    edges = _colex_rsets(n, r)
-    ne = len(edges)
+    ne = math.comb(n, r)
     limit = MAX_EDGES_SMALL_N if n <= 8 else MAX_EDGES_GENERAL
     if ne > limit:
         raise ValueError(f"binom(n, r) = {ne} exceeds the enumeration limit {limit} for n = {n}")
 
-    total = 1 << ne
-    if n <= 8:
-        de, dl, dn = ne + 1, n + 1, 2 + (r - 1) * ne
-        key_dims = (de, dl, dn)
-        spans = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-        args = [(n, r, edges, lo, hi, key_dims) for lo, hi in spans]
-        if workers > 1 and len(spans) > 1:
-            with get_context("fork").Pool(workers) as pool:
-                parts = pool.map(_enum_all_worker, args, chunksize=1)
-        else:
-            parts = [_enum_all_worker(a) for a in args]
-        counts = np.sum(parts, axis=0, dtype=np.int64)
-        strata = {}
-        nz = np.nonzero(counts)[0]
-        for flat in nz:
-            rest, l2 = divmod(int(flat), dl)
-            rest, n1 = divmod(rest, dn)
-            e, l1 = divmod(rest, dl)
-            strata[(e, l1, n1, l2)] = int(counts[flat])
-    else:
-        masks = [sum(1 << v for v in e) for e in edges]
-        strata = _chunk_general(n, r, masks, 0, total)
+    c = _connected_counts(n, r)
+    counts: dict = {}
+    for big in range(1, n + 1):
+        rest = _capped_counts(n - big, big, c)
+        for e1, marked in enumerate(c[big]):
+            if not marked:
+                continue
+            marked *= math.comb(n, big)
+            n1 = 1 + (r - 1) * e1 - big
+            for (second, j), poly in rest.items():
+                l2 = second if j == 0 else big
+                for e, x in enumerate(poly):
+                    if x:
+                        key = (e1 + e, big, n1, l2)
+                        counts[key] = counts.get(key, 0) + marked * x // (j + 1)
+    strata = {key: counts[key] for key in sorted(counts)}
 
     w = _edge_weights(ne, p)
     probs: dict = {}

@@ -19,6 +19,7 @@ __all__ = ["sample_binomial", "sample_binomial_array", "INVERSION_MEAN_CUTOFF"]
 
 INVERSION_MEAN_CUTOFF = 30.0
 _MAX_TERMS = 4000
+_SHORT_ARRAY = 64  # sample_binomial_array walks arrays up to this long entry by entry
 
 
 def _log_pmf(n, k: int, logp: float, logq: float) -> float:
@@ -33,11 +34,13 @@ def _log_pmf(n, k: int, logp: float, logq: float) -> float:
 
 def _sample_small_mean(u: float, n, p: float) -> int:
     """Sequential CDF inversion from k = 0; exact for Np <= 30."""
-    logq = math.log1p(-p)
-    pmf = math.exp(n * logq)
+    return _invert_from_zero(u, n, math.exp(n * math.log1p(-p)), p / (1.0 - p))
+
+
+def _invert_from_zero(u: float, n, pmf: float, pq: float) -> int:
+    """CDF inversion from k = 0, given P(0) = pmf and the odds pq = p / (1 - p)."""
     cum = pmf
     k = 0
-    pq = p / (1.0 - p)
     while u >= cum and k < _MAX_TERMS:
         nxt = pmf * ((n - k) / (k + 1.0) * pq)
         if nxt <= 0.0:
@@ -116,8 +119,10 @@ def sample_binomial_array(rng: np.random.Generator, trials, p: float) -> np.ndar
     All entries with trials*p <= 30 run through a compressed vectorized
     inversion (one pmf-ratio update per support point, applied only to the
     still-unresolved lanes); larger-mean entries fall back to the scalar
-    mode-centered path, which reuses the entry's own uniform.  Consumes
-    exactly len(trials) uniforms from `rng`, in one call.
+    mode-centered path, which reuses the entry's own uniform.  Arrays of at
+    most _SHORT_ARRAY entries skip the lane bookkeeping and run the same float
+    operations entry by entry.  Consumes exactly len(trials) uniforms from
+    `rng`, in one call.
     """
     trials = np.asarray(trials, dtype=np.float64)
     if not 0.0 <= p < 1.0:
@@ -130,6 +135,12 @@ def sample_binomial_array(rng: np.random.Generator, trials, p: float) -> np.ndar
     big = trials * p > INVERSION_MEAN_CUTOFF
     logq = math.log1p(-p)
     pq = p / (1.0 - p)
+    if trials.shape[0] <= _SHORT_ARRAY:
+        # np.exp is elementwise, so exp(0) over all entries gives the small ones' pmf
+        return np.array([_sample_mode_centered(ui, c, p) if b else _invert_from_zero(ui, c, pmf, pq)
+                         for ui, c, b, pmf in zip(u.tolist(), trials.tolist(), big.tolist(),
+                                                  np.exp(trials * logq).tolist())],
+                        dtype=np.int64)
 
     small_idx = np.nonzero(~big)[0]
     c = trials[small_idx]

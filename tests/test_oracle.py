@@ -1,16 +1,66 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from hxplore.oracle import (
-    _chunk_general,
-    _chunk_small,
-    _colex_rsets,
-    _small_tables,
-    enumerate_all,
-    enumerate_step,
-)
+from hxplore.oracle import enumerate_all, enumerate_step
+from hxplore.util import colex_rank
+
+
+def _subset_walk(n: int, r: int) -> dict:
+    """Reference strata: visit all 2^binom(n, r) edge subsets (bitmask over the
+    colex-ranked r-sets) and peel the components of each one."""
+    masks = [sum(1 << v for v in e) for e in sorted(combinations(range(n), r), key=colex_rank)]
+    strata: dict = {}
+    full = (1 << n) - 1
+    for word in range(1 << len(masks)):
+        vertex_adj = [0] * n
+        bits = word
+        ecnt = 0
+        while bits:
+            b = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            ecnt += 1
+            em = masks[b]
+            mm = em
+            while mm:
+                v = (mm & -mm).bit_length() - 1
+                mm &= mm - 1
+                vertex_adj[v] |= em
+        remaining = full
+        best = second = 0
+        bestmask = 0
+        while remaining:
+            comp = remaining & -remaining
+            while True:
+                grow = comp
+                mm = comp
+                while mm:
+                    v = (mm & -mm).bit_length() - 1
+                    mm &= mm - 1
+                    grow |= vertex_adj[v]
+                if grow == comp:
+                    break
+                comp = grow
+            sz = comp.bit_count()
+            if sz > best:
+                second = best
+                best = sz
+                bestmask = comp
+            elif sz > second:
+                second = sz
+            remaining &= ~comp
+        ein = 0
+        bits = word
+        while bits:
+            b = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            if masks[b] & ~bestmask == 0:
+                ein += 1
+        key = (ecnt, best, 1 + (r - 1) * ein - best, second)
+        strata[key] = strata.get(key, 0) + 1
+    return strata
 
 
 def test_hand_checked_triangle():
@@ -57,22 +107,15 @@ def test_edge_count_marginal_complement_symmetry():
     assert np.allclose(a, b[::-1], atol=1e-12)
 
 
-def test_small_kernel_matches_general_kernel():
-    for n, r in ((6, 2), (5, 3), (6, 5)):
-        edges = _colex_rsets(n, r)
-        ne = len(edges)
-        masks = [sum(1 << v for v in e) for e in edges]
-        tables = _small_tables(n, edges)
-        dims = (ne + 1, n + 1, 2 + (r - 1) * ne)
-        counts = _chunk_small(n, r, ne, tables, 0, 1 << ne, dims)
-        strata = {}
-        de, dl, dn = dims
-        for flat in np.nonzero(counts)[0]:
-            rest, l2 = divmod(int(flat), dl)
-            rest, n1 = divmod(rest, dn)
-            e, l1 = divmod(rest, dl)
-            strata[(e, l1, n1, l2)] = int(counts[flat])
-        assert strata == _chunk_general(n, r, masks, 0, 1 << ne)
+def test_counted_strata_match_subset_walk():
+    # every (n, r) with binom(n, r) <= 16, n > 8 among them, and n < r
+    cases = [(n, r) for n in range(1, 17) for r in range(2, n + 2) if math.comb(n, r) <= 16]
+    assert any(n > 8 for n, _ in cases) and any(n < r for n, r in cases)
+    for n, r in cases:
+        strata = enumerate_all(n, r, 0.3).strata
+        ref = _subset_walk(n, r)
+        assert strata == ref, (n, r)
+        assert list(strata) == sorted(ref), (n, r)  # the insertion order fixes the float sums
 
 
 def test_parallel_enumeration_identical():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hxplore.randvar as randvar_module
 from hxplore.randvar import sample_binomial, sample_binomial_array
 from hxplore.stats import chi_square_gof
 
@@ -99,3 +100,20 @@ def test_samplers_are_deterministic_given_seed():
     a = sample_binomial_array(np.random.default_rng(42), np.full(100, 50.0), 0.1)
     b = sample_binomial_array(np.random.default_rng(42), np.full(100, 50.0), 0.1)
     assert (a == b).all()
+
+
+def test_short_array_path_matches_lane_path(monkeypatch):
+    # the entry-by-entry path for short arrays must return the lane path's draws
+    # and leave the stream where the lane path leaves it
+    gen = np.random.default_rng(2024)
+    for case in range(200):
+        size = int(gen.integers(0, 80))
+        trials = np.floor(10.0 ** gen.uniform(0.0, 13.0, size))
+        trials[gen.random(size) < 0.2] = 0.0
+        p = float(10.0 ** gen.uniform(-13.0, -0.05)) if case % 10 else 0.0
+        draws = []
+        for short in (0, 10**9):
+            monkeypatch.setattr(randvar_module, "_SHORT_ARRAY", short)
+            rng = np.random.default_rng(case)
+            draws.append((sample_binomial_array(rng, trials, p).tolist(), rng.random()))
+        assert draws[0] == draws[1], (case, size, p)
