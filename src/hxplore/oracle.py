@@ -21,8 +21,8 @@ the number of edges:
   with binom(n, L) c(L)[e1] D_L(n - L)[M, j].
 
 N1 = 1 + (r - 1) e1 - L belongs to the largest component that contains
-the smallest vertex, and L2 is the largest order among the others: M if
-j = 0, else L.  A hypergraph with j + 1 components of order L is counted
+the smallest vertex, and L2 = M is the largest order among the others
+(L itself when j > 0).  A hypergraph with j + 1 components of order L is counted
 once per component, so the stratum count divides the pair count by j + 1.
 The division is exact and does not bias N1 towards the smallest vertex:
 given the vertex sets of the tied components, the connected structures on
@@ -123,7 +123,7 @@ def _connected_counts(n: int, r: int) -> list:
     return c
 
 
-def _capped_counts(m: int, cap: int, c: list) -> dict:
+def _capped_counts(m: int, cap: int, r: int, c: list) -> dict:
     """(M, j) -> edge polynomial of the hypergraphs on m labelled vertices whose
     components have order <= cap, with largest order M and j of order cap."""
     d = [{(0, 0): [1]}]
@@ -132,14 +132,9 @@ def _capped_counts(m: int, cap: int, c: list) -> dict:
         for k in range(1, min(cap, size) + 1):
             root = [math.comb(size - 1, k - 1) * x for x in c[k]]
             for (big, j), poly in d[size - k].items():
-                key = (max(big, k), j + (k == cap))
-                prod = _poly_mul(root, poly)
-                old = acc.get(key, [])
-                if len(old) < len(prod):
-                    old, prod = prod, old
-                for e, x in enumerate(prod):
-                    old[e] += x
-                acc[key] = old
+                out = acc.setdefault((max(big, k), j + (k == cap)), [0] * (math.comb(size, r) + 1))
+                for e, x in enumerate(_poly_mul(root, poly)):
+                    out[e] += x
         d.append(acc)
     return d[m]
 
@@ -161,14 +156,13 @@ def enumerate_all(n: int, r: int, p: float, workers: int = 1) -> ExactDistributi
     c = _connected_counts(n, r)
     counts: dict = {}
     for big in range(1, n + 1):
-        rest = _capped_counts(n - big, big, c)
-        for e1, marked in enumerate(c[big]):
-            if not marked:
+        rest = _capped_counts(n - big, big, r, c)
+        for e1, connected in enumerate(c[big]):
+            if not connected:
                 continue
-            marked *= math.comb(n, big)
+            marked = math.comb(n, big) * connected
             n1 = 1 + (r - 1) * e1 - big
-            for (second, j), poly in rest.items():
-                l2 = second if j == 0 else big
+            for (l2, j), poly in rest.items():
                 for e, x in enumerate(poly):
                     if x:
                         key = (e1 + e, big, n1, l2)

@@ -136,7 +136,7 @@ def sample_binomial_array(rng: np.random.Generator, trials, p: float) -> np.ndar
     logq = math.log1p(-p)
     pq = p / (1.0 - p)
     if trials.shape[0] <= _SHORT_ARRAY:
-        # np.exp is elementwise, so exp(0) over all entries gives the small ones' pmf
+        # np.exp is elementwise: one call over all entries gives each small entry's P(0)
         return np.array([_sample_mode_centered(ui, c, p) if b else _invert_from_zero(ui, c, pmf, pq)
                          for ui, c, b, pmf in zip(u.tolist(), trials.tolist(), big.tolist(),
                                                   np.exp(trials * logq).tolist())],

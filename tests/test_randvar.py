@@ -106,7 +106,7 @@ def test_short_array_path_matches_lane_path(monkeypatch):
     # the entry-by-entry path for short arrays must return the lane path's draws
     # and leave the stream where the lane path leaves it
     gen = np.random.default_rng(2024)
-    for case in range(200):
+    for case in range(60):
         size = int(gen.integers(0, 80))
         trials = np.floor(10.0 ** gen.uniform(0.0, 13.0, size))
         trials[gen.random(size) < 0.2] = 0.0
