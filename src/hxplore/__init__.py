@@ -12,13 +12,11 @@ from .explore import (
     explore,
     materialize,
     run_exploration,
-    sample_step,
 )
 from .mc import (
     CellSpec,
     ExperimentPlan,
     MCAggregate,
-    ks_normality,
     run_cell,
     run_experiment,
     tail_subcritical,
@@ -28,7 +26,6 @@ from .mc import (
 from .oracle import ExactDistribution, StepLaw, enumerate_all, enumerate_step
 from .randvar import sample_binomial, sample_binomial_array
 from .theory import (
-    BranchingParams,
     CltTargets,
     DerivedConstants,
     DriftSequences,
@@ -36,11 +33,10 @@ from .theory import (
     derived_constants,
     drift_sequences,
     dual_lambda,
-    g_double_prime,
     g_eval,
-    g_prime,
     h_eval,
     integrate_h,
+    lambda_from_p,
     p_from_lambda,
     rho_r,
     rho_star,

@@ -35,7 +35,9 @@ from .mc import (
     tail_supercritical,
 )
 from .oracle import enumerate_all, enumerate_step
-from .theory import MAX_R, clt_targets, derived_constants, drift_sequences, p_from_lambda, rho_r
+from .theory import (
+    MAX_R, clt_targets, derived_constants, drift_sequences, lambda_from_p, p_from_lambda, rho_r,
+)
 
 TRACE_HEADER = "t,edges,eta,xi,zeta,nullity_inc,A,C,X,new_component"
 TRACE_COLUMNS = ("edge_counts", "eta", "xi", "zeta", "nullity_inc", "A", "C", "X", "new_component")
@@ -140,7 +142,7 @@ def _resolve_p(args) -> float:
 
 
 def _eps_of(args, p) -> float:
-    return p * float(args.n) ** (args.r - 1) / math.factorial(args.r - 2) - 1.0
+    return lambda_from_p(args.n, args.r, p) - 1.0
 
 
 def _parse_stop(args):
@@ -200,7 +202,7 @@ def cmd_theory(args) -> int:
     if (args.lam is None) == (args.eps is None):
         raise UsageError("give exactly one of --eps, --lambda")
     lam = args.lam if args.lam is not None else 1.0 + args.eps
-    cons = derived_constants(args.r, lam)
+    cons = _checked(derived_constants, args.r, lam)
     out = {
         "r": args.r,
         "lambda": lam,
@@ -307,14 +309,15 @@ def cmd_mc(args) -> int:
     stop, margin = _parse_stop(args) if args.stop else (("giant", None) if eps > 0 else ("full", 0))
     if stop == "giant" and eps <= 0:
         raise UsageError("stop rule 'giant' needs a supercritical cell")
-    _checked(ExplorationConfig, n=args.n, r=args.r, p=p, seed=args.seed, mode=args.mode or "implicit")
+    # replicates run on derived seeds, so any --seed is valid here
+    _checked(ExplorationConfig, n=args.n, r=args.r, p=p, seed=0, mode=args.mode or "implicit")
     spec = CellSpec(n=args.n, r=args.r, p=p, mode=args.mode or "implicit",
                     stop=stop, margin=margin if stop == "giant" else None)
     collect = ("census", "windows") if eps > 0 else ("census",)
-    plan = ExperimentPlan(cells=(spec,), replicates=args.replicates,
-                          master_seed=args.seed,
-                          omega=args.omega if args.omega is not None else 4.0,
-                          collect=collect)
+    plan = _checked(ExperimentPlan, cells=(spec,), replicates=args.replicates,
+                    master_seed=args.seed,
+                    omega=args.omega if args.omega is not None else 4.0,
+                    collect=collect)
     workers = _workers(args)
     results = run_experiment(plan, workers=workers)
     csv_text = CELL_CSV_HEADER + "\n" + "\n".join(format_cell_row(r) for r in results) + "\n"
@@ -381,6 +384,8 @@ def cmd_oracle(args) -> int:
     _require(args, "n", "r", "p")
     if args.format == "csv":
         raise UsageError("oracle output is JSON only")
+    if not 0.0 <= args.p <= 1.0:
+        raise UsageError(f"--p must lie in [0, 1], got {args.p}")
     if args.step:
         explored = _parse_list(args.explored, int, "--explored")
         active = _parse_list(args.active, int, "--active")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .theory import DriftSequences
+from .theory import DriftSequences, lambda_from_p
 from .util import comb0, comb_float
 
 __all__ = [
@@ -86,7 +86,6 @@ class DoobTrace:
     r: int
     p: float
     t1: int
-    delta: float
     D: np.ndarray
     Delta: np.ndarray
     Dstar: np.ndarray
@@ -113,8 +112,7 @@ def _paths_from_run(run):
     return run.A, run.xi, cfg.n, cfg.r, cfg.p
 
 
-def decompose(run, seq: DriftSequences, t1: int | None = None,
-              delta: float = DEFAULT_LINDEBERG_DELTA) -> DoobTrace:
+def decompose(run, seq: DriftSequences, t1: int | None = None) -> DoobTrace:
     """Replay a recorded run through the exact conditional moments.
 
     Accumulates, over steps t <= t1: V1 = sum var_eta / beta^2 (conditional
@@ -122,7 +120,8 @@ def decompose(run, seq: DriftSequences, t1: int | None = None,
     var_xi (conditional variance of the hat increment), V12 = sum
     (gamma var_eta + cov)/beta, and the realized Lindeberg sums
     sum Delta^2 1{|Delta| >= delta sqrt(eps n)} and
-    sum Dhat^2 1{|Dhat| >= delta sqrt(eps^3 n)}.
+    sum Dhat^2 1{|Dhat| >= delta sqrt(eps^3 n)} with delta =
+    DEFAULT_LINDEBERG_DELTA.
     """
     A, xi, n, r, p = _paths_from_run(run)
     if (seq.n, seq.r) != (n, r) or seq.p != p:
@@ -171,11 +170,10 @@ def decompose(run, seq: DriftSequences, t1: int | None = None,
     V2 = float(np.sum(gam * gam * var_eta[:t1] + 2.0 * gam * cov[:t1] + var_xi[:t1]))
     V12 = float(np.sum((gam * var_eta[:t1] + cov[:t1]) / b1))
 
-    lam = p * float(n) ** (r - 1) / math.factorial(r - 2)
-    eps = lam - 1.0
+    eps = lambda_from_p(n, r, p) - 1.0
     if eps > 0.0 and t1 > 0:
-        thr1 = delta * math.sqrt(eps * n)
-        thr2 = delta * math.sqrt(eps**3 * n)
+        thr1 = DEFAULT_LINDEBERG_DELTA * math.sqrt(eps * n)
+        thr2 = DEFAULT_LINDEBERG_DELTA * math.sqrt(eps**3 * n)
         d1 = Delta[:t1]
         dh = Dhat
         lind1 = float(np.sum(d1 * d1 * (np.abs(d1) >= thr1)))
@@ -185,7 +183,7 @@ def decompose(run, seq: DriftSequences, t1: int | None = None,
         lind2 = float("nan")
 
     return DoobTrace(
-        n=n, r=r, p=p, t1=t1, delta=delta,
+        n=n, r=r, p=p, t1=t1,
         D=D, Delta=Delta, Dstar=Dstar, DeltaStar=DeltaStar,
         S=S, Xtilde=Xtilde, Shat=Shat,
         V1=V1, V2=V2, V12=V12, lindeberg1=lind1, lindeberg2=lind2,

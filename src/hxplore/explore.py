@@ -57,14 +57,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .randvar import sample_binomial, sample_binomial_array
-from .theory import MAX_R, p_from_lambda
+from .theory import MAX_R
 from .util import colex_unrank, comb0, comb_float
 
 __all__ = [
     "ExplorationConfig",
     "ComponentRecord",
     "RunResult",
-    "sample_step",
     "run_exploration",
     "explore",
     "materialize",
@@ -92,6 +91,8 @@ class ExplorationConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not (2 <= self.r <= MAX_R):
             raise ValueError(f"r must be an integer in [2, {MAX_R}], got {self.r}")
         if not 0.0 < self.p < 1.0:
@@ -108,14 +109,6 @@ class ExplorationConfig:
             raise ValueError("p binom(n, r-1) too large; the exploration assumes an O(1) branching factor")
         if self.mode == "explicit" and comb0(self.n, self.r) > EXPLICIT_EDGE_LIMIT:
             raise ValueError(f"explicit mode requires binom(n, r) <= {EXPLICIT_EDGE_LIMIT}")
-
-    @classmethod
-    def from_lambda(cls, n: int, r: int, lam: float, seed: int, **kw) -> "ExplorationConfig":
-        return cls(n=n, r=r, p=p_from_lambda(n, r, lam), seed=seed, **kw)
-
-    @classmethod
-    def from_eps(cls, n: int, r: int, eps: float, seed: int, **kw) -> "ExplorationConfig":
-        return cls.from_lambda(n, r, 1.0 + eps, seed, **kw)
 
 
 class ComponentRecord(NamedTuple):
@@ -240,7 +233,7 @@ def _step_counts(rand, m: int, ap: int, rr: int, k: int, u) -> tuple:
     return len(union) - xi, xi, zeta
 
 
-def sample_step(rng, n: int, r: int, p: float, t: int, active_excl: int):
+def _sample_step(rng, n: int, r: int, p: float, t: int, active_excl: int):
     """Sample one implicit exploration step outcome.
 
     Given t and the number `active_excl` of active vertices other than v_t,

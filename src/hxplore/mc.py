@@ -21,7 +21,9 @@ import numpy as np
 from .doob import approx_gap, decompose, duality_diagnostic
 from .explore import ExplorationConfig, run_exploration
 from .stats import BivariateMoments, ks_distance, wilson_interval
-from .theory import CltTargets, clt_targets, drift_sequences, dual_lambda, p_from_lambda, rho_r
+from .theory import (
+    CltTargets, clt_targets, drift_sequences, dual_lambda, lambda_from_p, p_from_lambda, rho_r,
+)
 from .util import derive_seed
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "ReplicateStats",
     "run_experiment",
     "run_cell",
-    "ks_normality",
     "tail_p",
     "tail_subcritical",
     "tail_supercritical",
@@ -46,6 +47,7 @@ __all__ = [
 
 ENV_WORKER_CAP = "HXPLORE_MAX_WORKERS"
 DEFAULT_OMEGA = 4.0
+Z_CAP = 1 << 20  # standardized samples kept per cell, in replicate order
 _SEQ_CACHE: dict = {}
 
 
@@ -92,7 +94,7 @@ class CellSpec:
     def resolved(self):
         """(p, lam, eps) with lam derived from p when p is given directly."""
         if self.p is not None:
-            lam = self.p * float(self.n) ** (self.r - 1) / math.factorial(self.r - 2)
+            lam = lambda_from_p(self.n, self.r, self.p)
             return self.p, lam, lam - 1.0
         lam = self.lam if self.lam is not None else 1.0 + self.eps
         return p_from_lambda(self.n, self.r, lam), lam, lam - 1.0
@@ -111,12 +113,12 @@ class ExperimentPlan:
     master_seed: int
     omega: float = DEFAULT_OMEGA
     collect: tuple = ("census",)
-    lindeberg_delta: float = 0.1
-    z_cap: int = 1 << 20
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if not (math.isfinite(self.omega) and self.omega > 0.0):
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
         known = {"census", "windows", "doob", "gap", "l1law"}
         bad = set(self.collect) - known
         if bad:
@@ -126,16 +128,10 @@ class ExperimentPlan:
 class ReplicateStats(NamedTuple):
     L1: int
     N1: int
-    M1: int
-    L2: int
     Z: int
     T0: int
     T1: int | None
     c_t0p1: int | None
-    complete: bool
-    l1_tie: bool
-    closes: int
-    n_steps: int
     max_s_pre: float | None = None
     max_s_t1: float | None = None
     duality: tuple | None = None  # (T1 - t1, Xtilde_{t1} / (1 - lambda*))
@@ -151,10 +147,9 @@ class ReplicateStats(NamedTuple):
 class MCAggregate:
     """Streaming per-cell aggregate: bivariate moments of (L1, N1), the
     standardized reservoir, window-event counters, and doob-sum totals.
-    Merging is associative; reservoirs keep the first z_cap samples in
-    replicate order."""
+    Replicates are added in replicate order; the reservoirs keep the first
+    Z_CAP samples."""
 
-    z_cap: int = 1 << 20
     count: int = 0
     biv: BivariateMoments = field(default_factory=BivariateMoments)
     z1: list = field(default_factory=list)
@@ -178,17 +173,11 @@ class MCAggregate:
     gap_max: float = 0.0
     doob_count: int = 0
     l1_counts: dict = field(default_factory=dict)
-    l1_tie_count: int = 0
-    incomplete: int = 0
 
     def add(self, rep: ReplicateStats, ctx: "CellContext") -> None:
         self.count += 1
         self.biv.add(float(rep.L1), float(rep.N1))
-        if rep.l1_tie:
-            self.l1_tie_count += 1
-        if not rep.complete:
-            self.incomplete += 1
-        if ctx.targets is not None and len(self.z1) < self.z_cap:
+        if ctx.targets is not None and len(self.z1) < Z_CAP:
             self.z1.append((rep.L1 - ctx.targets.mean_L1) / ctx.targets.sd_L1)
             self.z2.append((rep.N1 - ctx.targets.mean_N1) / ctx.targets.sd_N1)
         if ctx.collect_l1law:
@@ -221,26 +210,6 @@ class MCAggregate:
         if rep.gap is not None:
             self.gap_max = max(self.gap_max, rep.gap)
 
-    def merge(self, other: "MCAggregate") -> None:
-        self.count += other.count
-        self.biv.merge(other.biv)
-        room = self.z_cap - len(self.z1)
-        if room > 0:
-            self.z1.extend(other.z1[:room])
-            self.z2.extend(other.z2[:room])
-        for name in (
-            "win_e1", "win_e2", "win_e3", "win_all", "win_t0", "win_checked",
-            "zc_ok", "zc_checked", "v1_sum", "v2_sum", "v12_sum",
-            "lind1_sum", "lind2_sum", "doob_count", "l1_tie_count", "incomplete",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.gap_max = max(self.gap_max, other.gap_max)
-        self.duality_dt.extend(other.duality_dt)
-        self.duality_pred.extend(other.duality_pred)
-        self.max_s_t1_values.extend(other.max_s_t1_values)
-        for k, v in other.l1_counts.items():
-            self.l1_counts[k] = self.l1_counts.get(k, 0) + v
-
     def duality_corr(self) -> float | None:
         if len(self.duality_dt) < 3:
             return None
@@ -272,7 +241,6 @@ class CellContext:
     collect_doob: bool
     collect_gap: bool
     collect_l1law: bool
-    lindeberg_delta: float
     z_threshold: float = 0.0
     s_threshold: float = 0.0
     t0_threshold: float = 0.0
@@ -344,7 +312,7 @@ def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
             raise RuntimeError(
                 f"replicate too short for the t1 horizon: {res.n_steps} < {ctx.t1}"
             )
-        dt = decompose(res, seq, t1=ctx.t1 if need_t1 else 0, delta=ctx.lindeberg_delta)
+        dt = decompose(res, seq, t1=ctx.t1 if need_t1 else 0)
         if ctx.collect_windows:
             upto = min(res.n_steps, ctx.t1 + (ctx.t0 or 0))
             abs_s = np.abs(dt.S)
@@ -358,9 +326,7 @@ def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
         if ctx.collect_gap:
             gap = approx_gap(res, dt)
     return ReplicateStats(
-        L1=res.L1, N1=res.N1, M1=res.M1, L2=res.L2, Z=res.Z, T0=res.T0,
-        T1=res.T1, c_t0p1=res.c_t0p1, complete=res.complete, l1_tie=res.l1_tie,
-        closes=res.components_closed, n_steps=res.n_steps,
+        L1=res.L1, N1=res.N1, Z=res.Z, T0=res.T0, T1=res.T1, c_t0p1=res.c_t0p1,
         max_s_pre=max_s_pre, max_s_t1=max_s_t1, duality=duality,
         v1=v1, v2=v2, v12=v12, lind1=l1, lind2=l2, gap=gap,
     )
@@ -424,7 +390,6 @@ def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
         collect_doob="doob" in collect,
         collect_gap="gap" in collect,
         collect_l1law="l1law" in collect,
-        lindeberg_delta=plan.lindeberg_delta,
         z_threshold=sqrt_eps_n / plan.omega if super_cell else 0.0,
         s_threshold=plan.omega * sqrt_eps_n,
         t0_threshold=math.sqrt(spec.n / eps) / plan.omega if super_cell else 0.0,
@@ -439,7 +404,7 @@ def run_cell(spec: CellSpec, plan: ExperimentPlan, cell_index: int = 0,
                                cell_index, workers)
     except RuntimeError as exc:
         raise RuntimeError(f"cell {spec.name()} aborted: {exc}") from None
-    agg = MCAggregate(z_cap=plan.z_cap)
+    agg = MCAggregate()
     for stats in reps:
         agg.add(stats, ctx)
     return CellResult(spec=spec, ctx=ctx, replicates=plan.replicates, aggregate=agg)
@@ -455,28 +420,8 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
 
 
 # ---------------------------------------------------------------------------
-# normality / tails / windows
+# tails / windows
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KsReport:
-    distance: float
-    n_samples: int
-    bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.distance < self.bound
-
-
-def ks_normality(samples, bound: float = 0.05) -> KsReport:
-    """Kolmogorov-Smirnov distance of standardized samples against the
-    standard normal distribution function."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.shape[0] < 100:
-        raise ValueError(f"need at least 100 samples, got {samples.shape[0]}")
-    return KsReport(distance=ks_distance(samples), n_samples=int(samples.shape[0]), bound=bound)
 
 
 class _TailRow(NamedTuple):

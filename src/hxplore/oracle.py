@@ -92,14 +92,6 @@ class ExactDistribution:
     def mean_l1(self) -> float:
         return float(sum(l1 * q for (l1, _, _), q in zip(self.support, self.probability)))
 
-    def edge_count_marginal(self) -> np.ndarray:
-        ne = max(k[0] for k in self.strata)
-        w = _edge_weights(ne, self.p)
-        out = np.zeros(ne + 1)
-        for (e, *_), cnt in self.strata.items():
-            out[e] += cnt * w[e]
-        return out
-
 
 def _poly_mul(a: list, b: list) -> list:
     out = [0] * (len(a) + len(b) - 1)
@@ -200,15 +192,6 @@ class StepLaw:
 
     def as_dict(self) -> dict:
         return {key: float(q) for key, q in zip(self.support, self.probability)}
-
-    def marginal(self, fields) -> dict:
-        names = ("E", "eta", "xi", "zeta")
-        pick = [names.index(f) for f in fields]
-        out: dict = {}
-        for key, q in zip(self.support, self.probability):
-            sub = tuple(key[i] for i in pick)
-            out[sub] = out.get(sub, 0.0) + float(q)
-        return out
 
     def moments(self) -> dict:
         tot = {"eta": 0.0, "eta2": 0.0, "xi": 0.0, "xi2": 0.0, "xieta": 0.0, "zeta": 0.0}

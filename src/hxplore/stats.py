@@ -1,7 +1,7 @@
-"""Statistical utilities for the Monte Carlo layer: standard normal CDF and
-quantile, Kolmogorov-Smirnov distance, Pearson chi-square goodness of fit
-with a regularized-incomplete-gamma tail, Wilson score intervals, and
-mergeable streaming moments.
+"""Statistical utilities for the Monte Carlo layer: standard normal CDF,
+Kolmogorov-Smirnov distance, Pearson chi-square goodness of fit with a
+regularized-incomplete-gamma tail, Wilson score intervals, and mergeable
+streaming bivariate moments.
 
 All of it is self-contained (math + numpy); nothing here depends on the
 simulation modules.
@@ -16,13 +16,11 @@ import numpy as np
 
 __all__ = [
     "normal_cdf",
-    "normal_quantile",
     "ks_distance",
     "gamma_q",
     "chi_square_sf",
     "chi_square_gof",
     "wilson_interval",
-    "Moments",
     "BivariateMoments",
 ]
 
@@ -33,69 +31,6 @@ def normal_cdf(x: float) -> float:
     """Standard normal distribution function via the complementary error
     function, Phi(x) = erfc(-x / sqrt 2) / 2; accurate to ~1e-15."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-# Coefficients of Wichura's PPND16 rational approximations (AS 241).
-_PPND_A = (
-    3.3871328727963666080, 1.3314166789178437745e2, 1.9715909503065514427e3,
-    1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-    3.3430575583588128105e4, 2.5090809287301226727e3,
-)
-_PPND_B = (
-    1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
-    5.3941960214247511077e3, 2.1213794301586595867e4, 3.9307895800092710610e4,
-    2.8729085735721942674e4, 5.2264952788528545610e3,
-)
-_PPND_C = (
-    1.42343711074968357734, 4.63033784615654529590, 5.76949722146069140550,
-    3.64784832476320460504, 1.27045825245236838258, 2.41780725177450611770e-1,
-    2.27238449892691845833e-2, 7.74545014278341407640e-4,
-)
-_PPND_D = (
-    1.0, 2.05319162663775882187, 1.67638483018380384940,
-    6.89767334985100004550e-1, 1.48103976427480074590e-1,
-    1.51986665636164571966e-2, 5.47593808499534494600e-4,
-    1.05075007164441684324e-9,
-)
-_PPND_E = (
-    6.65790464350110377720, 5.46378491116411436990, 1.78482653991729133580,
-    2.96560571828504891230e-1, 2.65321895265761230930e-2,
-    1.24266094738807843860e-3, 2.71155556874348757815e-5,
-    2.01033439929228813265e-7,
-)
-_PPND_F = (
-    1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-    1.48753612908506148525e-2, 7.86869131145613259100e-4,
-    1.84631831751005468180e-5, 1.42151175831644588870e-7,
-    2.04426310338993978564e-15,
-)
-
-
-def _poly(coeffs, x):
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal distribution function (Wichura's AS 241,
-    double-precision branch); |error| below ~1e-15 on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        s = 0.180625 - q * q
-        return q * _poly(_PPND_A, s) / _poly(_PPND_B, s)
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        val = _poly(_PPND_C, r) / _poly(_PPND_D, r)
-    else:
-        r -= 5.0
-        val = _poly(_PPND_E, r) / _poly(_PPND_F, r)
-    return -val if q < 0 else val
 
 
 def ks_distance(samples, cdf=normal_cdf) -> float:
@@ -221,41 +156,6 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95):
     center = (phat + z2 / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-@dataclass
-class Moments:
-    """Streaming univariate moments (Welford / Chan), associatively mergeable."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    def merge(self, other: "Moments") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
-            return
-        n1, n2 = self.count, other.count
-        delta = other.mean - self.mean
-        n = n1 + n2
-        self.mean += delta * n2 / n
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n
-        self.count = n
-
-    @property
-    def variance(self):
-        """Sample variance (ddof = 1); None when undefined."""
-        if self.count < 2:
-            return None
-        return self.m2 / (self.count - 1)
 
 
 @dataclass

@@ -18,19 +18,17 @@ import numpy as np
 from .util import comb0, comb_float
 
 __all__ = [
-    "BranchingParams",
     "DerivedConstants",
     "DriftSequences",
     "CltTargets",
     "p_from_lambda",
+    "lambda_from_p",
     "solve_rho",
     "dual_lambda",
     "rho_r",
     "rho_star",
     "derived_constants",
     "g_eval",
-    "g_prime",
-    "g_double_prime",
     "h_eval",
     "integrate_h",
     "drift_sequences",
@@ -38,31 +36,6 @@ __all__ = [
 ]
 
 MAX_R = 10  # exact integer binomials stay comfortable up to here
-
-
-@dataclass(frozen=True)
-class BranchingParams:
-    """Uniformity r, branching parameter lambda, and eps = lambda - 1."""
-
-    r: int
-    lam: float
-    eps: float
-
-    def __post_init__(self):
-        if not (2 <= self.r <= MAX_R) or self.r != int(self.r):
-            raise ValueError(f"r must be an integer in [2, {MAX_R}], got {self.r}")
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if self.lam != 1.0 + self.eps:
-            raise ValueError("lambda and eps must satisfy lambda = 1 + eps exactly")
-
-    @classmethod
-    def from_lambda(cls, r: int, lam: float) -> "BranchingParams":
-        return cls(r=r, lam=lam, eps=lam - 1.0)
-
-    @classmethod
-    def from_eps(cls, r: int, eps: float) -> "BranchingParams":
-        return cls(r=r, lam=1.0 + eps, eps=eps)
 
 
 @dataclass(frozen=True)
@@ -89,6 +62,11 @@ class CltTargets:
 def p_from_lambda(n: int, r: int, lam: float) -> float:
     """Edge probability p = lambda (r-2)! n^(-r+1) for given branching lambda."""
     return lam * math.factorial(r - 2) * float(n) ** (-(r - 1))
+
+
+def lambda_from_p(n: int, r: int, p: float) -> float:
+    """Branching parameter lambda = p n^(r-1) / (r-2)! of edge probability p."""
+    return p * float(n) ** (r - 1) / math.factorial(r - 2)
 
 
 def _check_super(lam: float) -> None:
@@ -200,27 +178,6 @@ def g_eval(r: int, lam: float, tau):
     tau = np.asarray(tau, dtype=np.float64)
     w = (lam / (r - 1)) * (1.0 - (1.0 - tau) ** (r - 1))
     out = 1.0 - tau - np.exp(-w)
-    return out if out.ndim else float(out)
-
-
-def g_prime(r: int, lam: float, tau):
-    """Analytic derivative of g."""
-    tau = np.asarray(tau, dtype=np.float64)
-    w = (lam / (r - 1)) * (1.0 - (1.0 - tau) ** (r - 1))
-    out = -1.0 + lam * (1.0 - tau) ** (r - 2) * np.exp(-w)
-    return out if out.ndim else float(out)
-
-
-def g_double_prime(r: int, lam: float, tau):
-    """Analytic second derivative of g; nonpositive on [0, 1]."""
-    tau = np.asarray(tau, dtype=np.float64)
-    w = (lam / (r - 1)) * (1.0 - (1.0 - tau) ** (r - 1))
-    wp = lam * (1.0 - tau) ** (r - 2)
-    if r == 2:
-        wpp = np.zeros_like(tau)
-    else:
-        wpp = -lam * (r - 2) * (1.0 - tau) ** (r - 3)
-    out = (wpp - wp * wp) * np.exp(-w)
     return out if out.ndim else float(out)
 
 

@@ -222,6 +222,16 @@ def test_verify_subset(capsys):
     (["tails", "--kind", "sub", "--n", "2000", "--r", "3", "--eps", "2", "--replicates", "10",
       "--seed", "1"], None),
     (["mc", "--n", "2000", "--r", "12", "--eps", "0.3", "--replicates", "4", "--seed", "1"], None),
+    (["mc", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "4", "--seed", "1",
+      "--omega", "0"], None),
+    (["mc", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "4", "--seed", "1",
+      "--omega", "nan"], None),
+    (["mc", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "4", "--seed", "1",
+      "--omega", "-1"], None),
+    (["oracle", "--n", "4", "--r", "2", "--p", "1.5"], None),
+    (["oracle", "--n", "4", "--r", "2", "--p", "-0.1", "--step"], None),
+    (["theory", "--r", "3", "--lambda", "0.5"], None),
+    (["run", "--n", "100", "--r", "3", "--lambda", "1.2", "--seed", "-1"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:
@@ -232,3 +242,14 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_
     code, out, err = _run(capsys, argv)
     assert code == 2 and err.startswith("usage-error:"), err
     assert "criterion" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "3"],
+    ["tails", "--kind", "sub", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "10",
+     "--L-grid", "5,10"],
+])
+def test_negative_master_seed_is_accepted(capsys, argv):
+    # mc and tails run on seeds derived from the master seed, which may be negative
+    code, out, err = _run(capsys, argv + ["--seed", "-1"])
+    assert code == 0 and out and not err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hxplore.doob import approx_gap, conditional_moments, decompose, duality_diagnostic
-from hxplore.explore import ExplorationConfig, explore, run_exploration, sample_step
+from hxplore.explore import ExplorationConfig, explore, run_exploration, _sample_step
 from hxplore.oracle import enumerate_step
 from hxplore.theory import drift_sequences, dual_lambda, p_from_lambda, rho_r
 from hxplore.util import comb0
@@ -112,7 +112,7 @@ def test_zeta_mean_bounded_by_pair_count():
     rng = np.random.default_rng(99)
     zs = []
     for _ in range(60_000):
-        _, _, _, zeta = sample_step(rng, n, r, p, t=1, active_excl=0)
+        _, _, _, zeta = _sample_step(rng, n, r, p, t=1, active_excl=0)
         zs.append(zeta)
     zs = np.asarray(zs, dtype=float)
     bound = comb0(n - 1, r - 1) * (r - 1) * comb0(n - 2, r - 2) * p * p

@@ -13,7 +13,7 @@ from hxplore.explore import (
     explore,
     materialize,
     run_exploration,
-    sample_step,
+    _sample_step,
 )
 from hxplore.oracle import enumerate_all
 from hxplore.stats import chi_square_gof
@@ -55,6 +55,8 @@ def test_config_validation():
         ExplorationConfig(n=10, r=3, p=0.01, seed=1, stop_rule="giant")  # no census_t0
     with pytest.raises(ValueError):
         ExplorationConfig(n=10**6, r=3, p=1e-12, seed=1, mode="explicit")
+    with pytest.raises(ValueError):
+        ExplorationConfig(n=10, r=3, p=0.01, seed=-1)
 
 
 def test_single_vertex():
@@ -141,7 +143,7 @@ def test_step_mean_matches_conditional_formula():
     rng = np.random.default_rng(31)
     etas = []
     for _ in range(100_000):
-        _, eta, _, _ = sample_step(rng, n, r, p, t=1, active_excl=0)
+        _, eta, _, _ = _sample_step(rng, n, r, p, t=1, active_excl=0)
         etas.append(eta)
     etas = np.asarray(etas, dtype=float)
     cm = conditional_moments(n, r, p, t=1, active_excl=0, unseen_excl=n - 1)
@@ -190,7 +192,7 @@ def test_step_sampler_joint_law_with_active_vertices():
     rng = np.random.default_rng(77)
     counts = {}
     for _ in range(30_000):
-        key = sample_step(rng, n, r, p, t=3, active_excl=1)
+        key = _sample_step(rng, n, r, p, t=3, active_excl=1)
         counts[key] = counts.get(key, 0) + 1
     _, _, pv = chi_square_gof(counts, law.as_dict())
     assert pv > 0.001, pv

@@ -1,0 +1,32 @@
+"""Stale-export guard: a name deleted from a module must leave its module's
+__all__ and the package's re-exports with it."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import hxplore
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(hxplore.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_names_exist(name):
+    module = importlib.import_module(f"hxplore.{name}")
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported)
+    assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_package_reexports_resolve():
+    tree = ast.parse(Path(hxplore.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"hxplore.{node.module}")
+        for alias in node.names:
+            assert alias.name in getattr(module, "__all__", ()), (node.module, alias.name)
+            assert getattr(hxplore, alias.asname or alias.name) is getattr(module, alias.name)

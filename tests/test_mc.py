@@ -5,17 +5,14 @@ from hxplore.mc import (
     CELL_CSV_HEADER,
     CellSpec,
     ExperimentPlan,
-    MCAggregate,
     TAILS_CSV_HEADER,
     format_cell_row,
-    ks_normality,
     make_context,
     run_cell,
     tail_subcritical,
     tail_supercritical,
     window_report,
 )
-from hxplore.stats import normal_quantile
 from hxplore.util import derive_seed
 
 
@@ -34,6 +31,13 @@ def test_cellspec_requires_exactly_one_parameter():
     assert abs(lam - 1.2) < 1e-15 and abs(eps - 0.2) < 1e-15
     p2, lam2, _ = CellSpec(n=100, r=3, p=p).resolved()
     assert abs(lam2 - lam) < 1e-10
+
+
+def test_plan_rejects_bad_omega():
+    spec = CellSpec(n=100, r=3, eps=0.2)
+    for omega in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExperimentPlan(cells=(spec,), replicates=1, master_seed=1, omega=omega)
 
 
 def test_replicate_seeds_are_per_replicate():
@@ -67,45 +71,6 @@ def test_standardization_round_trip():
     z1 = np.asarray(res.aggregate.z1)
     l1_back = z1 * t.sd_L1 + t.mean_L1
     assert np.allclose(l1_back, np.round(l1_back))  # recovers the integers exactly
-
-
-def test_aggregate_merge_matches_sequential():
-    spec, plan = _small_plan(R=16)
-    ctx = make_context(spec, plan)
-    from hxplore.mc import _run_replicate
-
-    stats = [_run_replicate(ctx, derive_seed(plan.master_seed, 0, k)) for k in range(16)]
-    whole = MCAggregate(z_cap=plan.z_cap)
-    for s in stats:
-        whole.add(s, ctx)
-    left = MCAggregate(z_cap=plan.z_cap)
-    right = MCAggregate(z_cap=plan.z_cap)
-    for s in stats[:7]:
-        left.add(s, ctx)
-    for s in stats[7:]:
-        right.add(s, ctx)
-    left.merge(right)
-    assert left.count == whole.count
-    assert abs(left.biv.mean_x - whole.biv.mean_x) < 1e-9 * max(1, abs(whole.biv.mean_x))
-    assert abs(left.biv.m2x - whole.biv.m2x) < 1e-9 * max(1, whole.biv.m2x)
-    assert left.z1 == whole.z1
-
-
-def test_ks_normality_self_consistency():
-    rng = np.random.default_rng(4)
-    samples = [normal_quantile(float(u)) for u in rng.random(10_000)]
-    rep = ks_normality(samples, bound=0.02)
-    assert rep.passed and rep.distance < 0.02
-
-
-def test_ks_normality_rejects_degenerate():
-    rep = ks_normality([0.0] * 500, bound=0.05)
-    assert not rep.passed and abs(rep.distance - 0.5) < 1e-9
-
-
-def test_ks_normality_needs_samples():
-    with pytest.raises(ValueError):
-        ks_normality([0.1] * 50)
 
 
 def test_subcritical_tail_smoke():

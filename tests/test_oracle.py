@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hxplore.oracle import enumerate_all, enumerate_step
+from hxplore.oracle import MAX_EDGES_GENERAL, MAX_EDGES_SMALL_N, enumerate_all, enumerate_step
 from hxplore.util import colex_rank
 
 
@@ -98,13 +98,18 @@ def test_total_probability_and_nullity_relation():
             assert n1 >= 0 and 1 <= l2 <= l1 <= n or (l2 == 0 and l1 == n)
 
 
-def test_edge_count_marginal_complement_symmetry():
-    # enumerating at p and 1 - p are complements: P_p(e = k) = P_{1-p}(e = N - k)
-    n, r, p = 5, 3, 0.23
-    ne = math.comb(n, r)
-    a = enumerate_all(n, r, p).edge_count_marginal()
-    b = enumerate_all(n, r, 1.0 - p).edge_count_marginal()
-    assert np.allclose(a, b[::-1], atol=1e-12)
+def test_strata_edge_counts_are_binomial():
+    # summed over (L1, N1, L2), the strata at edge count e count every e-subset of the
+    # binom(n, r) possible edges: every (n, r) under the size guard, up to r = n + 1
+    cases = [(n, r) for n in range(1, 21) for r in range(2, n + 2)
+             if math.comb(n, r) <= (MAX_EDGES_SMALL_N if n <= 8 else MAX_EDGES_GENERAL)]
+    assert (8, 2) in cases and (6, 3) in cases
+    for n, r in cases:
+        ne = math.comb(n, r)
+        by_edges = [0] * (ne + 1)
+        for (e, *_), cnt in enumerate_all(n, r, 0.3).strata.items():
+            by_edges[e] += cnt
+        assert by_edges == [math.comb(ne, e) for e in range(ne + 1)], (n, r)
 
 
 def test_counted_strata_match_subset_walk():

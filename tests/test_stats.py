@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -6,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from hxplore.stats import (
     BivariateMoments,
-    Moments,
     chi_square_gof,
     chi_square_sf,
     gamma_q,
     ks_distance,
     normal_cdf,
-    normal_quantile,
     wilson_interval,
 )
 
@@ -59,13 +58,6 @@ def test_normal_cdf_reference_values():
         assert abs(normal_cdf(x) - want) <= 1e-13 * max(1.0, abs(want))
 
 
-def test_normal_quantile_roundtrip():
-    for p in np.concatenate([np.linspace(1e-9, 1 - 1e-9, 41), [1e-12, 1 - 1e-12]]):
-        assert abs(normal_cdf(normal_quantile(float(p))) - p) < 1e-11
-    with pytest.raises(ValueError):
-        normal_quantile(0.0)
-
-
 def test_gamma_q_reference_values():
     for a, x, want in _GAMMA_Q_REFERENCE:
         assert abs(gamma_q(a, x) - want) <= 1e-12 * max(1.0, want) + 1e-15
@@ -80,7 +72,8 @@ def test_chi_square_sf_against_known():
 
 def test_ks_distance_extremes():
     # samples from the quantile function itself are close to uniform on Phi
-    qs = [normal_quantile((i + 0.5) / 1000) for i in range(1000)]
+    inv_cdf = NormalDist().inv_cdf
+    qs = [inv_cdf((i + 0.5) / 1000) for i in range(1000)]
     assert ks_distance(qs) < 0.001
     assert abs(ks_distance([0.0] * 100) - 0.5) < 1e-12
 
@@ -130,23 +123,27 @@ def test_wilson_interval_coverage():
         assert hits >= 930
 
 
-@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60),
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=2, max_size=60),
        st.integers(min_value=0, max_value=59))
 @settings(max_examples=200, deadline=None)
-def test_moments_merge_equals_single_pass(values, cut):
-    cut = min(cut, len(values))
-    single = Moments()
-    for v in values:
-        single.add(v)
-    left, right = Moments(), Moments()
-    for v in values[:cut]:
-        left.add(v)
-    for v in values[cut:]:
-        right.add(v)
+def test_moments_merge_equals_single_pass(pairs, cut):
+    cut = min(cut, len(pairs))
+    single = BivariateMoments()
+    for x, y in pairs:
+        single.add(x, y)
+    left, right = BivariateMoments(), BivariateMoments()
+    for x, y in pairs[:cut]:
+        left.add(x, y)
+    for x, y in pairs[cut:]:
+        right.add(x, y)
     left.merge(right)
     assert left.count == single.count
-    assert abs(left.mean - single.mean) <= 1e-9 * max(1.0, abs(single.mean))
-    assert abs(left.m2 - single.m2) <= 1e-9 * max(1.0, abs(single.m2))
+    for name in ("mean_x", "mean_y", "m2x", "m2y"):
+        want = getattr(single, name)
+        assert abs(getattr(left, name) - want) <= 1e-9 * max(1.0, abs(want)), name
+    # the co-moment may cancel to ~0, so its error is measured on the Cauchy-Schwarz scale
+    scale = math.sqrt(single.m2x * single.m2y)
+    assert abs(left.cxy - single.cxy) <= 1e-9 * max(1.0, scale)
 
 
 def test_bivariate_moments_match_numpy():
@@ -165,6 +162,7 @@ def test_bivariate_moments_match_numpy():
 
 
 def test_moments_single_observation():
-    m = Moments()
-    m.add(4.2)
-    assert m.variance is None and m.mean == 4.2
+    m = BivariateMoments()
+    m.add(4.2, -1.0)
+    assert (m.mean_x, m.mean_y) == (4.2, -1.0)
+    assert m.var_x is None and m.var_y is None and m.cov is None and m.corr is None

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from hxplore.theory import (
-    BranchingParams,
     clt_targets,
     derived_constants,
     drift_sequences,
     dual_lambda,
-    g_double_prime,
     g_eval,
-    g_prime,
     h_eval,
     integrate_h,
+    lambda_from_p,
     p_from_lambda,
     rho_r,
     rho_star,
@@ -23,13 +21,9 @@ from hxplore.theory import (
 GRID = [(r, lam) for r in (2, 3, 4, 7) for lam in (1.05, 1.2, 1.5, 2.0)]
 
 
-def test_branching_params_invariants():
-    bp = BranchingParams.from_eps(3, 0.15)
-    assert bp.lam == 1.15 and bp.eps == 0.15
-    with pytest.raises(ValueError):
-        BranchingParams(r=1, lam=1.2, eps=0.2)
-    with pytest.raises(ValueError):
-        BranchingParams(r=3, lam=1.2, eps=0.1)
+def test_lambda_from_p_inverts_p_from_lambda():
+    for n, r, lam in ((300_000, 3, 1.15), (20_000, 2, 0.7), (40, 10, 3.0)):
+        assert abs(lambda_from_p(n, r, p_from_lambda(n, r, lam)) - lam) <= 1e-14 * lam
 
 
 def test_solve_rho_known_value():
@@ -116,14 +110,21 @@ def test_series_remainder_scaling():
 
 
 def test_g_properties():
+    # derivatives by central differences of g_eval; concavity makes rho_r the unique root in (0, 1]
+    h = 1e-6
+
+    def slope(r, lam, tau):
+        return (g_eval(r, lam, tau + h) - g_eval(r, lam, tau - h)) / (2.0 * h)
+
+    grid = np.linspace(0.0, 1.0, 1001)
     for r, lam in GRID:
         assert abs(g_eval(r, lam, 0.0)) < 1e-15
-        assert abs(g_prime(r, lam, 0.0) - (lam - 1.0)) < 1e-12
+        assert abs(slope(r, lam, 0.0) - (lam - 1.0)) < 1e-8
         rho = rho_r(r, lam)
         assert abs(g_eval(r, lam, rho)) < 1e-10
-        assert abs(g_prime(r, lam, rho) + (1.0 - dual_lambda(lam))) < 1e-10
-        grid = np.linspace(0.0, 1.0, 1001)
-        assert np.all(g_double_prime(r, lam, grid) <= 1e-12)
+        assert abs(slope(r, lam, rho) + (1.0 - dual_lambda(lam))) < 1e-8
+        g = g_eval(r, lam, grid)
+        assert np.all(g[:-2] - 2.0 * g[1:-1] + g[2:] <= 1e-13)
 
 
 def test_g_sign_structure():
