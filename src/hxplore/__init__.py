@@ -21,7 +21,6 @@ from .mc import (
     run_experiment,
     tail_subcritical,
     tail_supercritical,
-    window_report,
 )
 from .oracle import ExactDistribution, StepLaw, enumerate_all, enumerate_step
 from .randvar import sample_binomial, sample_binomial_array

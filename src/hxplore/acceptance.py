@@ -4,15 +4,15 @@ equivalence at tiny scale, and calibrated finite-size statistical bands.
 Every band marked (cal) below was fixed once from a pilot run at the frozen
 seed and is hard-coded here; the seeds themselves are frozen so the whole
 suite is deterministic.  Entry points: run_all() and the per-criterion
-functions, each returning a CheckResult.  `hxplore verify` and
-tests/test_acceptance.py both drive this module.
+functions, each returning a CheckResult of one Record per checked statistic.
+`hxplore verify` and tests/test_acceptance.py both drive this module.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .mc import (
     format_cell_row,
     run_cell,
     run_experiment,
+    tail_grid,
     tail_subcritical,
     tail_supercritical,
-    window_report,
 )
 from .oracle import enumerate_all, enumerate_step
 from .stats import BivariateMoments, chi_square_gof, ks_distance
@@ -40,7 +40,7 @@ from .theory import (
 )
 from .util import comb0
 
-__all__ = ["CheckResult", "run_all", "CRITERIA"]
+__all__ = ["CheckResult", "Record", "format_line", "run_all", "CRITERIA"]
 
 RLAM_GRID = [(r, lam) for r in (2, 3, 4, 7) for lam in (1.05, 1.2, 1.5, 2.0)]
 
@@ -57,6 +57,9 @@ MAXINEQ_C = 2.5
 MAXINEQ_Y_GRID = (200.0, 300.0, 400.0, 500.0)
 GAP_LIMIT = 10.0
 LINDEBERG_LIMIT = 0.01
+CLT_CORR = math.sqrt(3.0 / 5.0)      # limiting corr(L1, N1) at r = 3
+CLT_CORR_TOL = 0.06                  # criterion 5's corr band, also `hxplore mc`'s verdict
+CLT_KS_Z1 = 0.05                     # criterion 5's KS bound for z1, also `hxplore mc`'s verdict
 
 CLT_CELL = dict(n=300_000, r=3, eps=0.15)
 WINDOW_CELL = dict(n=100_000, r=3, eps=0.2)
@@ -72,61 +75,112 @@ SEED_SHAPE = 1110
 SEED_DETERMINISM = 1111
 
 
-@dataclass(frozen=True)
-class CheckResult:
+def _fmt(x) -> str:
+    return str(x) if x is None or isinstance(x, bool) else f"{x:.5g}"
+
+
+class Record(NamedTuple):
+    """One checked statistic.  It passes when lo <= value <= hi, or lo < value < hi
+    when strict; a None or NaN value fails."""
+
+    name: str
+    value: object
+    lo: float = -math.inf
+    hi: float = math.inf
+    strict: bool = False
+
+    @property
+    def passed(self) -> bool:
+        v = self.value
+        return v is not None and (self.lo < v < self.hi if self.strict else self.lo <= v <= self.hi)
+
+    def __str__(self) -> str:
+        left, right = "()" if self.strict else "[]"
+        band = f"{left}{_fmt(self.lo)}, {_fmt(self.hi)}{right}"
+        return f"{self.name} = {_fmt(self.value)} (want {band})"
+
+
+def _extreme(name, cases, pick=max, **band) -> Record:
+    """The record of a grid's (point, value) case with the largest value, or smallest
+    with pick=min; a None or NaN value comes first.  Its name carries the point."""
+    undefined = [case for case in cases if case[1] is None or math.isnan(case[1])]
+    point, value = undefined[0] if undefined else pick(cases, key=lambda case: case[1])
+    return Record(f"{name} at {point}", value, **band)
+
+
+class CheckResult(NamedTuple):
     number: int
     name: str
-    passed: bool
     seconds: float
-    details: str
+    records: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(rec.passed for rec in self.records)
+
+    @property
+    def details(self) -> str:
+        """The failing records, or every record when none fails."""
+        shown = [rec for rec in self.records if not rec.passed] or self.records
+        return "; ".join(map(str, shown))
 
 
-def _result(number, name, failures, t_start, notes="") -> CheckResult:
-    details = "; ".join(failures) if failures else notes
-    return CheckResult(
-        number=number, name=name, passed=not failures,
-        seconds=time.perf_counter() - t_start, details=details,
-    )
+def format_line(res: CheckResult) -> str:
+    """The one line printed for a criterion."""
+    return (f"criterion {res.number:2d} [{'PASS' if res.passed else 'FAIL'}] {res.name} "
+            f"({res.seconds:.1f}s) -- {res.details}")
 
 
-def criterion_fixed_points(workers: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    fails = []
+CRITERIA = []
+
+
+def _criterion(number, name):
+    """Register a generator of Records as criterion `number`, timed into a CheckResult."""
+    def register(body):
+        def fn(workers: int = 1) -> CheckResult:
+            t0 = time.perf_counter()
+            records = tuple(body(workers))
+            return CheckResult(number, name, time.perf_counter() - t0, records)
+        CRITERIA.append((number, fn))
+        return fn
+    return register
+
+
+@_criterion(1, "fixed points and quadrature identity")
+def criterion_fixed_points(workers):
+    residuals = {"rho": [], "dual": [], "rho_r": [], "quadrature": []}
     for r, lam in RLAM_GRID:
         rho = solve_rho(lam)
         las = dual_lambda(lam)
         rr = rho_r(r, lam)
-        rs = rho_star(r, lam)
-        res1 = abs(1.0 - rho - math.exp(-lam * rho))
-        res2 = abs(las * math.exp(-las) - lam * math.exp(-lam))
-        res3 = abs((1.0 - rr) ** (r - 1) - (1.0 - rho))
-        res4 = abs(integrate_h(r, lam, 0.0, rr) - rs)
-        for val, tol, tag in ((res1, 1e-12, "rho"), (res2, 1e-12, "dual"),
-                              (res3, 1e-10, "rho_r"), (res4, 1e-9, "quadrature")):
-            if not val < tol:
-                fails.append(f"(r={r}, lam={lam}) {tag} residual {val:.2e} >= {tol}")
-    return _result(1, "fixed points and quadrature identity", fails, t0)
+        point = f"(r={r}, lam={lam})"
+        residuals["rho"].append((point, abs(1.0 - rho - math.exp(-lam * rho))))
+        residuals["dual"].append((point, abs(las * math.exp(-las) - lam * math.exp(-lam))))
+        residuals["rho_r"].append((point, abs((1.0 - rr) ** (r - 1) - (1.0 - rho))))
+        residuals["quadrature"].append((point, abs(integrate_h(r, lam, 0.0, rr) - rho_star(r, lam))))
+    for tag, tol in (("rho", 1e-12), ("dual", 1e-12), ("rho_r", 1e-10), ("quadrature", 1e-9)):
+        yield _extreme(f"max {tag} residual", residuals[tag], hi=tol, strict=True)
 
 
-def criterion_series(workers: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    fails = []
+@_criterion(2, "series asymptotics of the fixed points")
+def criterion_series(workers):
     eps_grid = (0.2, 0.1, 0.05, 0.025)
+    bands = (("rho_lambda", SERIES_BAND_RHO), ("rho_r", SERIES_BAND_RHO_R),
+             ("rho_star", SERIES_BAND_RHO_STAR))
+    ratios = {tag: [] for tag, _ in bands}
     for r in (2, 3, 7):
-        errs_rho, errs_rr, errs_rs = [], [], []
+        errs = []
         for eps in eps_grid:
             lam = 1.0 + eps
-            errs_rho.append(abs(solve_rho(lam) - (2 * eps - 8.0 / 3.0 * eps**2)))
-            errs_rr.append(abs(rho_r(r, lam) - 2 * eps / (r - 1)))
-            errs_rs.append(abs(rho_star(r, lam) - 2.0 / 3.0 * eps**3 / (r - 1) ** 2))
-        for errs, band, tag in ((errs_rho, SERIES_BAND_RHO, "rho_lambda"),
-                                (errs_rr, SERIES_BAND_RHO_R, "rho_r"),
-                                (errs_rs, SERIES_BAND_RHO_STAR, "rho_star")):
-            for a, b in zip(errs[1:], errs[:-1]):
-                ratio = a / b
-                if not band[0] <= ratio <= band[1]:
-                    fails.append(f"r={r} {tag} halving ratio {ratio:.4f} outside {band}")
-    return _result(2, "series asymptotics of the fixed points", fails, t0)
+            errs.append((abs(solve_rho(lam) - (2 * eps - 8.0 / 3.0 * eps**2)),
+                         abs(rho_r(r, lam) - 2 * eps / (r - 1)),
+                         abs(rho_star(r, lam) - 2.0 / 3.0 * eps**3 / (r - 1) ** 2)))
+        for k in range(1, len(eps_grid)):
+            for (tag, _), a, b in zip(bands, errs[k], errs[k - 1]):
+                ratios[tag].append((f"(r={r}, eps={eps_grid[k]})", a / b))
+    for tag, (lo, hi) in bands:
+        for pick in (min, max):
+            yield _extreme(f"{pick.__name__} {tag} halving ratio", ratios[tag], pick, lo=lo, hi=hi)
 
 
 def _fuzz_configs(count=100):
@@ -146,52 +200,40 @@ def _fuzz_configs(count=100):
     return out
 
 
-def criterion_trace_identities(workers: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    fails = []
+@_criterion(3, "trace identities across fuzzed configurations")
+def criterion_trace_identities(workers):
+    failures = []  # (identity, config) in config order
     for cfg in _fuzz_configs():
-        tag = f"(n={cfg.n}, r={cfg.r}, mode={cfg.mode})"
         tr = explore(cfg)
         rr = cfg.r - 1
         X, A, C = tr.X, tr.A, tr.C
-        if not (X == A - C).all():
-            fails.append(f"{tag} X != A - C")
         eta_inc = np.diff(np.concatenate([[0], X])) + 1
-        if not (eta_inc == tr.eta).all():
-            fails.append(f"{tag} X increments != eta - 1")
-        if not (tr.eta <= rr * tr.edge_counts).all():
-            fails.append(f"{tag} eta > (r-1) E")
-        if not ((tr.xi <= tr.nullity_inc) & (tr.nullity_inc <= tr.xi + tr.zeta)).all():
-            fails.append(f"{tag} nullity increment outside [xi, xi + zeta]")
         prevmin = np.minimum.accumulate(np.concatenate([[0], X]))[:-1]
-        if not ((X < prevmin) == (A == 0)).all():
-            fails.append(f"{tag} record lows of X disagree with A = 0 events")
-        if sum(c.vertices for c in tr.components) != cfg.n:
-            fails.append(f"{tag} component vertices do not sum to n")
-        if X[-1] != -len(tr.components):
-            fails.append(f"{tag} X_n != -c(H)")
-        if any(c.nullity != 1 + rr * c.edges - c.vertices for c in tr.components):
-            fails.append(f"{tag} per-component nullity identity")
         cen = census(tr, t0=cfg.census_t0)
-        if rr * cen.M1 != cen.L1 + cen.N1 - 1:
-            fails.append(f"{tag} (r-1) M1 != L1 + N1 - 1")
-        if cen.T1 is not None and not (cen.T0 <= cfg.census_t0 < cen.T1):
-            fails.append(f"{tag} T0 <= t0 < T1 violated")
-        if len(fails) > 10:
-            break
-    return _result(3, "trace identities across fuzzed configurations", fails, t0)
+        holds = {
+            "X = A - C": (X == A - C).all(),
+            "X increments = eta - 1": (eta_inc == tr.eta).all(),
+            "eta <= (r-1) E": (tr.eta <= rr * tr.edge_counts).all(),
+            "xi <= nullity increment <= xi + zeta":
+                ((tr.xi <= tr.nullity_inc) & (tr.nullity_inc <= tr.xi + tr.zeta)).all(),
+            "record lows of X at A = 0": ((X < prevmin) == (A == 0)).all(),
+            "component vertices sum to n": sum(c.vertices for c in tr.components) == cfg.n,
+            "X_n = -c(H)": X[-1] == -len(tr.components),
+            "component nullity = 1 + (r-1) e - |C|":
+                all(c.nullity == 1 + rr * c.edges - c.vertices for c in tr.components),
+            "(r-1) M1 = L1 + N1 - 1": rr * cen.M1 == cen.L1 + cen.N1 - 1,
+            "T0 <= t0 < T1": cen.T1 is None or cen.T0 <= cfg.census_t0 < cen.T1,
+        }
+        at = f"(n={cfg.n}, r={cfg.r}, mode={cfg.mode})"
+        failures += [(identity, at) for identity, ok in holds.items() if not ok]
+    for identity in holds:
+        where = [at for name, at in failures if name == identity]
+        first = f", first at {where[0]}" if where else ""
+        yield Record(f"'{identity}' violations{first}", len(where), 0, 0)
 
 
-def _l1_counts(n, r, p, mode, R, master_seed, salt, workers):
-    spec = CellSpec(n=n, r=r, p=p, mode=mode, stop="full")
-    plan = ExperimentPlan(cells=(spec,), replicates=R, master_seed=master_seed + salt,
-                          collect=("census", "l1law"))
-    return run_cell(spec, plan, cell_index=salt, workers=workers).aggregate.l1_counts
-
-
-def criterion_oracle_equivalence(workers: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    fails = []
+@_criterion(4, "sampler/oracle equivalence and exact conditional moments")
+def criterion_oracle_equivalence(workers):
     R = 200_000
     for salt, (n, r, p) in enumerate([(5, 3, 0.15), (8, 2, 0.2)]):
         exact = enumerate_all(n, r, p, workers=workers)
@@ -199,232 +241,148 @@ def criterion_oracle_equivalence(workers: int = 1) -> CheckResult:
         exact_mean = exact.mean_l1()
         exact_var = sum(q * (l1 - exact_mean) ** 2 for l1, q in marginal.items())
         for mode in ("implicit", "explicit"):
-            counts = _l1_counts(n, r, p, mode, R, SEED_ORACLE, 2 * salt + (mode == "explicit"), workers)
-            stat, dof, pv = chi_square_gof(counts, marginal)
-            if not pv > 0.001:
-                fails.append(f"({n},{r},{p}) {mode} L1 chi-square p = {pv:.5f} <= 0.001")
+            spec = CellSpec(n=n, r=r, p=p, mode=mode, stop="full")
+            cell = 2 * salt + (mode == "explicit")
+            plan = ExperimentPlan(cells=(spec,), replicates=R, master_seed=SEED_ORACLE + cell,
+                                  collect=("census", "l1law"))
+            counts = run_cell(spec, plan, cell_index=cell, workers=workers).aggregate.l1_counts
+            pv = chi_square_gof(counts, marginal)[2]
+            yield Record(f"({n},{r},{p}) {mode} L1 chi-square p", pv, lo=0.001, strict=True)
             mean = sum(k * c for k, c in counts.items()) / R
             se = math.sqrt(exact_var / R)
-            if not abs(mean - exact_mean) < 3.0 * se:
-                fails.append(f"({n},{r},{p}) {mode} E[L1] = {mean:.4f} off exact {exact_mean:.4f} by > 3 SE")
-    law = enumerate_step(8, 3, 0.1, explored=[], active=[])
-    mom = law.moments()
+            yield Record(f"({n},{r},{p}) {mode} E[L1] - exact {exact_mean:.4f}", mean - exact_mean,
+                         -3.0 * se, 3.0 * se, strict=True)
+    mom = enumerate_step(8, 3, 0.1, explored=[], active=[]).moments()
     cm = conditional_moments(8, 3, 0.1, t=1, active_excl=0, unseen_excl=7)
-    for key, val in (("mean_eta", cm.mean_eta), ("var_eta", cm.var_eta),
-                     ("mean_xi", cm.mean_xi), ("var_xi", cm.var_xi),
-                     ("cov_xi_eta", cm.cov_xi_eta)):
-        if not abs(mom[key] - val) < 1e-10:
-            fails.append(f"conditional moment {key}: enumeration {mom[key]!r} vs formula {val!r}")
-    return _result(4, "sampler/oracle equivalence and exact conditional moments", fails, t0)
+    gaps = [(key, abs(mom[key] - getattr(cm, key)))
+            for key in ("mean_eta", "var_eta", "mean_xi", "var_xi", "cov_xi_eta")]
+    yield _extreme("max |enumerated - formula| conditional moment", gaps, hi=1e-10, strict=True)
 
 
-def _clt_plan(R, collect, seed):
-    spec = CellSpec(n=CLT_CELL["n"], r=CLT_CELL["r"], eps=CLT_CELL["eps"], stop="giant")
+def _run_giant(cell, R, seed, workers, collect=("census", "windows")):
+    spec = CellSpec(**cell, stop="giant")
     plan = ExperimentPlan(cells=(spec,), replicates=R, master_seed=seed, omega=4.0,
                           collect=collect)
-    return spec, plan
+    return run_cell(spec, plan, workers=workers)
 
 
-def criterion_bivariate_clt(workers: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    fails = []
-    spec, plan = _clt_plan(4000, ("census",), SEED_CLT)
-    res = run_cell(spec, plan, workers=workers)
-    z1 = np.asarray(res.aggregate.z1)
-    z2 = np.asarray(res.aggregate.z2)
-    corr = res.aggregate.biv.corr
-    checks = [
-        ("mean z1", abs(float(z1.mean())), 0.25),
-        ("mean z2", abs(float(z2.mean())), 0.30),
-    ]
-    for name, val, tol in checks:
-        if not val <= tol:
-            fails.append(f"|{name}| = {val:.4f} > {tol}")
-    for name, val, lo, hi in (
-        ("var z1", float(z1.var(ddof=1)), 0.8, 1.2),
-        ("var z2", float(z2.var(ddof=1)), 0.75, 1.25),
-        ("corr", corr, math.sqrt(3.0 / 5.0) - 0.06, math.sqrt(3.0 / 5.0) + 0.06),
-    ):
-        if not lo <= val <= hi:
-            fails.append(f"{name} = {val:.4f} outside [{lo:.4f}, {hi:.4f}]")
-    ks = {}
-    for name, z, tol in (("KS z1", z1, 0.05), ("KS z2", z2, 0.06)):
-        ks[name] = d = ks_distance(z)
-        if not d < tol:
-            fails.append(f"{name} = {d:.4f} >= {tol}")
-    notes = (f"mean z=({z1.mean():.3f},{z2.mean():.3f}) "
-             f"var z=({z1.var(ddof=1):.3f},{z2.var(ddof=1):.3f}) corr={corr:.4f} "
-             f"KS=({ks['KS z1']:.4f},{ks['KS z2']:.4f})")
-    return _result(5, "bivariate CLT of (L1, N1) at the sparse supercritical cell", fails, t0,
-                   notes=notes)
+@_criterion(5, "bivariate CLT of (L1, N1) at the sparse supercritical cell")
+def criterion_bivariate_clt(workers):
+    agg = _run_giant(CLT_CELL, 4000, SEED_CLT, workers, ("census",)).aggregate
+    z1 = np.asarray(agg.z1)
+    z2 = np.asarray(agg.z2)
+    yield Record("mean z1", float(z1.mean()), -0.25, 0.25)
+    yield Record("mean z2", float(z2.mean()), -0.30, 0.30)
+    yield Record("var z1", float(z1.var(ddof=1)), 0.8, 1.2)
+    yield Record("var z2", float(z2.var(ddof=1)), 0.75, 1.25)
+    yield Record("corr", agg.biv.corr, CLT_CORR - CLT_CORR_TOL, CLT_CORR + CLT_CORR_TOL)
+    yield Record("KS z1", ks_distance(z1), hi=CLT_KS_Z1, strict=True)
+    yield Record("KS z2", ks_distance(z2), hi=0.06, strict=True)
 
 
-def criterion_variance_sums(workers: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    fails = []
-    spec, plan = _clt_plan(100, ("census", "doob"), SEED_VSUMS)
-    res = run_cell(spec, plan, workers=workers)
-    agg = res.aggregate
+@_criterion(6, "conditional variance sums match the CLT variance targets")
+def criterion_variance_sums(workers):
+    agg = _run_giant(CLT_CELL, 100, SEED_VSUMS, workers, ("census", "doob")).aggregate
     n, r, eps = CLT_CELL["n"], CLT_CELL["r"], CLT_CELL["eps"]
     cnt = agg.doob_count
-    ratios = (
-        ("V1 / 2 eps n", agg.v1_sum / cnt / (2.0 * eps * n), 0.9, 1.1),
-        ("V2 / (10/3)(r-1)^-2 eps^3 n",
-         agg.v2_sum / cnt / (10.0 / 3.0 / (r - 1) ** 2 * eps**3 * n), 0.7, 1.3),
-        ("V12 / (2/(r-1)) eps^2 n",
-         agg.v12_sum / cnt / (2.0 / (r - 1) * eps**2 * n), 0.8, 1.2),
-    )
-    for name, val, lo, hi in ratios:
-        if not lo <= val <= hi:
-            fails.append(f"{name} = {val:.4f} outside [{lo}, {hi}]")
-    notes = "; ".join(f"{name} = {val:.4f}" for name, val, _, _ in ratios)
-    return _result(6, "conditional variance sums match the CLT variance targets", fails, t0, notes)
+    yield Record("V1 / 2 eps n", agg.v1_sum / cnt / (2.0 * eps * n), 0.9, 1.1)
+    yield Record("V2 / (10/3)(r-1)^-2 eps^3 n",
+                 agg.v2_sum / cnt / (10.0 / 3.0 / (r - 1) ** 2 * eps**3 * n), 0.7, 1.3)
+    yield Record("V12 / (2/(r-1)) eps^2 n",
+                 agg.v12_sum / cnt / (2.0 / (r - 1) * eps**2 * n), 0.8, 1.2)
 
 
-def criterion_subcritical_tail(workers: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    fails = []
+@_criterion(7, "subcritical tail bound shape for L1")
+def criterion_subcritical_tail(workers):
     eps = 0.3
-    grid = [round(x / eps**2) for x in (3.0, 4.5, 6.0, 8.0)]
-    rep = tail_subcritical(30_000, 3, eps, grid, R=20_000, master_seed=SEED_SUBTAIL,
+    rep = tail_subcritical(30_000, 3, eps, tail_grid(eps), R=20_000, master_seed=SEED_SUBTAIL,
                            workers=workers, c_bound=TAIL_C)
-    if not rep.strictly_decreasing:
-        fails.append("empirical Pr(L1 > L) not strictly decreasing over the grid")
-    if rep.max_fit_residual is None or not rep.max_fit_residual <= TAIL_FIT_TOL:
-        fails.append(f"log-probability affine fit residual {rep.max_fit_residual} > {TAIL_FIT_TOL}")
     for row in rep.rows:
-        if not row.p_hat <= row.bound:
-            fails.append(f"L={row.L}: p_hat {row.p_hat:.5f} above bound {row.bound:.5f}")
-    if not rep.measurable:
-        fails.append("fewer than 5 exceedances at the largest grid point")
-    notes = "p_hat=" + ",".join(f"{row.p_hat:.4f}" for row in rep.rows)
-    return _result(7, "subcritical tail bound shape for L1", fails, t0, notes)
+        yield Record(f"Pr(L1 > {row.L})", row.p_hat, hi=row.bound)
+    yield Record("Pr(L1 > L) strictly decreasing over the grid", rep.strictly_decreasing, True, True)
+    yield Record("max |residual| of the affine log-probability fit", rep.max_fit_residual,
+                 hi=TAIL_FIT_TOL)
+    yield Record("at least 5 exceedances at the largest grid point", rep.measurable, True, True)
 
 
-def criterion_supercritical_tail(workers: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    fails = []
+@_criterion(8, "supercritical concentration of L1 and tails of L2")
+def criterion_supercritical_tail(workers):
     n, r, eps = WINDOW_CELL["n"], WINDOW_CELL["r"], WINDOW_CELL["eps"]
-    grid = [round(x / eps**2) for x in (3.0, 4.5, 6.0, 8.0)]
-    rep = tail_supercritical(n, r, eps, (2.0, 3.0, 4.0, 5.0), grid, R=2000,
+    rep = tail_supercritical(n, r, eps, (2.0, 3.0, 4.0, 5.0), tail_grid(eps), R=2000,
                              master_seed=SEED_SUPERTAIL, workers=workers, c_bound=TAIL_C)
-    freqs = {om: f for om, _, f in rep.omega_rows}
-    if not freqs[4.0] <= SUPER_EXCEED_AT_4:
-        fails.append(f"Pr(|L1 - rho n| >= 4 sqrt(n/eps)) = {freqs[4.0]:.4f} > {SUPER_EXCEED_AT_4}")
-    fs = [f for _, _, f in rep.omega_rows]
-    if not all(a >= b for a, b in zip(fs, fs[1:])):
-        fails.append("exceedance frequency not non-increasing in omega")
+    # nested events: each frequency is at most the one before it
+    previous = 1.0
+    for om, _, freq in rep.omega_rows:
+        hi = min(previous, SUPER_EXCEED_AT_4) if om == 4.0 else previous
+        yield Record(f"Pr(|L1 - rho n| >= {om:g} sqrt(n/eps))", freq, hi=hi)
+        previous = freq
     for row in rep.rows:
-        if not row.p_hat <= row.bound:
-            fails.append(f"L2 grid L={row.L}: p_hat {row.p_hat:.5f} above bound {row.bound:.5f}")
-    notes = "omega freqs=" + ",".join(f"{f:.4f}" for f in fs)
-    return _result(8, "supercritical concentration of L1 and tails of L2", fails, t0, notes)
+        yield Record(f"Pr(L2 > {row.L})", row.p_hat, hi=row.bound)
 
 
-def criterion_windows_duality(workers: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    fails = []
-    spec = CellSpec(n=WINDOW_CELL["n"], r=WINDOW_CELL["r"], eps=WINDOW_CELL["eps"], stop="giant")
-    rep = window_report(spec, omega=4.0, R=1000, master_seed=SEED_WINDOWS, workers=workers)
-    for name, freq in (("E1", rep.freq_e1), ("E2", rep.freq_e2), ("E3", rep.freq_e3)):
-        if not freq >= WINDOW_MIN_FREQ:
-            fails.append(f"freq({name}) = {freq:.4f} < {WINDOW_MIN_FREQ}")
-    if rep.duality_corr is None or not rep.duality_corr >= DUALITY_MIN_CORR:
-        fails.append(f"duality correlation {rep.duality_corr} < {DUALITY_MIN_CORR}")
-    if not rep.zc_identity_all:
-        fails.append("Z + 1 = C_{t0+1} failed in some run")
-    notes = (f"E1={rep.freq_e1:.3f} E2={rep.freq_e2:.3f} E3={rep.freq_e3:.3f} "
-             f"corr={rep.duality_corr:.4f}")
-    return _result(9, "window events and duality prediction of T1", fails, t0, notes)
+@_criterion(9, "window events and duality prediction of T1")
+def criterion_windows_duality(workers):
+    windows = _run_giant(WINDOW_CELL, 1000, SEED_WINDOWS, workers).aggregate.windows()
+    for event in ("E1", "E2", "E3"):
+        yield Record(f"freq({event})", windows["window_freqs"][event], lo=WINDOW_MIN_FREQ)
+    yield Record("duality correlation", windows["duality_corr"], lo=DUALITY_MIN_CORR)
+    yield Record("Z + 1 = C_{t0+1} in every run", windows["z_identity_ok"], True, True)
 
 
-def criterion_martingale_shape(workers: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    fails = []
-    n, r, eps = WINDOW_CELL["n"], WINDOW_CELL["r"], WINDOW_CELL["eps"]
+@_criterion(10, "martingale shape: maximal inequality, drift gap, Lindeberg")
+def criterion_martingale_shape(workers):
     # (a) maximal-inequality shape of max |S_i| up to t1
-    spec = CellSpec(n=n, r=r, eps=eps, stop="giant")
-    plan = ExperimentPlan(cells=(spec,), replicates=400, master_seed=SEED_SHAPE,
-                          omega=4.0, collect=("census", "windows"))
-    res = run_cell(spec, plan, workers=workers)
+    res = _run_giant(WINDOW_CELL, 400, SEED_SHAPE, workers)
     maxes = np.asarray(res.aggregate.max_s_t1_values)
-    t1 = res.ctx.t1
     for y in MAXINEQ_Y_GRID:
-        freq = float(np.mean(maxes >= y))
-        bound = 2.0 * math.exp(-y * y / (2.0 * MAXINEQ_C * t1))
-        if not freq <= bound:
-            fails.append(f"max-inequality y={y}: freq {freq:.4f} above 2exp(-y^2/(2Ct)) = {bound:.4f}")
+        bound = 2.0 * math.exp(-y * y / (2.0 * MAXINEQ_C * res.ctx.t1))
+        yield Record(f"Pr(max |S_i| >= {y:g})", float(np.mean(maxes >= y)), hi=bound)
     # (b) drift-approximation constant, subcritical and supercritical
     for salt, lam in ((1, 1.2), (2, 0.8)):
-        spec_g = CellSpec(n=n, r=r, lam=lam, stop="full")
+        spec_g = CellSpec(n=WINDOW_CELL["n"], r=WINDOW_CELL["r"], lam=lam, stop="full")
         plan_g = ExperimentPlan(cells=(spec_g,), replicates=100,
                                 master_seed=SEED_SHAPE + salt, collect=("census", "gap"))
         res_g = run_cell(spec_g, plan_g, workers=workers)
-        if not res_g.aggregate.gap_max <= GAP_LIMIT:
-            fails.append(f"lam={lam}: empirical c1 = {res_g.aggregate.gap_max:.3f} > {GAP_LIMIT}")
+        yield Record(f"empirical c1 at lam={lam}", res_g.aggregate.gap_max, hi=GAP_LIMIT)
     # (c) realized Lindeberg sums at the CLT cell
-    spec_l, plan_l = _clt_plan(100, ("census", "doob"), SEED_SHAPE + 3)
-    res_l = run_cell(spec_l, plan_l, workers=workers)
-    agg = res_l.aggregate
+    agg = _run_giant(CLT_CELL, 100, SEED_SHAPE + 3, workers, ("census", "doob")).aggregate
     nn, epsn = CLT_CELL["n"], CLT_CELL["eps"]
-    lind1 = agg.lind1_sum / agg.doob_count / (epsn * nn)
-    lind2 = agg.lind2_sum / agg.doob_count / (epsn**3 * nn)
-    for name, val in (("lindeberg1/(eps n)", lind1), ("lindeberg2/(eps^3 n)", lind2)):
-        if not val < LINDEBERG_LIMIT:
-            fails.append(f"{name} = {val:.5f} >= {LINDEBERG_LIMIT}")
-    return _result(10, "martingale shape: maximal inequality, drift gap, Lindeberg", fails, t0)
+    yield Record("lindeberg1/(eps n)", agg.lind1_sum / agg.doob_count / (epsn * nn),
+                 hi=LINDEBERG_LIMIT, strict=True)
+    yield Record("lindeberg2/(eps^3 n)", agg.lind2_sum / agg.doob_count / (epsn**3 * nn),
+                 hi=LINDEBERG_LIMIT, strict=True)
 
 
-def criterion_determinism(workers: int = 1) -> CheckResult:
-    t0 = time.perf_counter()
-    fails = []
+@_criterion(11, "deterministic mc output and associative streaming merge")
+def criterion_determinism(workers):
     spec = CellSpec(n=20_000, r=3, eps=0.2, stop="giant")
     plan = ExperimentPlan(cells=(spec,), replicates=40, master_seed=SEED_DETERMINISM,
                           omega=4.0, collect=("census", "windows"))
-    rows = []
-    for w in (1, 2, 1):
-        res = run_experiment(plan, workers=w)[0]
-        rows.append((format_cell_row(res), tuple(res.aggregate.z1), tuple(res.aggregate.duality_dt)))
-    if not (rows[0] == rows[1] == rows[2]):
-        fails.append("mc output differs across invocations or worker counts")
+    rows = [(format_cell_row(res), tuple(res.aggregate.z1), tuple(res.aggregate.duality_dt))
+            for res in (run_experiment(plan, workers=w)[0] for w in (1, 2, 1))]
+    yield Record("mc output equal at workers 1, 2, 1", rows[0] == rows[1] == rows[2], True, True)
     # streaming merge equals single pass
     rng = np.random.default_rng(SEED_DETERMINISM)
     xs = rng.normal(size=5000)
     ys = 0.5 * xs + rng.normal(size=5000)
-    single = BivariateMoments()
-    for x, y in zip(xs, ys):
-        single.add(float(x), float(y))
+
+    def moments(lo, hi):
+        part = BivariateMoments()
+        for x, y in zip(xs[lo:hi], ys[lo:hi]):
+            part.add(float(x), float(y))
+        return part
+
+    single = moments(0, 5000)
+    errors = {"mean_x": [], "m2x": [], "cxy": [], "m2y": []}
     for cuts in ([1000, 2500, 4000], [1, 4999], [2500]):
         merged = BivariateMoments()
-        prev = 0
-        for cut in list(cuts) + [5000]:
-            part = BivariateMoments()
-            for x, y in zip(xs[prev:cut], ys[prev:cut]):
-                part.add(float(x), float(y))
-            merged.merge(part)
-            prev = cut
-        for name, a, b in (("mean_x", merged.mean_x, single.mean_x),
-                           ("m2x", merged.m2x, single.m2x),
-                           ("cxy", merged.cxy, single.cxy),
-                           ("m2y", merged.m2y, single.m2y)):
-            if abs(a - b) > 1e-9 * max(1.0, abs(b)):
-                fails.append(f"streaming merge {name}: {a!r} vs {b!r}")
-    return _result(11, "deterministic mc output and associative streaming merge", fails, t0)
-
-
-CRITERIA = [
-    (1, criterion_fixed_points),
-    (2, criterion_series),
-    (3, criterion_trace_identities),
-    (4, criterion_oracle_equivalence),
-    (5, criterion_bivariate_clt),
-    (6, criterion_variance_sums),
-    (7, criterion_subcritical_tail),
-    (8, criterion_supercritical_tail),
-    (9, criterion_windows_duality),
-    (10, criterion_martingale_shape),
-    (11, criterion_determinism),
-]
+        for lo, hi in zip([0] + cuts, cuts + [5000]):
+            merged.merge(moments(lo, hi))
+        for name, cases in errors.items():
+            a, b = getattr(merged, name), getattr(single, name)
+            cases.append((f"cuts {cuts}", abs(a - b) / max(1.0, abs(b))))
+    for name, cases in errors.items():
+        yield _extreme(f"max relative streaming-merge error of {name}", cases, hi=1e-9)
 
 
 def run_all(keys=None, workers: int = 1, progress=None) -> list:
@@ -436,9 +394,6 @@ def run_all(keys=None, workers: int = 1, progress=None) -> list:
             continue
         res = fn(workers=workers)
         if progress is not None:
-            line = f"criterion {res.number:2d} [{'PASS' if res.passed else 'FAIL'}] {res.name} ({res.seconds:.1f}s)"
-            if res.details:
-                line += f" -- {res.details}"
-            progress(line)
+            progress(format_line(res))
         results.append(res)
     return results

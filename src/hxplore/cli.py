@@ -23,13 +23,16 @@ from .explore import ExplorationConfig, explore
 from .mc import (
     CELL_CSV_HEADER,
     TAILS_CSV_HEADER,
+    DEFAULT_OMEGA,
     CellSpec,
     ExperimentPlan,
+    check_omega,
     fmt17,
     format_cell_row,
     format_tail_row,
     resolve_workers,
     run_experiment,
+    tail_grid,
     tail_p,
     tail_subcritical,
     tail_supercritical,
@@ -50,51 +53,60 @@ class UsageError(Exception):
     pass
 
 
-def _add_shared(sp):
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--replicates", type=int, default=None)
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--mode", choices=("implicit", "explicit"), default=None)
-    sp.add_argument("--omega", type=float, default=None)
-    sp.add_argument("--stop", type=str, default=None, help="full or giant:MARGIN")
-    sp.add_argument("--config", type=str, default=None, help="JSON file with flag defaults")
+# Each flag's add_argument keywords; its dest is _dest(flag).
+_FLAGS = {
+    "n": dict(type=int),
+    "r": dict(type=int),
+    "eps": dict(type=float),
+    "lambda": dict(type=float),
+    "p": dict(type=float),
+    "seed": dict(type=int),
+    "replicates": dict(type=int),
+    "out": dict(type=str),
+    "format": dict(choices=("csv", "json")),
+    "threads": dict(type=int),
+    "mode": dict(choices=("implicit", "explicit")),
+    "omega": dict(type=float),
+    "stop": dict(type=str, help="full or giant:MARGIN"),
+    "doob": dict(action="store_true"),
+    "kind": dict(choices=("sub", "super"), required=True),
+    "L-grid": dict(type=str, help="comma-separated component-size thresholds"),
+    "omega-grid": dict(type=str, default="2,3,4,5"),
+    "bound-c": dict(type=float, default=10.0),
+    "step": dict(action="store_true"),
+    "explored": dict(type=str, default=""),
+    "active": dict(type=str, default=""),
+    "criteria": dict(type=str, help="comma-separated criterion numbers (default: all)"),
+    "config": dict(type=str, help="JSON file with flag defaults"),
+}
+
+# command -> (help, the flags it reads besides --config)
+_SUBCOMMANDS = {
+    "theory": ("print solved constants (and CLT targets when --n is given) as JSON",
+               "r eps lambda n out"),
+    "run": ("run one exploration; write trace and component CSVs (--doob adds the decomposition)",
+            "n r eps lambda p seed out format mode omega stop doob"),
+    "mc": ("run a Monte Carlo cell; write the per-cell CSV and a JSON report",
+           "n r eps lambda p seed replicates out threads mode omega stop"),
+    "tails": ("tail-probability experiment (--kind sub|super)",
+              "kind n r eps seed replicates out threads L-grid omega-grid bound-c"),
+    "oracle": ("exact enumeration (full law, or one step with --step)",
+               "n r p out step explored active"),
+    "verify": ("run the acceptance suite; nonzero exit on failure", "criteria threads"),
+}
+
+
+def _dest(flag: str) -> str:
+    return "lam" if flag == "lambda" else flag.replace("-", "_").lower()
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hxplore", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("theory", "print solved constants (and CLT targets when --n is given) as JSON"),
-        ("run", "run one exploration; write trace and component CSVs (--doob adds the decomposition)"),
-        ("mc", "run a Monte Carlo cell; write the per-cell CSV and a JSON report"),
-        ("tails", "tail-probability experiment (--kind sub|super)"),
-        ("oracle", "exact enumeration (full law, or one step with --step)"),
-        ("verify", "run the acceptance suite; nonzero exit on failure"),
-    ):
+    for name, (helptext, flags) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
-        _add_shared(sp)
-        if name == "run":
-            sp.add_argument("--doob", action="store_true")
-        if name == "tails":
-            sp.add_argument("--kind", choices=("sub", "super"), required=True)
-            sp.add_argument("--L-grid", dest="l_grid", type=str, default=None,
-                            help="comma-separated component-size thresholds")
-            sp.add_argument("--omega-grid", dest="omega_grid", type=str, default="2,3,4,5")
-            sp.add_argument("--bound-c", dest="bound_c", type=float, default=10.0)
-        if name == "oracle":
-            sp.add_argument("--step", action="store_true")
-            sp.add_argument("--explored", type=str, default="")
-            sp.add_argument("--active", type=str, default="")
-        if name == "verify":
-            sp.add_argument("--criteria", type=str, default=None,
-                            help="comma-separated criterion numbers (default: all)")
+        for flag in flags.split() + ["config"]:
+            sp.add_argument(f"--{flag}", dest=_dest(flag), **_FLAGS[flag])
     return ap
 
 
@@ -108,11 +120,11 @@ def _merge_config(args) -> None:
         if not isinstance(defaults, dict):
             raise UsageError(f"--config {args.config}: expected a JSON object")
         for key, val in defaults.items():
-            key = key.replace("-", "_")
-            if key == "lambda":
-                key = "lam"
-            if getattr(args, key, None) is None:
-                setattr(args, key, val)
+            dest = _dest(key)
+            if dest in ("command", "config") or not hasattr(args, dest):
+                raise UsageError(f"--config {args.config}: {key!r} is not a flag of {args.command}")
+            if getattr(args, dest) is None:
+                setattr(args, dest, val)
 
 
 def _checked(fn, *args, **kw):
@@ -167,13 +179,6 @@ def _parse_list(text, conv, flag) -> list:
         raise UsageError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
-def _workers(args) -> int:
-    try:
-        return resolve_workers(args.threads)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _emit(out_path, sections) -> None:
     """sections: (suffix, iterable of text chunks ending in a newline) pairs, streamed to
     the files PREFIX.suffix, or to stdout with a blank line between sections."""
@@ -197,8 +202,8 @@ def _require(args, *names) -> None:
 def cmd_theory(args) -> int:
     if args.r is None:
         raise UsageError("--r is required")
-    if args.format == "csv":
-        raise UsageError("theory output is JSON only")
+    if args.n is not None and args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     if (args.lam is None) == (args.eps is None):
         raise UsageError("give exactly one of --eps, --lambda")
     lam = args.lam if args.lam is not None else 1.0 + args.eps
@@ -267,7 +272,8 @@ def cmd_run(args) -> int:
     _require(args, "n", "r", "seed")
     p = _resolve_p(args)
     stop, margin = _parse_stop(args)
-    omega = args.omega if args.omega is not None else 4.0
+    omega = args.omega if args.omega is not None else DEFAULT_OMEGA
+    _checked(check_omega, omega)
     eps = _eps_of(args, p)
     t0 = int(math.floor(omega * math.sqrt(args.n / eps))) if eps > 0 else None
     if stop == "giant":
@@ -316,33 +322,25 @@ def cmd_mc(args) -> int:
     collect = ("census", "windows") if eps > 0 else ("census",)
     plan = _checked(ExperimentPlan, cells=(spec,), replicates=args.replicates,
                     master_seed=args.seed,
-                    omega=args.omega if args.omega is not None else 4.0,
+                    omega=args.omega if args.omega is not None else DEFAULT_OMEGA,
                     collect=collect)
-    workers = _workers(args)
+    workers = _checked(resolve_workers, args.threads)
     results = run_experiment(plan, workers=workers)
     csv_text = CELL_CSV_HEADER + "\n" + "\n".join(format_cell_row(r) for r in results) + "\n"
     report = []
     for res in results:
         s = res.summary()
-        agg = res.aggregate
-        verdict = {
+        report.append({
             "cell": s["cell"],
             "summary": s,
-            "window_freqs": {
-                "E1": agg.win_e1 / agg.win_checked,
-                "E2": agg.win_e2 / agg.win_checked,
-                "E3": agg.win_e3 / agg.win_checked,
-                "all": agg.win_all / agg.win_checked,
-            } if agg.win_checked else None,
-            "duality_corr": agg.duality_corr(),
-            "z_identity_ok": bool(agg.zc_checked and agg.zc_ok == agg.zc_checked),
+            **res.aggregate.windows(),
             "verdicts": {
-                "ks_z1_below_0.05": None if s["ks_z1"] is None else bool(s["ks_z1"] < 0.05),
-                "corr_within_0.06_of_sqrt35": None if s["corr"] is None
-                else bool(abs(s["corr"] - math.sqrt(3.0 / 5.0)) < 0.06),
+                f"ks_z1_below_{acceptance.CLT_KS_Z1}": None if s["ks_z1"] is None
+                else bool(s["ks_z1"] < acceptance.CLT_KS_Z1),
+                f"corr_within_{acceptance.CLT_CORR_TOL}_of_sqrt35": None if s["corr"] is None
+                else bool(abs(s["corr"] - acceptance.CLT_CORR) < acceptance.CLT_CORR_TOL),
             },
-        }
-        report.append(verdict)
+        })
     json_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     _emit(args.out, [("cells.csv", [csv_text]), ("report.json", [json_text])])
     return 0
@@ -350,11 +348,11 @@ def cmd_mc(args) -> int:
 
 def cmd_tails(args) -> int:
     _require(args, "n", "r", "eps", "seed", "replicates")
-    workers = _workers(args)
+    workers = _checked(resolve_workers, args.threads)
     if args.l_grid:
         grid = _parse_list(args.l_grid, int, "--L-grid")
     else:
-        grid = [max(1, round(x / args.eps**2)) for x in (3.0, 4.5, 6.0, 8.0)]
+        grid = tail_grid(args.eps)
     _check_r(args)
     _checked(tail_p, args.kind, args.n, args.r, args.eps)
     if args.kind == "sub":
@@ -382,8 +380,6 @@ def cmd_tails(args) -> int:
 
 def cmd_oracle(args) -> int:
     _require(args, "n", "r", "p")
-    if args.format == "csv":
-        raise UsageError("oracle output is JSON only")
     if not 0.0 <= args.p <= 1.0:
         raise UsageError(f"--p must lie in [0, 1], got {args.p}")
     if args.step:
@@ -397,8 +393,7 @@ def cmd_oracle(args) -> int:
             "moments": law.moments(),
         }
     else:
-        workers = _workers(args)
-        dist = enumerate_all(args.n, args.r, args.p, workers=workers)
+        dist = enumerate_all(args.n, args.r, args.p)
         out = {
             "n": args.n, "r": args.r, "p": args.p,
             "support": [list(k) for k in dist.support],
@@ -415,7 +410,7 @@ def cmd_verify(args) -> int:
         unknown = sorted(set(keys) - {number for number, _ in acceptance.CRITERIA})
         if unknown:
             raise UsageError(f"unknown criteria {unknown}")
-    workers = _workers(args)
+    workers = _checked(resolve_workers, args.threads)
     results = acceptance.run_all(keys=keys, workers=workers, progress=print)
     return 0 if all(r.passed for r in results) else 1
 

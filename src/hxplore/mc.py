@@ -29,6 +29,7 @@ from .util import derive_seed
 __all__ = [
     "CellSpec",
     "ExperimentPlan",
+    "check_omega",
     "MCAggregate",
     "CellResult",
     "ReplicateStats",
@@ -37,7 +38,7 @@ __all__ = [
     "tail_p",
     "tail_subcritical",
     "tail_supercritical",
-    "window_report",
+    "tail_grid",
     "resolve_workers",
     "CELL_CSV_HEADER",
     "format_cell_row",
@@ -106,6 +107,12 @@ class CellSpec:
         return f"n{self.n}_r{self.r}_eps{eps:g}"
 
 
+def check_omega(omega: float) -> None:
+    """Raise ValueError unless the window scale omega is finite and positive."""
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     cells: tuple
@@ -117,8 +124,7 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be finite and positive, got {self.omega}")
+        check_omega(self.omega)
         known = {"census", "windows", "doob", "gap", "l1law"}
         bad = set(self.collect) - known
         if bad:
@@ -209,6 +215,23 @@ class MCAggregate:
             self.lind2_sum += rep.lind2
         if rep.gap is not None:
             self.gap_max = max(self.gap_max, rep.gap)
+
+    def windows(self) -> dict:
+        """The frequencies of the window events E1 (few components by the cutoff),
+        E2 (the martingale stays small up to t1 + t0), E3 (T1 lands within t0 of
+        t1) and all three (None when no run collected windows), the duality
+        correlation, and whether Z + 1 = C_{t0+1} held in every run."""
+        checked = self.win_checked
+        return {
+            "window_freqs": {
+                "E1": self.win_e1 / checked,
+                "E2": self.win_e2 / checked,
+                "E3": self.win_e3 / checked,
+                "all": self.win_all / checked,
+            } if checked else None,
+            "duality_corr": self.duality_corr(),
+            "z_identity_ok": bool(self.zc_checked and self.zc_ok == self.zc_checked),
+        }
 
     def duality_corr(self) -> float | None:
         if len(self.duality_dt) < 3:
@@ -420,7 +443,7 @@ def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
 
 
 # ---------------------------------------------------------------------------
-# tails / windows
+# tails
 # ---------------------------------------------------------------------------
 
 
@@ -488,6 +511,11 @@ def _affine_fit(rows):
     return float(slope), float(intercept), float(np.max(np.abs(resid)))
 
 
+def tail_grid(eps: float) -> list:
+    """The default L grid of the tail experiments: 3, 4.5, 6 and 8 over eps^2."""
+    return [max(1, round(x / eps**2)) for x in (3.0, 4.5, 6.0, 8.0)]
+
+
 def tail_p(kind: str, n: int, r: int, eps: float) -> float:
     """The edge probability of a tail experiment, at lambda = 1 - eps for
     kind 'sub' and 1 + eps for 'super'.  Raises ValueError on inputs that
@@ -544,43 +572,6 @@ def tail_supercritical(n: int, r: int, eps: float, omega_grid, L_grid, R: int,
         measurable=rows[-1].exceed_count >= 5,
         slope=slope, intercept=intercept, max_fit_residual=resid,
         omega_rows=omega_rows,
-    )
-
-
-@dataclass(frozen=True)
-class WindowReport:
-    cell: str
-    R: int
-    omega: float
-    freq_e1: float
-    freq_e2: float
-    freq_e3: float
-    freq_all: float
-    freq_t0: float
-    zc_identity_all: bool
-    duality_corr: float | None
-
-
-def window_report(spec: CellSpec, omega: float, R: int, master_seed: int,
-                  workers: int = 1) -> WindowReport:
-    """Frequencies of the window events E1 (few components by the cutoff),
-    E2 (the martingale stays small up to t1 + t0), E3 (T1 lands within t0
-    of t1), the exact identity Z + 1 = C_{t0+1}, and the duality correlation
-    between T1 - t1 and Xtilde_{t1}/(1 - lambda*)."""
-    plan = ExperimentPlan(cells=(spec,), replicates=R, master_seed=master_seed,
-                          omega=omega, collect=("census", "windows"))
-    res = run_cell(spec, plan, cell_index=0, workers=workers)
-    agg = res.aggregate
-    checked = max(agg.win_checked, 1)
-    return WindowReport(
-        cell=spec.name(), R=R, omega=omega,
-        freq_e1=agg.win_e1 / checked,
-        freq_e2=agg.win_e2 / checked,
-        freq_e3=agg.win_e3 / checked,
-        freq_all=agg.win_all / checked,
-        freq_t0=agg.win_t0 / checked,
-        zc_identity_all=agg.zc_checked == checked and agg.zc_ok == agg.zc_checked,
-        duality_corr=agg.duality_corr(),
     )
 
 

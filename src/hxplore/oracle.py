@@ -80,9 +80,6 @@ class ExactDistribution:
     probability: np.ndarray
     strata: dict  # (edge_count, L1, N1, L2) -> exact subset count
 
-    def as_dict(self) -> dict:
-        return {key: float(q) for key, q in zip(self.support, self.probability)}
-
     def l1_marginal(self) -> dict:
         out: dict = {}
         for (l1, _, _), q in zip(self.support, self.probability):
@@ -189,9 +186,6 @@ class StepLaw:
     unseen_excl: int
     support: list
     probability: np.ndarray
-
-    def as_dict(self) -> dict:
-        return {key: float(q) for key, q in zip(self.support, self.probability)}
 
     def moments(self) -> dict:
         tot = {"eta": 0.0, "eta2": 0.0, "xi": 0.0, "xi2": 0.0, "xieta": 0.0, "zeta": 0.0}

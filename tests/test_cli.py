@@ -204,7 +204,7 @@ def test_verify_subset(capsys):
 @pytest.mark.parametrize("argv,worker_cap", [
     (["verify", "--criteria", "1,x"], None),
     (["verify", "--criteria", "99"], None),
-    (["oracle", "--n", "3", "--r", "2", "--p", "0.5"], "two"),
+    (["verify", "--criteria", "1"], "two"),
     (["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "1", "--stop", "giant:abc"], None),
     (["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "1", "--stop", "giant:-5"], None),
     (["theory", "--config", "MALFORMED_JSON"], None),
@@ -232,6 +232,9 @@ def test_verify_subset(capsys):
     (["oracle", "--n", "4", "--r", "2", "--p", "-0.1", "--step"], None),
     (["theory", "--r", "3", "--lambda", "0.5"], None),
     (["run", "--n", "100", "--r", "3", "--lambda", "1.2", "--seed", "-1"], None),
+    (["theory", "--r", "3", "--lambda", "1.5", "--n", "0"], None),
+    (["run", "--n", "100", "--r", "3", "--lambda", "1.2", "--seed", "1", "--omega", "nan"], None),
+    (["run", "--n", "100", "--r", "3", "--lambda", "1.2", "--seed", "1", "--omega", "0"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:
@@ -242,6 +245,34 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_
     code, out, err = _run(capsys, argv)
     assert code == 2 and err.startswith("usage-error:"), err
     assert "criterion" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["tails", "--kind", "sub", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "10",
+     "--seed", "1", "--mode", "explicit"],
+    ["mc", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "3", "--seed", "1",
+     "--format", "json"],
+    ["verify", "--criteria", "1", "--seed", "5"],
+    ["verify", "--criteria", "1", "--out", "X"],
+    ["oracle", "--n", "3", "--r", "2", "--p", "0.5", "--seed", "3"],
+    ["oracle", "--n", "3", "--r", "2", "--p", "0.5", "--replicates", "9"],
+    ["oracle", "--n", "3", "--r", "2", "--p", "0.5", "--threads", "2"],
+    ["theory", "--r", "3", "--lambda", "2", "--format", "json"],
+])
+def test_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    code, out, _ = _run(capsys, argv)
+    assert code == 2 and not out
+
+
+def test_config_key_must_name_a_flag_of_the_command(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r": 3, "lambda": 2.0, "seed": 5}))
+    code, out, err = _run(capsys, ["theory", "--config", str(cfg)])
+    assert code == 2 and not out and "'seed' is not a flag of theory" in err
+    cfg.write_text(json.dumps({"n": 2000, "r": 3, "eps": 0.3, "seed": 1,
+                               "replicates": 20, "L-grid": "5,10"}))
+    code, out, _ = _run(capsys, ["tails", "--kind", "sub", "--config", str(cfg)])
+    assert code == 0 and len(out.split("\n\n")[0].splitlines()) == 3
 
 
 @pytest.mark.parametrize("argv", [

@@ -171,7 +171,8 @@ def test_implicit_joint_l1_n1_l2_law_vs_oracle():
     # joint law of (L1, N1, L2), not just the L1 marginal: exercises the
     # nullity bookkeeping end to end
     n, r, p = 5, 3, 0.15
-    exact = enumerate_all(n, r, p).as_dict()
+    law = enumerate_all(n, r, p)
+    exact = dict(zip(law.support, law.probability))
     counts = {}
     for i in range(30_000):
         res = run_exploration(ExplorationConfig(n=n, r=r, p=p, seed=31_000_000 + i))
@@ -194,7 +195,7 @@ def test_step_sampler_joint_law_with_active_vertices():
     for _ in range(30_000):
         key = _sample_step(rng, n, r, p, t=3, active_excl=1)
         counts[key] = counts.get(key, 0) + 1
-    _, _, pv = chi_square_gof(counts, law.as_dict())
+    _, _, pv = chi_square_gof(counts, dict(zip(law.support, law.probability)))
     assert pv > 0.001, pv
 
 

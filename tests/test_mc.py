@@ -5,13 +5,13 @@ from hxplore.mc import (
     CELL_CSV_HEADER,
     CellSpec,
     ExperimentPlan,
+    MCAggregate,
     TAILS_CSV_HEADER,
     format_cell_row,
     make_context,
     run_cell,
     tail_subcritical,
     tail_supercritical,
-    window_report,
 )
 from hxplore.util import derive_seed
 
@@ -110,12 +110,16 @@ def test_subcritical_scaling_in_eps():
     assert 0.3 <= ratio <= 3.0, slopes
 
 
-def test_window_report_smoke():
+def test_window_stats_smoke():
     spec = CellSpec(n=20_000, r=3, eps=0.2, stop="giant")
-    rep = window_report(spec, omega=3.0, R=60, master_seed=8, workers=2)
-    assert 0.0 <= rep.freq_all <= rep.freq_e1 <= 1.0
-    assert rep.zc_identity_all
-    assert rep.duality_corr is None or -1.0 <= rep.duality_corr <= 1.0
+    plan = ExperimentPlan(cells=(spec,), replicates=60, master_seed=8, omega=3.0,
+                          collect=("census", "windows"))
+    windows = run_cell(spec, plan, workers=2).aggregate.windows()
+    assert 0.0 <= windows["window_freqs"]["all"] <= windows["window_freqs"]["E1"] <= 1.0
+    assert windows["z_identity_ok"]
+    assert windows["duality_corr"] is None or -1.0 <= windows["duality_corr"] <= 1.0
+    assert MCAggregate().windows() == {"window_freqs": None, "duality_corr": None,
+                                       "z_identity_ok": False}
 
 
 def test_subcritical_cell_cannot_collect_windows():

@@ -153,7 +153,7 @@ def test_step_law_empty_family():
 def test_step_law_single_bernoulli():
     # n = r: exactly one testable set at t = 1
     law = enumerate_step(3, 3, 0.2, explored=[], active=[])
-    d = law.as_dict()
+    d = dict(zip(law.support, law.probability))
     assert abs(d[(0, 0, 0, 0)] - 0.8) < 1e-12
     assert abs(d[(1, 2, 0, 0)] - 0.2) < 1e-12
 
