@@ -10,7 +10,9 @@ functions, each returning a CheckResult of one Record per checked statistic.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import time
 from typing import NamedTuple
 
@@ -29,7 +31,7 @@ from .mc import (
     tail_supercritical,
 )
 from .oracle import enumerate_all, enumerate_step
-from .stats import BivariateMoments, chi_square_gof, ks_distance
+from .stats import BivariateMoments, chi_square_gof
 from .theory import (
     dual_lambda,
     integrate_h,
@@ -259,6 +261,11 @@ def criterion_oracle_equivalence(workers):
     yield _extreme("max |enumerated - formula| conditional moment", gaps, hi=1e-10, strict=True)
 
 
+def _mean(values: list) -> float:
+    """The mean of values, summed left to right from 0.0."""
+    return functools.reduce(operator.add, values, 0.0) / len(values)
+
+
 def _run_giant(cell, R, seed, workers, collect=("census", "windows")):
     spec = CellSpec(**cell, stop="giant")
     plan = ExperimentPlan(cells=(spec,), replicates=R, master_seed=seed, omega=4.0,
@@ -268,28 +275,25 @@ def _run_giant(cell, R, seed, workers, collect=("census", "windows")):
 
 @_criterion(5, "bivariate CLT of (L1, N1) at the sparse supercritical cell")
 def criterion_bivariate_clt(workers):
-    agg = _run_giant(CLT_CELL, 4000, SEED_CLT, workers, ("census",)).aggregate
-    z1 = np.asarray(agg.z1)
-    z2 = np.asarray(agg.z2)
-    yield Record("mean z1", float(z1.mean()), -0.25, 0.25)
-    yield Record("mean z2", float(z2.mean()), -0.30, 0.30)
-    yield Record("var z1", float(z1.var(ddof=1)), 0.8, 1.2)
-    yield Record("var z2", float(z2.var(ddof=1)), 0.75, 1.25)
-    yield Record("corr", agg.biv.corr, CLT_CORR - CLT_CORR_TOL, CLT_CORR + CLT_CORR_TOL)
-    yield Record("KS z1", ks_distance(z1), hi=CLT_KS_Z1, strict=True)
-    yield Record("KS z2", ks_distance(z2), hi=0.06, strict=True)
+    s = _run_giant(CLT_CELL, 4000, SEED_CLT, workers, ("census",)).summary()
+    yield Record("mean z1", s["z1_mean"], -0.25, 0.25)
+    yield Record("mean z2", s["z2_mean"], -0.30, 0.30)
+    yield Record("var z1", s["z1_var"], 0.8, 1.2)
+    yield Record("var z2", s["z2_var"], 0.75, 1.25)
+    yield Record("corr", s["corr"], CLT_CORR - CLT_CORR_TOL, CLT_CORR + CLT_CORR_TOL)
+    yield Record("KS z1", s["ks_z1"], hi=CLT_KS_Z1, strict=True)
+    yield Record("KS z2", s["ks_z2"], hi=0.06, strict=True)
 
 
 @_criterion(6, "conditional variance sums match the CLT variance targets")
 def criterion_variance_sums(workers):
     agg = _run_giant(CLT_CELL, 100, SEED_VSUMS, workers, ("census", "doob")).aggregate
     n, r, eps = CLT_CELL["n"], CLT_CELL["r"], CLT_CELL["eps"]
-    cnt = agg.doob_count
-    yield Record("V1 / 2 eps n", agg.v1_sum / cnt / (2.0 * eps * n), 0.9, 1.1)
+    yield Record("V1 / 2 eps n", _mean(agg.values("v1")) / (2.0 * eps * n), 0.9, 1.1)
     yield Record("V2 / (10/3)(r-1)^-2 eps^3 n",
-                 agg.v2_sum / cnt / (10.0 / 3.0 / (r - 1) ** 2 * eps**3 * n), 0.7, 1.3)
+                 _mean(agg.values("v2")) / (10.0 / 3.0 / (r - 1) ** 2 * eps**3 * n), 0.7, 1.3)
     yield Record("V12 / (2/(r-1)) eps^2 n",
-                 agg.v12_sum / cnt / (2.0 / (r - 1) * eps**2 * n), 0.8, 1.2)
+                 _mean(agg.values("v12")) / (2.0 / (r - 1) * eps**2 * n), 0.8, 1.2)
 
 
 @_criterion(7, "subcritical tail bound shape for L1")
@@ -333,7 +337,7 @@ def criterion_windows_duality(workers):
 def criterion_martingale_shape(workers):
     # (a) maximal-inequality shape of max |S_i| up to t1
     res = _run_giant(WINDOW_CELL, 400, SEED_SHAPE, workers)
-    maxes = np.asarray(res.aggregate.max_s_t1_values)
+    maxes = np.asarray(res.aggregate.values("max_s_t1"))
     for y in MAXINEQ_Y_GRID:
         bound = 2.0 * math.exp(-y * y / (2.0 * MAXINEQ_C * res.ctx.t1))
         yield Record(f"Pr(max |S_i| >= {y:g})", float(np.mean(maxes >= y)), hi=bound)
@@ -343,13 +347,14 @@ def criterion_martingale_shape(workers):
         plan_g = ExperimentPlan(cells=(spec_g,), replicates=100,
                                 master_seed=SEED_SHAPE + salt, collect=("census", "gap"))
         res_g = run_cell(spec_g, plan_g, workers=workers)
-        yield Record(f"empirical c1 at lam={lam}", res_g.aggregate.gap_max, hi=GAP_LIMIT)
+        yield Record(f"empirical c1 at lam={lam}", max([0.0, *res_g.aggregate.values("gap")]),
+                     hi=GAP_LIMIT)
     # (c) realized Lindeberg sums at the CLT cell
     agg = _run_giant(CLT_CELL, 100, SEED_SHAPE + 3, workers, ("census", "doob")).aggregate
     nn, epsn = CLT_CELL["n"], CLT_CELL["eps"]
-    yield Record("lindeberg1/(eps n)", agg.lind1_sum / agg.doob_count / (epsn * nn),
+    yield Record("lindeberg1/(eps n)", _mean(agg.values("lind1")) / (epsn * nn),
                  hi=LINDEBERG_LIMIT, strict=True)
-    yield Record("lindeberg2/(eps^3 n)", agg.lind2_sum / agg.doob_count / (epsn**3 * nn),
+    yield Record("lindeberg2/(eps^3 n)", _mean(agg.values("lind2")) / (epsn**3 * nn),
                  hi=LINDEBERG_LIMIT, strict=True)
 
 
@@ -358,7 +363,7 @@ def criterion_determinism(workers):
     spec = CellSpec(n=20_000, r=3, eps=0.2, stop="giant")
     plan = ExperimentPlan(cells=(spec,), replicates=40, master_seed=SEED_DETERMINISM,
                           omega=4.0, collect=("census", "windows"))
-    rows = [(format_cell_row(res), tuple(res.aggregate.z1), tuple(res.aggregate.duality_dt))
+    rows = [(format_cell_row(res), tuple(res.aggregate.z1), tuple(res.aggregate.values("duality")))
             for res in (run_experiment(plan, workers=w)[0] for w in (1, 2, 1))]
     yield Record("mc output equal at workers 1, 2, 1", rows[0] == rows[1] == rows[2], True, True)
     # streaming merge equals single pass

@@ -69,7 +69,7 @@ _FLAGS = {
     "omega": dict(type=float),
     "stop": dict(type=str, help="full or giant:MARGIN"),
     "doob": dict(action="store_true"),
-    "kind": dict(choices=("sub", "super"), required=True),
+    "kind": dict(choices=("sub", "super")),
     "L-grid": dict(type=str, help="comma-separated component-size thresholds"),
     "omega-grid": dict(type=str, default="2,3,4,5"),
     "bound-c": dict(type=float, default=10.0),
@@ -245,9 +245,9 @@ def _trace_csv(run):
 
 
 def _components_csv(run):
-    """Components close at each A_t = 0; columns made per block keep the memory small."""
-    ends = np.concatenate(([0], np.flatnonzero(run.A == 0) + 1))  # 0, then the close times
-    cum = np.concatenate(([0], np.cumsum(run.edge_counts)[ends[1:] - 1]))
+    """The full-record run's component table; columns made per block keep the memory small."""
+    ends = np.fromiter([0, *run.close_t], np.int64)  # 0, then the close times
+    cum = np.fromiter([0, *run.close_e], np.int64)  # the cumulative edge counts at each
     def cols(a, b):
         t, e = ends[a : b + 1], np.diff(cum[a : b + 1])
         v = np.diff(t)
@@ -347,7 +347,9 @@ def cmd_mc(args) -> int:
 
 
 def cmd_tails(args) -> int:
-    _require(args, "n", "r", "eps", "seed", "replicates")
+    _require(args, "kind", "n", "r", "eps", "seed", "replicates")
+    if args.kind not in ("sub", "super"):
+        raise UsageError(f"--kind must be sub or super, got {args.kind!r}")
     workers = _checked(resolve_workers, args.threads)
     if args.l_grid:
         grid = _parse_list(args.l_grid, int, "--L-grid")

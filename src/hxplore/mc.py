@@ -3,15 +3,17 @@
 Replicates are fully independent: replicate k of cell c draws its own
 generator seeded by a splitmix64 mix of (master_seed, c, k), so results are
 byte-identical no matter how replicates are scheduled across workers.
-Aggregation always consumes replicate results in replicate-index order,
-neutralizing floating-point non-associativity.
+A cell's statistics are read off its list of replicate results, always in
+replicate-index order, neutralizing floating-point non-associativity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import NamedTuple
@@ -48,8 +50,7 @@ __all__ = [
 
 ENV_WORKER_CAP = "HXPLORE_MAX_WORKERS"
 DEFAULT_OMEGA = 4.0
-Z_CAP = 1 << 20  # standardized samples kept per cell, in replicate order
-_SEQ_CACHE: dict = {}
+_drift_sequences = functools.lru_cache(maxsize=8)(drift_sequences)  # read-only to decompose
 
 
 def resolve_workers(requested: int | None) -> int:
@@ -85,7 +86,6 @@ class CellSpec:
     mode: str = "implicit"
     stop: str = "giant"
     margin: int | None = None
-    label: str = ""
 
     def __post_init__(self):
         given = sum(v is not None for v in (self.eps, self.lam, self.p))
@@ -101,9 +101,7 @@ class CellSpec:
         return p_from_lambda(self.n, self.r, lam), lam, lam - 1.0
 
     def name(self) -> str:
-        if self.label:
-            return self.label
-        _, lam, eps = self.resolved()
+        _, _, eps = self.resolved()
         return f"n{self.n}_r{self.r}_eps{eps:g}"
 
 
@@ -115,6 +113,10 @@ def check_omega(omega: float) -> None:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """`collect` names what a replicate computes besides its census: "windows" (the
+    window events and the duality pair), "doob" (the Doob sums) and "gap" (the
+    drift-approximation constant); "census" and "l1law" select nothing extra."""
+
     cells: tuple
     replicates: int
     master_seed: int
@@ -149,108 +151,13 @@ class ReplicateStats(NamedTuple):
     gap: float | None = None
 
 
-@dataclass
-class MCAggregate:
-    """Streaming per-cell aggregate: bivariate moments of (L1, N1), the
-    standardized reservoir, window-event counters, and doob-sum totals.
-    Replicates are added in replicate order; the reservoirs keep the first
-    Z_CAP samples."""
-
-    count: int = 0
-    biv: BivariateMoments = field(default_factory=BivariateMoments)
-    z1: list = field(default_factory=list)
-    z2: list = field(default_factory=list)
-    win_e1: int = 0
-    win_e2: int = 0
-    win_e3: int = 0
-    win_all: int = 0
-    win_t0: int = 0
-    win_checked: int = 0
-    zc_ok: int = 0
-    zc_checked: int = 0
-    duality_dt: list = field(default_factory=list)
-    duality_pred: list = field(default_factory=list)
-    max_s_t1_values: list = field(default_factory=list)
-    v1_sum: float = 0.0
-    v2_sum: float = 0.0
-    v12_sum: float = 0.0
-    lind1_sum: float = 0.0
-    lind2_sum: float = 0.0
-    gap_max: float = 0.0
-    doob_count: int = 0
-    l1_counts: dict = field(default_factory=dict)
-
-    def add(self, rep: ReplicateStats, ctx: "CellContext") -> None:
-        self.count += 1
-        self.biv.add(float(rep.L1), float(rep.N1))
-        if ctx.targets is not None and len(self.z1) < Z_CAP:
-            self.z1.append((rep.L1 - ctx.targets.mean_L1) / ctx.targets.sd_L1)
-            self.z2.append((rep.N1 - ctx.targets.mean_N1) / ctx.targets.sd_N1)
-        if ctx.collect_l1law:
-            self.l1_counts[rep.L1] = self.l1_counts.get(rep.L1, 0) + 1
-        if ctx.collect_windows:
-            self.win_checked += 1
-            e1 = rep.Z <= ctx.z_threshold
-            e2 = rep.max_s_pre is not None and rep.max_s_pre <= ctx.s_threshold
-            e3 = rep.T1 is not None and ctx.t1 - ctx.t0 <= rep.T1 <= ctx.t1 + ctx.t0
-            self.win_e1 += e1
-            self.win_e2 += e2
-            self.win_e3 += e3
-            self.win_all += e1 and e2 and e3
-            self.win_t0 += rep.T0 <= ctx.t0_threshold
-            if rep.c_t0p1 is not None:
-                self.zc_checked += 1
-                self.zc_ok += rep.Z + 1 == rep.c_t0p1
-            if rep.duality is not None:
-                self.duality_dt.append(rep.duality[0])
-                self.duality_pred.append(rep.duality[1])
-            if rep.max_s_t1 is not None:
-                self.max_s_t1_values.append(rep.max_s_t1)
-        if ctx.collect_doob and rep.v1 is not None:
-            self.doob_count += 1
-            self.v1_sum += rep.v1
-            self.v2_sum += rep.v2
-            self.v12_sum += rep.v12
-            self.lind1_sum += rep.lind1
-            self.lind2_sum += rep.lind2
-        if rep.gap is not None:
-            self.gap_max = max(self.gap_max, rep.gap)
-
-    def windows(self) -> dict:
-        """The frequencies of the window events E1 (few components by the cutoff),
-        E2 (the martingale stays small up to t1 + t0), E3 (T1 lands within t0 of
-        t1) and all three (None when no run collected windows), the duality
-        correlation, and whether Z + 1 = C_{t0+1} held in every run."""
-        checked = self.win_checked
-        return {
-            "window_freqs": {
-                "E1": self.win_e1 / checked,
-                "E2": self.win_e2 / checked,
-                "E3": self.win_e3 / checked,
-                "all": self.win_all / checked,
-            } if checked else None,
-            "duality_corr": self.duality_corr(),
-            "z_identity_ok": bool(self.zc_checked and self.zc_ok == self.zc_checked),
-        }
-
-    def duality_corr(self) -> float | None:
-        if len(self.duality_dt) < 3:
-            return None
-        a = np.asarray(self.duality_dt)
-        b = np.asarray(self.duality_pred)
-        if a.std() == 0.0 or b.std() == 0.0:
-            return None
-        return float(np.corrcoef(a, b)[0, 1])
-
-
 @dataclass(frozen=True)
 class CellContext:
-    """Derived per-cell constants shared by the workers and the aggregator."""
+    """Derived per-cell constants shared by the workers and the aggregate."""
 
     n: int
     r: int
     p: float
-    lam: float
     eps: float
     mode: str
     stop: str
@@ -260,67 +167,115 @@ class CellContext:
     omega: float
     targets: CltTargets | None
     lambda_star: float | None
-    collect_windows: bool
-    collect_doob: bool
-    collect_gap: bool
-    collect_l1law: bool
-    z_threshold: float = 0.0
-    s_threshold: float = 0.0
-    t0_threshold: float = 0.0
+    collect: frozenset
+
+
+@dataclass(frozen=True)
+class MCAggregate:
+    """A cell's statistics, each computed when read from the replicate results,
+    which are kept in replicate order."""
+
+    reps: tuple
+    ctx: CellContext
+
+    @property
+    def count(self) -> int:
+        return len(self.reps)
+
+    @property
+    def biv(self) -> BivariateMoments:
+        """The bivariate moments of (L1, N1)."""
+        biv = BivariateMoments()
+        for rep in self.reps:
+            biv.add(float(rep.L1), float(rep.N1))
+        return biv
+
+    @property
+    def z1(self) -> list:
+        """L1 standardized by the CLT targets; empty for a subcritical cell."""
+        t = self.ctx.targets
+        return [] if t is None else [(rep.L1 - t.mean_L1) / t.sd_L1 for rep in self.reps]
+
+    @property
+    def z2(self) -> list:
+        """N1 standardized by the CLT targets; empty for a subcritical cell."""
+        t = self.ctx.targets
+        return [] if t is None else [(rep.N1 - t.mean_N1) / t.sd_N1 for rep in self.reps]
+
+    @property
+    def l1_counts(self) -> dict:
+        """L1 -> the number of replicates with that L1, in order of first occurrence."""
+        return dict(Counter(rep.L1 for rep in self.reps))
+
+    def values(self, name: str) -> list:
+        """The ReplicateStats field `name` of every replicate that recorded it."""
+        return [v for v in (getattr(rep, name) for rep in self.reps) if v is not None]
+
+    def windows(self) -> dict:
+        """The frequencies of the window events E1 (few components by the cutoff),
+        E2 (the martingale stays small up to t1 + t0), E3 (T1 lands within t0 of
+        t1) and all three, the duality correlation, and whether Z + 1 = C_{t0+1}
+        held in every run; None, None and False when the cell collected no windows."""
+        ctx = self.ctx
+        if "windows" not in ctx.collect:
+            return {"window_freqs": None, "duality_corr": None, "z_identity_ok": False}
+        z_threshold = math.sqrt(ctx.eps * ctx.n) / ctx.omega
+        s_threshold = ctx.omega * math.sqrt(ctx.eps * ctx.n)
+        events = [(rep.Z <= z_threshold,
+                   rep.max_s_pre is not None and rep.max_s_pre <= s_threshold,
+                   rep.T1 is not None and ctx.t1 - ctx.t0 <= rep.T1 <= ctx.t1 + ctx.t0)
+                  for rep in self.reps]
+        freqs = [c / self.count for c in (*map(sum, zip(*events)), sum(map(all, events)))]
+        z_ok = [rep.Z + 1 == rep.c_t0p1 for rep in self.reps if rep.c_t0p1 is not None]
+        return {
+            "window_freqs": dict(zip(("E1", "E2", "E3", "all"), freqs)),
+            "duality_corr": _corr(self.values("duality")),
+            "z_identity_ok": bool(z_ok) and all(z_ok),
+        }
+
+
+def _corr(pairs: list) -> float | None:
+    """The correlation of the coordinates of at least 3 pairs, unless one is constant."""
+    if len(pairs) < 3:
+        return None
+    a, b = (np.asarray(column) for column in zip(*pairs))
+    if a.std() == 0.0 or b.std() == 0.0:
+        return None
+    return float(np.corrcoef(a, b)[0, 1])
 
 
 @dataclass
 class CellResult:
     spec: CellSpec
     ctx: CellContext
-    replicates: int
     aggregate: MCAggregate
 
     def summary(self) -> dict:
         agg = self.aggregate
+        biv = agg.biv
         out = {
             "cell": self.spec.name(),
             "n": self.ctx.n,
             "r": self.ctx.r,
             "eps": self.ctx.eps,
             "R": agg.count,
-            "mean_L1": agg.biv.mean_x,
-            "var_L1": agg.biv.var_x,
-            "mean_N1": agg.biv.mean_y,
-            "var_N1": agg.biv.var_y,
-            "cov": agg.biv.cov,
-            "corr": agg.biv.corr,
+            "mean_L1": biv.mean_x,
+            "var_L1": biv.var_x,
+            "mean_N1": biv.mean_y,
+            "var_N1": biv.var_y,
+            "cov": biv.cov,
+            "corr": biv.corr,
         }
-        if agg.z1:
-            z1 = np.asarray(agg.z1)
-            z2 = np.asarray(agg.z2)
-            out.update(
-                z1_mean=float(z1.mean()),
-                z1_var=float(z1.var(ddof=1)) if len(z1) > 1 else None,
-                z2_mean=float(z2.mean()),
-                z2_var=float(z2.var(ddof=1)) if len(z2) > 1 else None,
-                ks_z1=ks_distance(z1) if len(z1) >= 100 else None,
-                ks_z2=ks_distance(z2) if len(z2) >= 100 else None,
-            )
-        else:
-            out.update(z1_mean=None, z1_var=None, z2_mean=None, z2_var=None,
-                       ks_z1=None, ks_z2=None)
+        for name, z in (("z1", np.asarray(agg.z1)), ("z2", np.asarray(agg.z2))):
+            out[f"{name}_mean"] = float(z.mean()) if len(z) else None
+            out[f"{name}_var"] = float(z.var(ddof=1)) if len(z) > 1 else None
+            out[f"ks_{name}"] = ks_distance(z) if len(z) >= 100 else None
         return out
 
 
-def _get_seq(n, r, p, t1):
-    key = (n, r, p, t1)
-    seq = _SEQ_CACHE.get(key)
-    if seq is None:
-        seq = drift_sequences(n, r, p, t1)
-        _SEQ_CACHE[key] = seq
-        if len(_SEQ_CACHE) > 8:
-            _SEQ_CACHE.pop(next(iter(_SEQ_CACHE)))
-    return seq
-
-
 def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
-    trace_level = "light" if (ctx.collect_windows or ctx.collect_doob or ctx.collect_gap) else "none"
+    windows, doob = "windows" in ctx.collect, "doob" in ctx.collect
+    trace_level = "light" if windows or doob or "gap" in ctx.collect else "none"
     cfg = ExplorationConfig(
         n=ctx.n, r=ctx.r, p=ctx.p, seed=seed, mode=ctx.mode,
         stop_rule=ctx.stop, margin=ctx.margin if ctx.stop == "giant" else 0,
@@ -329,24 +284,24 @@ def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
     res = run_exploration(cfg, record=trace_level)
     max_s_pre = max_s_t1 = duality = v1 = v2 = v12 = l1 = l2 = gap = None
     if trace_level == "light":
-        seq = _get_seq(ctx.n, ctx.r, ctx.p, ctx.t1)
-        need_t1 = ctx.collect_doob or ctx.collect_windows
+        seq = _drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)
+        need_t1 = doob or windows
         if need_t1 and res.n_steps < ctx.t1:
             raise RuntimeError(
                 f"replicate too short for the t1 horizon: {res.n_steps} < {ctx.t1}"
             )
         dt = decompose(res, seq, t1=ctx.t1 if need_t1 else 0)
-        if ctx.collect_windows:
+        if windows:
             upto = min(res.n_steps, ctx.t1 + (ctx.t0 or 0))
             abs_s = np.abs(dt.S)
             max_s_pre = float(np.max(abs_s[:upto]))
             max_s_t1 = float(np.max(abs_s[: ctx.t1]))
             if res.T1 is not None:
                 duality = duality_diagnostic(dt, res, ctx.lambda_star)
-        if ctx.collect_doob:
+        if doob:
             v1, v2, v12 = dt.V1, dt.V2, dt.V12
             l1, l2 = dt.lindeberg1, dt.lindeberg2
-        if ctx.collect_gap:
+        if "gap" in ctx.collect:
             gap = approx_gap(res, dt)
     return ReplicateStats(
         L1=res.L1, N1=res.N1, Z=res.Z, T0=res.T0, T1=res.T1, c_t0p1=res.c_t0p1,
@@ -387,7 +342,7 @@ def _map_replicates(fn, ctx, R: int, master_seed: int, salt: int, workers: int) 
 def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
     p, lam, eps = spec.resolved()
     super_cell = eps > 0.0
-    collect = set(plan.collect)
+    collect = frozenset(plan.collect)
     if not super_cell and (spec.stop == "giant" or "windows" in collect or "doob" in collect):
         raise ValueError("giant stop rule and window/doob collection need a supercritical cell")
     if super_cell:
@@ -404,18 +359,10 @@ def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
     else:
         t0, t1, targets, lam_star = None, 0, None, None
     margin = spec.margin if spec.margin is not None else 2 * (t0 or 0)
-    sqrt_eps_n = math.sqrt(eps * spec.n) if super_cell else 0.0
     return CellContext(
-        n=spec.n, r=spec.r, p=p, lam=lam, eps=eps, mode=spec.mode, stop=spec.stop,
+        n=spec.n, r=spec.r, p=p, eps=eps, mode=spec.mode, stop=spec.stop,
         t0=t0, t1=t1, margin=margin, omega=plan.omega, targets=targets,
-        lambda_star=lam_star,
-        collect_windows="windows" in collect,
-        collect_doob="doob" in collect,
-        collect_gap="gap" in collect,
-        collect_l1law="l1law" in collect,
-        z_threshold=sqrt_eps_n / plan.omega if super_cell else 0.0,
-        s_threshold=plan.omega * sqrt_eps_n,
-        t0_threshold=math.sqrt(spec.n / eps) / plan.omega if super_cell else 0.0,
+        lambda_star=lam_star, collect=collect,
     )
 
 
@@ -427,10 +374,7 @@ def run_cell(spec: CellSpec, plan: ExperimentPlan, cell_index: int = 0,
                                cell_index, workers)
     except RuntimeError as exc:
         raise RuntimeError(f"cell {spec.name()} aborted: {exc}") from None
-    agg = MCAggregate()
-    for stats in reps:
-        agg.add(stats, ctx)
-    return CellResult(spec=spec, ctx=ctx, replicates=plan.replicates, aggregate=agg)
+    return CellResult(spec=spec, ctx=ctx, aggregate=MCAggregate(tuple(reps), ctx))
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 MAX_R = 10  # exact integer binomials stay comfortable up to here
+RHO_BRACKET_WIDTH = 1e-14  # solve_rho bisects down to this width before polishing
+QUAD_TOL = 1e-11  # integrate_h's absolute tolerance
 
 
 @dataclass(frozen=True)
@@ -74,16 +76,14 @@ def _check_super(lam: float) -> None:
         raise ValueError(f"lambda must exceed 1 (supercritical), got {lam}")
 
 
-def solve_rho(lam: float, tol: float = 1e-14) -> float:
+def solve_rho(lam: float) -> float:
     """Unique positive solution of 1 - rho = exp(-lambda rho) for lambda > 1.
 
-    Bracketed bisection on (0, 1) down to width 1e-14 (the sign change is
+    Bracketed bisection on (0, 1) down to RHO_BRACKET_WIDTH (the sign change is
     guaranteed there), then two Newton polish steps.  rho = 0 is always a
     root, so the bracket starts strictly inside the interval.
     """
     _check_super(lam)
-    if tol < 1e-15:
-        raise ValueError("tol must be >= 1e-15")
     if lam > 700.0:
         raise ValueError("lambda too large for double-precision fixed point")
 
@@ -96,7 +96,7 @@ def solve_rho(lam: float, tol: float = 1e-14) -> float:
     hi = 1.0 - 0.5 * math.exp(-lam)
     if not (f(lo) > 0.0 > f(hi)):
         raise ValueError(f"failed to bracket survival fixed point for lambda={lam}")
-    while hi - lo > 1e-14:
+    while hi - lo > RHO_BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
@@ -188,8 +188,8 @@ def h_eval(r: int, lam: float, tau):
     return out if out.ndim else float(out)
 
 
-def integrate_h(r: int, lam: float, a: float, b: float, tol: float = 1e-11) -> float:
-    """Adaptive Simpson quadrature of h over [a, b] to absolute tolerance.
+def integrate_h(r: int, lam: float, a: float, b: float) -> float:
+    """Adaptive Simpson quadrature of h over [a, b] to absolute tolerance QUAD_TOL.
 
     h is smooth with uniformly bounded derivative on [0, 1], so plain
     interval bisection with the standard Richardson error estimate suffices.
@@ -202,7 +202,7 @@ def integrate_h(r: int, lam: float, a: float, b: float, tol: float = 1e-11) -> f
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
     m = 0.5 * (a + b)
-    stack = [(a, b, f(a), f(m), f(b), simpson(a, b, f(a), f(m), f(b)), tol, 0)]
+    stack = [(a, b, f(a), f(m), f(b), simpson(a, b, f(a), f(m), f(b)), QUAD_TOL, 0)]
     total = 0.0
     while stack:
         x0, x2, f0, f1, f2, whole, eps, depth = stack.pop()

@@ -275,6 +275,18 @@ def test_config_key_must_name_a_flag_of_the_command(tmp_path, capsys):
     assert code == 0 and len(out.split("\n\n")[0].splitlines()) == 3
 
 
+def test_tails_kind_from_config(tmp_path, capsys):
+    flags = ["--n", "2000", "--r", "3", "--eps", "0.3", "--seed", "1", "--replicates", "20"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "sub"}))
+    code, out, _ = _run(capsys, ["tails", "--config", str(cfg), *flags])
+    assert code == 0 and out == _run(capsys, ["tails", "--kind", "sub", *flags])[1]
+    cfg.write_text(json.dumps({"kind": "foo"}))
+    for argv in (["tails", *flags], ["tails", "--config", str(cfg), *flags]):
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and not out and err.startswith("usage-error:") and "--kind" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["mc", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "3"],
     ["tails", "--kind", "sub", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "10",

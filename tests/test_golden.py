@@ -6,8 +6,10 @@ random stream on purpose must say so and update the digests in the same
 change.
 """
 
+import functools
 import hashlib
 import math
+import operator
 
 import importlib
 
@@ -236,10 +238,16 @@ def test_golden_mc_cell():
     for workers in (1, 2):
         res = run_cell(spec, plan, workers=workers)
         agg = res.aggregate
-        rows.append(_sha(format_cell_row(res), agg.z1, agg.z2, agg.duality_dt, agg.duality_pred,
-                         agg.max_s_t1_values, agg.win_e1, agg.win_e2, agg.win_e3, agg.win_all,
-                         agg.win_t0, agg.zc_ok, agg.zc_checked, agg.v1_sum, agg.v2_sum,
-                         agg.v12_sum, agg.lind1_sum, agg.lind2_sum, agg.doob_count))
+        freqs = agg.windows()["window_freqs"]
+        wins = [round(freqs[event] * agg.count) for event in ("E1", "E2", "E3", "all")]
+        win_t0 = sum(rep.T0 <= math.sqrt(res.ctx.n / res.ctx.eps) / plan.omega for rep in agg.reps)
+        z_ok = [rep.Z + 1 == rep.c_t0p1 for rep in agg.reps if rep.c_t0p1 is not None]
+        duality = agg.values("duality")
+        sums = [functools.reduce(operator.add, agg.values(name), 0.0)
+                for name in ("v1", "v2", "v12", "lind1", "lind2")]
+        rows.append(_sha(format_cell_row(res), agg.z1, agg.z2, [d[0] for d in duality],
+                         [d[1] for d in duality], agg.values("max_s_t1"), *wins, win_t0,
+                         sum(z_ok), len(z_ok), *sums, len(agg.values("v1"))))
     assert rows[0] == rows[1] == GOLDEN_CELL
 
 

@@ -52,7 +52,7 @@ def test_worker_count_does_not_change_results():
     for w in (1, 2):
         res = run_cell(spec, plan, workers=w)
         rows.append((format_cell_row(res), tuple(res.aggregate.z1),
-                     tuple(res.aggregate.duality_dt), res.aggregate.win_e1))
+                     tuple(res.aggregate.values("duality")), res.aggregate.windows()))
     assert rows[0] == rows[1]
 
 
@@ -118,8 +118,9 @@ def test_window_stats_smoke():
     assert 0.0 <= windows["window_freqs"]["all"] <= windows["window_freqs"]["E1"] <= 1.0
     assert windows["z_identity_ok"]
     assert windows["duality_corr"] is None or -1.0 <= windows["duality_corr"] <= 1.0
-    assert MCAggregate().windows() == {"window_freqs": None, "duality_corr": None,
-                                       "z_identity_ok": False}
+    census_only = MCAggregate((), make_context(*_small_plan()))
+    assert census_only.windows() == {"window_freqs": None, "duality_corr": None,
+                                     "z_identity_ok": False}
 
 
 def test_subcritical_cell_cannot_collect_windows():
