@@ -19,8 +19,7 @@ from .mc import (
     MCAggregate,
     run_cell,
     run_experiment,
-    tail_subcritical,
-    tail_supercritical,
+    tail_experiment,
 )
 from .oracle import ExactDistribution, StepLaw, enumerate_all, enumerate_step
 from .randvar import sample_binomial, sample_binomial_array

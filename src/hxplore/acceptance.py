@@ -26,9 +26,8 @@ from .mc import (
     format_cell_row,
     run_cell,
     run_experiment,
+    tail_experiment,
     tail_grid,
-    tail_subcritical,
-    tail_supercritical,
 )
 from .oracle import enumerate_all, enumerate_step
 from .stats import BivariateMoments, chi_square_gof
@@ -299,8 +298,8 @@ def criterion_variance_sums(workers):
 @_criterion(7, "subcritical tail bound shape for L1")
 def criterion_subcritical_tail(workers):
     eps = 0.3
-    rep = tail_subcritical(30_000, 3, eps, tail_grid(eps), R=20_000, master_seed=SEED_SUBTAIL,
-                           workers=workers, c_bound=TAIL_C)
+    rep = tail_experiment("sub", 30_000, 3, eps, tail_grid(eps), R=20_000,
+                          master_seed=SEED_SUBTAIL, workers=workers, c_bound=TAIL_C)
     for row in rep.rows:
         yield Record(f"Pr(L1 > {row.L})", row.p_hat, hi=row.bound)
     yield Record("Pr(L1 > L) strictly decreasing over the grid", rep.strictly_decreasing, True, True)
@@ -312,8 +311,8 @@ def criterion_subcritical_tail(workers):
 @_criterion(8, "supercritical concentration of L1 and tails of L2")
 def criterion_supercritical_tail(workers):
     n, r, eps = WINDOW_CELL["n"], WINDOW_CELL["r"], WINDOW_CELL["eps"]
-    rep = tail_supercritical(n, r, eps, (2.0, 3.0, 4.0, 5.0), tail_grid(eps), R=2000,
-                             master_seed=SEED_SUPERTAIL, workers=workers, c_bound=TAIL_C)
+    rep = tail_experiment("super", n, r, eps, tail_grid(eps), R=2000, master_seed=SEED_SUPERTAIL,
+                          workers=workers, omega_grid=(2.0, 3.0, 4.0, 5.0), c_bound=TAIL_C)
     # nested events: each frequency is at most the one before it
     previous = 1.0
     for om, _, freq in rep.omega_rows:
@@ -339,7 +338,7 @@ def criterion_martingale_shape(workers):
     res = _run_giant(WINDOW_CELL, 400, SEED_SHAPE, workers)
     maxes = np.asarray(res.aggregate.values("max_s_t1"))
     for y in MAXINEQ_Y_GRID:
-        bound = 2.0 * math.exp(-y * y / (2.0 * MAXINEQ_C * res.ctx.t1))
+        bound = 2.0 * math.exp(-y * y / (2.0 * MAXINEQ_C * res.aggregate.ctx.t1))
         yield Record(f"Pr(max |S_i| >= {y:g})", float(np.mean(maxes >= y)), hi=bound)
     # (b) drift-approximation constant, subcritical and supercritical
     for salt, lam in ((1, 1.2), (2, 0.8)):

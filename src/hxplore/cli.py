@@ -12,34 +12,32 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import acceptance
 from .doob import approx_gap, decompose
-from .explore import ExplorationConfig, explore
+from .explore import explore
 from .mc import (
     CELL_CSV_HEADER,
     TAILS_CSV_HEADER,
     DEFAULT_OMEGA,
     CellSpec,
     ExperimentPlan,
-    check_omega,
     fmt17,
     format_cell_row,
     format_tail_row,
+    make_context,
     resolve_workers,
     run_experiment,
+    tail_experiment,
     tail_grid,
-    tail_p,
-    tail_subcritical,
-    tail_supercritical,
 )
 from .oracle import enumerate_all, enumerate_step
 from .theory import (
-    MAX_R, clt_targets, derived_constants, drift_sequences, lambda_from_p, p_from_lambda, rho_r,
+    MAX_R, check_drift_args, clt_targets, derived_constants, drift_sequences, lambda_from_p,
+    p_from_lambda,
 )
 
 TRACE_HEADER = "t,edges,eta,xi,zeta,nullity_inc,A,C,X,new_component"
@@ -153,10 +151,6 @@ def _resolve_p(args) -> float:
     return p_from_lambda(args.n, args.r, lam)
 
 
-def _eps_of(args, p) -> float:
-    return lambda_from_p(args.n, args.r, p) - 1.0
-
-
 def _parse_stop(args):
     """(rule, margin); margin is None for 'giant' without an explicit value,
     meaning the default 2 t0."""
@@ -189,6 +183,13 @@ def _emit(out_path, sections) -> None:
         else:
             sys.stdout.write("\n" if i else "")
             sys.stdout.writelines(chunks)
+
+
+def _plan(args, spec, replicates=1, collect=("census",)) -> ExperimentPlan:
+    """The plan of the one-cell experiment spec."""
+    return _checked(ExperimentPlan, cells=(spec,), replicates=replicates, master_seed=args.seed,
+                    omega=args.omega if args.omega is not None else DEFAULT_OMEGA,
+                    collect=collect)
 
 
 def _require(args, *names) -> None:
@@ -270,23 +271,13 @@ def _doob_csv(dt, gap):
 
 def cmd_run(args) -> int:
     _require(args, "n", "r", "seed")
-    p = _resolve_p(args)
     stop, margin = _parse_stop(args)
-    omega = args.omega if args.omega is not None else DEFAULT_OMEGA
-    _checked(check_omega, omega)
-    eps = _eps_of(args, p)
-    t0 = int(math.floor(omega * math.sqrt(args.n / eps))) if eps > 0 else None
-    if stop == "giant":
-        if t0 is None:
-            raise UsageError("stop rule 'giant' needs a supercritical cell")
-        if margin is None:
-            margin = 2 * t0
-    cfg = _checked(
-        ExplorationConfig, n=args.n, r=args.r, p=p, seed=args.seed,
-        mode=args.mode or "implicit", stop_rule=stop,
-        margin=margin or 0, census_t0=t0 if stop == "giant" else None,
-    )
-    trace = explore(cfg)
+    spec = CellSpec(n=args.n, r=args.r, p=_resolve_p(args), mode=args.mode or "implicit",
+                    stop=stop, margin=margin)
+    ctx = _checked(make_context, spec, _plan(args, spec))
+    if args.doob:
+        _checked(check_drift_args, ctx.n, ctx.r, ctx.p, ctx.t1)
+    trace = explore(_checked(ctx.config, args.seed))
     if args.format == "json":
         names = TRACE_HEADER.split(",")
         cols = [range(1, trace.n_steps + 1)] + [getattr(trace, c).tolist() for c in TRACE_COLUMNS]
@@ -299,9 +290,8 @@ def cmd_run(args) -> int:
     else:
         sections = [("trace.csv", _trace_csv(trace)), ("components.csv", _components_csv(trace))]
     if args.doob:
-        t1 = int(math.floor(rho_r(args.r, 1.0 + eps) * args.n)) if eps > 0 else 0
-        t1 = min(t1, trace.n_steps)
-        seq = drift_sequences(args.n, args.r, p, t1)
+        t1 = min(ctx.t1, trace.n_steps)
+        seq = drift_sequences(ctx.n, ctx.r, ctx.p, t1)
         dt = decompose(trace, seq, t1=t1)
         sections.append(("doob.csv", _doob_csv(dt, approx_gap(trace, dt))))
     _emit(args.out, sections)
@@ -311,19 +301,12 @@ def cmd_run(args) -> int:
 def cmd_mc(args) -> int:
     _require(args, "n", "r", "seed", "replicates")
     p = _resolve_p(args)
-    eps = _eps_of(args, p)
-    stop, margin = _parse_stop(args) if args.stop else (("giant", None) if eps > 0 else ("full", 0))
-    if stop == "giant" and eps <= 0:
-        raise UsageError("stop rule 'giant' needs a supercritical cell")
+    super_cell = lambda_from_p(args.n, args.r, p) > 1.0
+    stop, margin = _parse_stop(args) if args.stop else (("giant", None) if super_cell else ("full", 0))
+    spec = CellSpec(n=args.n, r=args.r, p=p, mode=args.mode or "implicit", stop=stop, margin=margin)
+    plan = _plan(args, spec, args.replicates, ("census", "windows") if super_cell else ("census",))
     # replicates run on derived seeds, so any --seed is valid here
-    _checked(ExplorationConfig, n=args.n, r=args.r, p=p, seed=0, mode=args.mode or "implicit")
-    spec = CellSpec(n=args.n, r=args.r, p=p, mode=args.mode or "implicit",
-                    stop=stop, margin=margin if stop == "giant" else None)
-    collect = ("census", "windows") if eps > 0 else ("census",)
-    plan = _checked(ExperimentPlan, cells=(spec,), replicates=args.replicates,
-                    master_seed=args.seed,
-                    omega=args.omega if args.omega is not None else DEFAULT_OMEGA,
-                    collect=collect)
+    _checked(make_context, spec, plan)
     workers = _checked(resolve_workers, args.threads)
     results = run_experiment(plan, workers=workers)
     csv_text = CELL_CSV_HEADER + "\n" + "\n".join(format_cell_row(r) for r in results) + "\n"
@@ -355,16 +338,10 @@ def cmd_tails(args) -> int:
         grid = _parse_list(args.l_grid, int, "--L-grid")
     else:
         grid = tail_grid(args.eps)
+    omega_grid = _parse_list(args.omega_grid, float, "--omega-grid")
     _check_r(args)
-    _checked(tail_p, args.kind, args.n, args.r, args.eps)
-    if args.kind == "sub":
-        rep = tail_subcritical(args.n, args.r, args.eps, grid, args.replicates,
-                               args.seed, workers=workers, c_bound=args.bound_c)
-    else:
-        omega_grid = _parse_list(args.omega_grid, float, "--omega-grid")
-        rep = tail_supercritical(args.n, args.r, args.eps, omega_grid, grid,
-                                 args.replicates, args.seed, workers=workers,
-                                 c_bound=args.bound_c)
+    rep = _checked(tail_experiment, args.kind, args.n, args.r, args.eps, grid, args.replicates,
+                   args.seed, workers=workers, omega_grid=omega_grid, c_bound=args.bound_c)
     rows = [TAILS_CSV_HEADER, *map(format_tail_row, rep.rows)]
     sections = [("tails.csv", [f"{row}\n" for row in rows])]
     meta = {

@@ -37,9 +37,7 @@ __all__ = [
     "ReplicateStats",
     "run_experiment",
     "run_cell",
-    "tail_p",
-    "tail_subcritical",
-    "tail_supercritical",
+    "tail_experiment",
     "tail_grid",
     "resolve_workers",
     "CELL_CSV_HEADER",
@@ -135,6 +133,7 @@ class ExperimentPlan:
 
 class ReplicateStats(NamedTuple):
     L1: int
+    L2: int
     N1: int
     Z: int
     T0: int
@@ -168,6 +167,13 @@ class CellContext:
     targets: CltTargets | None
     lambda_star: float | None
     collect: frozenset
+
+    def config(self, seed: int) -> ExplorationConfig:
+        """The exploration of this cell's replicate with the given seed."""
+        return ExplorationConfig(
+            n=self.n, r=self.r, p=self.p, seed=seed, mode=self.mode, stop_rule=self.stop,
+            margin=self.margin if self.stop == "giant" else 0, census_t0=self.t0,
+        )
 
 
 @dataclass(frozen=True)
@@ -247,7 +253,6 @@ def _corr(pairs: list) -> float | None:
 @dataclass
 class CellResult:
     spec: CellSpec
-    ctx: CellContext
     aggregate: MCAggregate
 
     def summary(self) -> dict:
@@ -255,9 +260,9 @@ class CellResult:
         biv = agg.biv
         out = {
             "cell": self.spec.name(),
-            "n": self.ctx.n,
-            "r": self.ctx.r,
-            "eps": self.ctx.eps,
+            "n": agg.ctx.n,
+            "r": agg.ctx.r,
+            "eps": agg.ctx.eps,
             "R": agg.count,
             "mean_L1": biv.mean_x,
             "var_L1": biv.var_x,
@@ -276,12 +281,7 @@ class CellResult:
 def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
     windows, doob = "windows" in ctx.collect, "doob" in ctx.collect
     trace_level = "light" if windows or doob or "gap" in ctx.collect else "none"
-    cfg = ExplorationConfig(
-        n=ctx.n, r=ctx.r, p=ctx.p, seed=seed, mode=ctx.mode,
-        stop_rule=ctx.stop, margin=ctx.margin if ctx.stop == "giant" else 0,
-        census_t0=ctx.t0,
-    )
-    res = run_exploration(cfg, record=trace_level)
+    res = run_exploration(ctx.config(seed), record=trace_level)
     max_s_pre = max_s_t1 = duality = v1 = v2 = v12 = l1 = l2 = gap = None
     if trace_level == "light":
         seq = _drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)
@@ -304,30 +304,30 @@ def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
         if "gap" in ctx.collect:
             gap = approx_gap(res, dt)
     return ReplicateStats(
-        L1=res.L1, N1=res.N1, Z=res.Z, T0=res.T0, T1=res.T1, c_t0p1=res.c_t0p1,
+        L1=res.L1, L2=res.L2, N1=res.N1, Z=res.Z, T0=res.T0, T1=res.T1, c_t0p1=res.c_t0p1,
         max_s_pre=max_s_pre, max_s_t1=max_s_t1, duality=duality,
         v1=v1, v2=v2, v12=v12, lind1=l1, lind2=l2, gap=gap,
     )
 
 
 def _replicate_chunk(args):
-    fn, ctx, master_seed, salt, lo, hi = args
+    ctx, master_seed, salt, lo, hi = args
     out = []
     for rep in range(lo, hi):
         seed = derive_seed(master_seed, salt, rep)
         try:
-            out.append(fn(ctx, seed))
+            out.append(_run_replicate(ctx, seed))
         except Exception as exc:  # reported upstream with the replicate's seed
             return out, f"replicate {rep} (seed {seed}) failed: {exc!r}"
     return out, None
 
 
-def _map_replicates(fn, ctx, R: int, master_seed: int, salt: int, workers: int) -> list:
-    """[fn(ctx, derive_seed(master_seed, salt, rep)) for rep in range(R)],
+def _map_replicates(ctx, R: int, master_seed: int, salt: int, workers: int) -> list:
+    """[_run_replicate(ctx, derive_seed(master_seed, salt, rep)) for rep in range(R)],
     in chunks over a fork pool when workers > 1.  Raises RuntimeError naming
     the lowest failed replicate and its derived seed."""
     chunk = max(1, min(512, -(-R // (workers * 4)))) if workers > 1 else R
-    tasks = [(fn, ctx, master_seed, salt, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
+    tasks = [(ctx, master_seed, salt, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
     if workers > 1 and len(tasks) > 1:
         with get_context("fork").Pool(workers) as pool:
             parts = pool.map(_replicate_chunk, tasks, chunksize=1)
@@ -340,6 +340,8 @@ def _map_replicates(fn, ctx, R: int, master_seed: int, salt: int, workers: int) 
 
 
 def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
+    """The cell's derived constants.  Raises ValueError on a cell that the exploration
+    or the drift sequences it collects reject."""
     p, lam, eps = spec.resolved()
     super_cell = eps > 0.0
     collect = frozenset(plan.collect)
@@ -350,31 +352,34 @@ def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
         t1 = int(math.floor(rho_r(spec.r, lam) * spec.n))
         targets = clt_targets(spec.n, spec.r, eps)
         lam_star = dual_lambda(lam)
-        if eps**3 * spec.n < 1.0:
-            warnings.warn(
-                f"cell {spec.name()}: eps^3 n = {eps ** 3 * spec.n:.3g} < 1; "
-                "inside the critical window, CLT targets unreliable",
-                stacklevel=2,
-            )
     else:
         t0, t1, targets, lam_star = None, 0, None, None
     margin = spec.margin if spec.margin is not None else 2 * (t0 or 0)
-    return CellContext(
+    ctx = CellContext(
         n=spec.n, r=spec.r, p=p, eps=eps, mode=spec.mode, stop=spec.stop,
         t0=t0, t1=t1, margin=margin, omega=plan.omega, targets=targets,
         lambda_star=lam_star, collect=collect,
     )
+    ctx.config(0)
+    if collect & {"windows", "doob", "gap"}:
+        _drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)
+    return ctx
 
 
 def run_cell(spec: CellSpec, plan: ExperimentPlan, cell_index: int = 0,
              workers: int = 1) -> CellResult:
     ctx = make_context(spec, plan)
+    if spec.stop == "giant" and ctx.eps**3 * ctx.n < 1.0:
+        warnings.warn(
+            f"cell {spec.name()}: eps^3 n = {ctx.eps ** 3 * ctx.n:.3g} < 1; "
+            "inside the critical window, CLT targets unreliable",
+            stacklevel=2,
+        )
     try:
-        reps = _map_replicates(_run_replicate, ctx, plan.replicates, plan.master_seed,
-                               cell_index, workers)
+        reps = _map_replicates(ctx, plan.replicates, plan.master_seed, cell_index, workers)
     except RuntimeError as exc:
         raise RuntimeError(f"cell {spec.name()} aborted: {exc}") from None
-    return CellResult(spec=spec, ctx=ctx, aggregate=MCAggregate(tuple(reps), ctx))
+    return CellResult(spec=spec, aggregate=MCAggregate(tuple(reps), ctx))
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
@@ -422,26 +427,8 @@ class TailReport:
         return all(a > b for a, b in zip(ps, ps[1:]))
 
 
-def _l1_l2(ctx, seed: int) -> tuple:
-    n, r, p = ctx
-    res = run_exploration(ExplorationConfig(n=n, r=r, p=p, seed=seed))
-    return res.L1, res.L2
-
-
 def _bound_value(eps, n, L, c):
     return c * (eps * n / L) * math.exp(-eps * eps * L / c)
-
-
-def _tail_rows(values: np.ndarray, L_grid, eps, n, c_bound) -> list:
-    R = values.shape[0]
-    rows = []
-    for L in L_grid:
-        cnt = int(np.sum(values > L))
-        lo, hi = wilson_interval(cnt, R)
-        rows.append(_TailRow(L=int(L), exceed_count=cnt, R=R, p_hat=cnt / R,
-                             wilson_lo=lo, wilson_hi=hi,
-                             bound=_bound_value(eps, n, L, c_bound)))
-    return rows
 
 
 def _affine_fit(rows):
@@ -460,59 +447,40 @@ def tail_grid(eps: float) -> list:
     return [max(1, round(x / eps**2)) for x in (3.0, 4.5, 6.0, 8.0)]
 
 
-def tail_p(kind: str, n: int, r: int, eps: float) -> float:
-    """The edge probability of a tail experiment, at lambda = 1 - eps for
-    kind 'sub' and 1 + eps for 'super'.  Raises ValueError on inputs that
-    the experiment or the exploration rejects, before any replicate runs."""
-    if kind == "sub" and not 0.0 < eps < 1.0:
-        raise ValueError("subcritical eps must lie in (0, 1)")
-    if kind == "super" and not eps > 0.0:
-        raise ValueError("supercritical eps must be positive")
-    p = p_from_lambda(n, r, 1.0 - eps if kind == "sub" else 1.0 + eps)
-    ExplorationConfig(n=n, r=r, p=p, seed=0)
-    return p
-
-
-def tail_subcritical(n: int, r: int, eps: float, L_grid, R: int, master_seed: int,
-                     workers: int = 1, c_bound: float = 10.0) -> TailReport:
-    """Empirical Pr(L1 > L) in the subcritical regime p = (1-eps)(r-2)! n^(1-r),
-    with Wilson intervals, an affine fit of log Pr against L, and the
-    exponential tail bound with the frozen constant."""
-    p = tail_p("sub", n, r, eps)
-    pairs = _map_replicates(_l1_l2, (n, r, p), R, master_seed, 0, workers)
-    l1, _ = np.array(pairs, dtype=np.int64).T
-    rows = _tail_rows(l1, L_grid, eps, n, c_bound)
-    slope, intercept, resid = _affine_fit(rows)
-    largest = rows[-1]
-    return TailReport(
-        kind="subcritical", n=n, r=r, eps=eps, R=R, c_bound=c_bound, rows=rows,
-        measurable=largest.exceed_count >= 5,
-        slope=slope, intercept=intercept, max_fit_residual=resid,
-    )
-
-
-def tail_supercritical(n: int, r: int, eps: float, omega_grid, L_grid, R: int,
-                       master_seed: int, workers: int = 1,
-                       c_bound: float = 10.0) -> TailReport:
-    """Supercritical concentration and second-component tails: empirical
-    Pr(|L1 - rho n| >= omega sqrt(n/eps)) per omega (nested events over one
-    run set, hence non-increasing), and Pr(L2 > L) with the subcritical-form
-    bound."""
-    lam = 1.0 + eps
-    p = tail_p("super", n, r, eps)
-    pairs = _map_replicates(_l1_l2, (n, r, p), R, master_seed, 1, workers)
-    l1, l2 = np.array(pairs, dtype=np.int64).T
-    rho_n = rho_r(r, lam) * n
-    dev = np.abs(l1 - rho_n)
-    scale = math.sqrt(n / eps)
+def tail_experiment(kind: str, n: int, r: int, eps: float, L_grid, R: int, master_seed: int,
+                    workers: int = 1, omega_grid=(), c_bound: float = 10.0) -> TailReport:
+    """Empirical tail probabilities of a cell of R full explorations: cell 0 at
+    lambda = 1 - eps gives Pr(L1 > L) for kind 'sub'; cell 1 at 1 + eps gives
+    Pr(L2 > L) and, per omega, Pr(|L1 - rho n| >= omega sqrt(n/eps)) (nested
+    events over one run set, hence non-increasing) for 'super'.  Each row has
+    its Wilson interval and the exponential tail bound with the frozen
+    constant; log Pr gets an affine fit against L.  Raises ValueError on
+    inputs that the experiment or the exploration rejects, before any
+    replicate runs."""
+    if kind not in ("sub", "super") or not eps > 0.0:
+        raise ValueError(f"need kind 'sub' or 'super' and eps > 0, got {kind!r} and {eps}")
+    lam = 1.0 - eps if kind == "sub" else 1.0 + eps
+    spec = CellSpec(n=n, r=r, lam=lam, stop="full")
+    plan = ExperimentPlan(cells=(spec,), replicates=R, master_seed=master_seed)
+    agg = run_cell(spec, plan, cell_index=int(kind == "super"), workers=workers).aggregate
+    l1 = np.array(agg.values("L1"), dtype=np.int64)
     omega_rows = []
-    for om in omega_grid:
-        cnt = int(np.sum(dev >= om * scale))
-        omega_rows.append((float(om), cnt, cnt / R))
-    rows = _tail_rows(l2, L_grid, eps, n, c_bound)
+    if kind == "super":
+        dev = np.abs(l1 - rho_r(r, lam) * n)
+        scale = math.sqrt(n / eps)
+        for om in omega_grid:
+            cnt = int(np.sum(dev >= om * scale))
+            omega_rows.append((float(om), cnt, cnt / R))
+    tail = l1 if kind == "sub" else np.array(agg.values("L2"), dtype=np.int64)
+    rows = []
+    for L in L_grid:
+        cnt = int(np.sum(tail > L))
+        lo, hi = wilson_interval(cnt, R)
+        rows.append(_TailRow(L=int(L), exceed_count=cnt, R=R, p_hat=cnt / R,
+                             wilson_lo=lo, wilson_hi=hi, bound=_bound_value(eps, n, L, c_bound)))
     slope, intercept, resid = _affine_fit(rows)
     return TailReport(
-        kind="supercritical", n=n, r=r, eps=eps, R=R, c_bound=c_bound, rows=rows,
+        kind=f"{kind}critical", n=n, r=r, eps=eps, R=R, c_bound=c_bound, rows=rows,
         measurable=rows[-1].exceed_count >= 5,
         slope=slope, intercept=intercept, max_fit_residual=resid,
         omega_rows=omega_rows,

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -235,6 +236,14 @@ def test_verify_subset(capsys):
     (["theory", "--r", "3", "--lambda", "1.5", "--n", "0"], None),
     (["run", "--n", "100", "--r", "3", "--lambda", "1.2", "--seed", "1", "--omega", "nan"], None),
     (["run", "--n", "100", "--r", "3", "--lambda", "1.2", "--seed", "1", "--omega", "0"], None),
+    *[([cmd, "--n", "100", "--r", r, "--lambda", "1.2", "--seed", "1", *extra], None)
+      for cmd, extra in (("run", []), ("mc", ["--replicates", "2"])) for r in ("0", "1")],
+    *[(["tails", "--kind", "super", "--n", "100", "--r", r, "--eps", "0.2", "--seed", "1",
+        "--replicates", "2"], None) for r in ("0", "1")],
+    # the drift sequences reject (n, r, p): caught before the exploration or any replicate runs
+    (["mc", "--n", "3", "--r", "3", "--lambda", "3", "--seed", "1", "--replicates", "2"], None),
+    (["run", "--n", "2", "--r", "3", "--lambda", "1.5", "--seed", "1", "--doob"], None),
+    (["run", "--n", "3", "--r", "3", "--lambda", "3", "--seed", "1", "--doob"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:
@@ -245,6 +254,21 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_
     code, out, err = _run(capsys, argv)
     assert code == 2 and err.startswith("usage-error:"), err
     assert "criterion" not in out
+
+
+def test_only_mc_warns_inside_the_critical_window(capsys):
+    window = ["--n", "50", "--r", "3", "--lambda", "1.2", "--seed", "1"]  # eps^3 n = 0.4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for argv in (["run", *window],
+                     ["tails", "--kind", "super", "--n", "100", "--r", "3", "--eps", "0.2",
+                      "--seed", "1", "--replicates", "20", "--threads", "1"]):
+            code, out, err = _run(capsys, argv)
+            assert code == 0 and out and not err
+    assert [str(w.message) for w in caught] == []
+    with pytest.warns(UserWarning, match="inside the critical window"):
+        code, _, _ = _run(capsys, ["mc", *window, "--replicates", "5", "--threads", "1"])
+    assert code == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,8 +25,7 @@ from hxplore.mc import (
     format_cell_row,
     format_tail_row,
     run_cell,
-    tail_subcritical,
-    tail_supercritical,
+    tail_experiment,
 )
 from hxplore.theory import p_from_lambda
 from hxplore.util import comb0
@@ -240,7 +239,7 @@ def test_golden_mc_cell():
         agg = res.aggregate
         freqs = agg.windows()["window_freqs"]
         wins = [round(freqs[event] * agg.count) for event in ("E1", "E2", "E3", "all")]
-        win_t0 = sum(rep.T0 <= math.sqrt(res.ctx.n / res.ctx.eps) / plan.omega for rep in agg.reps)
+        win_t0 = sum(rep.T0 <= math.sqrt(agg.ctx.n / agg.ctx.eps) / plan.omega for rep in agg.reps)
         z_ok = [rep.Z + 1 == rep.c_t0p1 for rep in agg.reps if rep.c_t0p1 is not None]
         duality = agg.values("duality")
         sums = [functools.reduce(operator.add, agg.values(name), 0.0)
@@ -252,10 +251,10 @@ def test_golden_mc_cell():
 
 
 def test_golden_tails():
-    sub = tail_subcritical(n=2000, r=3, eps=0.3, L_grid=[10, 20, 40], R=60, master_seed=9,
-                           workers=2)
-    sup = tail_supercritical(n=5000, r=3, eps=0.3, omega_grid=(1.0, 2.0), L_grid=[10, 30],
-                             R=30, master_seed=9, workers=2)
+    sub = tail_experiment("sub", n=2000, r=3, eps=0.3, L_grid=[10, 20, 40], R=60,
+                          master_seed=9, workers=2)
+    sup = tail_experiment("super", n=5000, r=3, eps=0.3, L_grid=[10, 30], R=30, master_seed=9,
+                          workers=2, omega_grid=(1.0, 2.0))
     digest = _sha([format_tail_row(row) for row in sub.rows],
                   [format_tail_row(row) for row in sup.rows], sup.omega_rows)
     assert digest == GOLDEN_TAILS

@@ -10,8 +10,7 @@ from hxplore.mc import (
     format_cell_row,
     make_context,
     run_cell,
-    tail_subcritical,
-    tail_supercritical,
+    tail_experiment,
 )
 from hxplore.util import derive_seed
 
@@ -67,15 +66,15 @@ def test_single_replicate_reports_absent_variance():
 def test_standardization_round_trip():
     spec, plan = _small_plan(R=10)
     res = run_cell(spec, plan)
-    t = res.ctx.targets
+    t = res.aggregate.ctx.targets
     z1 = np.asarray(res.aggregate.z1)
     l1_back = z1 * t.sd_L1 + t.mean_L1
     assert np.allclose(l1_back, np.round(l1_back))  # recovers the integers exactly
 
 
 def test_subcritical_tail_smoke():
-    rep = tail_subcritical(n=3000, r=3, eps=0.3, L_grid=[10, 20, 33],
-                           R=400, master_seed=5, workers=2)
+    rep = tail_experiment("sub", n=3000, r=3, eps=0.3, L_grid=[10, 20, 33],
+                          R=400, master_seed=5, workers=2)
     assert rep.kind == "subcritical"
     assert len(rep.rows) == 3
     assert rep.rows[0].p_hat >= rep.rows[-1].p_hat
@@ -84,13 +83,13 @@ def test_subcritical_tail_smoke():
         if 0.0 < row.p_hat < 1.0:
             assert row.wilson_lo <= row.p_hat <= row.wilson_hi
     # sanity anchor: Pr(L1 > 1) is large whenever edges exist
-    rep1 = tail_subcritical(n=3000, r=3, eps=0.3, L_grid=[1], R=200, master_seed=5)
+    rep1 = tail_experiment("sub", n=3000, r=3, eps=0.3, L_grid=[1], R=200, master_seed=5)
     assert rep1.rows[0].p_hat > 0.9
 
 
 def test_supercritical_tail_omega_monotone():
-    rep = tail_supercritical(n=20_000, r=3, eps=0.2, omega_grid=(2.0, 3.0, 4.0),
-                             L_grid=[50, 100], R=200, master_seed=6, workers=2)
+    rep = tail_experiment("super", n=20_000, r=3, eps=0.2, L_grid=[50, 100], R=200,
+                          master_seed=6, workers=2, omega_grid=(2.0, 3.0, 4.0))
     freqs = [f for _, _, f in rep.omega_rows]
     assert all(a >= b for a, b in zip(freqs, freqs[1:]))  # nested events, same runs
 
@@ -102,8 +101,8 @@ def test_subcritical_scaling_in_eps():
     slopes = []
     for n, eps, seed in ((6000, 0.3, 31), (6000, 0.6, 32)):
         grid = [round(x / eps**2) for x in (3.0, 5.0, 7.0)]
-        rep = tail_subcritical(n=n, r=3, eps=eps, L_grid=grid, R=2500,
-                               master_seed=seed, workers=2)
+        rep = tail_experiment("sub", n=n, r=3, eps=eps, L_grid=grid, R=2500,
+                              master_seed=seed, workers=2)
         assert rep.slope is not None
         slopes.append(rep.slope / eps**2)  # slope per unit of eps^2 L
     ratio = slopes[0] / slopes[1]
