@@ -30,7 +30,7 @@ from .mc import (
     tail_grid,
 )
 from .oracle import enumerate_all, enumerate_step
-from .stats import BivariateMoments, chi_square_gof
+from .stats import chi_square_gof
 from .theory import (
     dual_lambda,
     integrate_h,
@@ -357,36 +357,23 @@ def criterion_martingale_shape(workers):
                  hi=LINDEBERG_LIMIT, strict=True)
 
 
-@_criterion(11, "deterministic mc output and associative streaming merge")
+@_criterion(11, "deterministic mc output and its streaming (L1, N1) moments")
 def criterion_determinism(workers):
     spec = CellSpec(n=20_000, r=3, eps=0.2, stop="giant")
     plan = ExperimentPlan(cells=(spec,), replicates=40, master_seed=SEED_DETERMINISM,
                           omega=4.0, collect=("census", "windows"))
+    results = [run_experiment(plan, workers=w)[0] for w in (1, 2, 1)]
     rows = [(format_cell_row(res), tuple(res.aggregate.z1), tuple(res.aggregate.values("duality")))
-            for res in (run_experiment(plan, workers=w)[0] for w in (1, 2, 1))]
+            for res in results]
     yield Record("mc output equal at workers 1, 2, 1", rows[0] == rows[1] == rows[2], True, True)
-    # streaming merge equals single pass
-    rng = np.random.default_rng(SEED_DETERMINISM)
-    xs = rng.normal(size=5000)
-    ys = 0.5 * xs + rng.normal(size=5000)
-
-    def moments(lo, hi):
-        part = BivariateMoments()
-        for x, y in zip(xs[lo:hi], ys[lo:hi]):
-            part.add(float(x), float(y))
-        return part
-
-    single = moments(0, 5000)
-    errors = {"mean_x": [], "m2x": [], "cxy": [], "m2y": []}
-    for cuts in ([1000, 2500, 4000], [1, 4999], [2500]):
-        merged = BivariateMoments()
-        for lo, hi in zip([0] + cuts, cuts + [5000]):
-            merged.merge(moments(lo, hi))
-        for name, cases in errors.items():
-            a, b = getattr(merged, name), getattr(single, name)
-            cases.append((f"cuts {cuts}", abs(a - b) / max(1.0, abs(b))))
-    for name, cases in errors.items():
-        yield _extreme(f"max relative streaming-merge error of {name}", cases, hi=1e-9)
+    # the cell's one-pass fold of (L1, N1) against two passes over the same values
+    agg = results[0].aggregate
+    biv = agg.biv
+    x, y = (np.array(agg.values(name), dtype=np.float64) for name in ("L1", "N1"))
+    dx, dy = x - x.mean(), y - y.mean()
+    for name, want in (("mean_x", x.mean()), ("m2x", dx @ dx), ("cxy", dx @ dy), ("m2y", dy @ dy)):
+        yield Record(f"relative error of the fold's {name} against two passes",
+                     abs(getattr(biv, name) - float(want)) / max(1.0, abs(float(want))), hi=1e-9)
 
 
 def run_all(keys=None, workers: int = 1, progress=None) -> list:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -133,7 +134,9 @@ def _checked(fn, *args, **kw):
         raise UsageError(str(exc)) from None
 
 
-def _check_r(args) -> None:
+def _check_nr(args) -> None:
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     if not 2 <= args.r <= MAX_R:
         raise UsageError(f"--r must be an integer in [2, {MAX_R}], got {args.r}")
 
@@ -144,7 +147,7 @@ def _resolve_p(args) -> float:
         raise UsageError("give exactly one of --eps, --lambda, --p")
     if args.n is None or args.r is None:
         raise UsageError("--n and --r are required")
-    _check_r(args)
+    _check_nr(args)
     if args.p is not None:
         return args.p
     lam = args.lam if args.lam is not None else 1.0 + args.eps
@@ -333,13 +336,15 @@ def cmd_tails(args) -> int:
     _require(args, "kind", "n", "r", "eps", "seed", "replicates")
     if args.kind not in ("sub", "super"):
         raise UsageError(f"--kind must be sub or super, got {args.kind!r}")
+    _check_nr(args)
+    if not (math.isfinite(args.eps) and args.eps > 0.0):
+        raise UsageError(f"--eps must be finite and positive, got {args.eps}")
     workers = _checked(resolve_workers, args.threads)
     if args.l_grid:
         grid = _parse_list(args.l_grid, int, "--L-grid")
     else:
         grid = tail_grid(args.eps)
     omega_grid = _parse_list(args.omega_grid, float, "--omega-grid")
-    _check_r(args)
     rep = _checked(tail_experiment, args.kind, args.n, args.r, args.eps, grid, args.replicates,
                    args.seed, workers=workers, omega_grid=omega_grid, c_bound=args.bound_c)
     rows = [TAILS_CSV_HEADER, *map(format_tail_row, rep.rows)]
@@ -361,10 +366,12 @@ def cmd_oracle(args) -> int:
     _require(args, "n", "r", "p")
     if not 0.0 <= args.p <= 1.0:
         raise UsageError(f"--p must lie in [0, 1], got {args.p}")
+    if args.n < 1 or args.r < 2:
+        raise UsageError(f"need --n >= 1 and --r >= 2, got {args.n} and {args.r}")
     if args.step:
         explored = _parse_list(args.explored, int, "--explored")
         active = _parse_list(args.active, int, "--active")
-        law = enumerate_step(args.n, args.r, args.p, explored, active)
+        law = _checked(enumerate_step, args.n, args.r, args.p, explored, active)
         out = {
             "n": args.n, "r": args.r, "p": args.p, "t": law.t, "v": law.v,
             "support": [list(k) for k in law.support],
@@ -372,7 +379,7 @@ def cmd_oracle(args) -> int:
             "moments": law.moments(),
         }
     else:
-        dist = enumerate_all(args.n, args.r, args.p)
+        dist = enumerate_all(args.n, args.r, args.p)  # its size guard is a runtime fault
         out = {
             "n": args.n, "r": args.r, "p": args.p,
             "support": [list(k) for k in dist.support],

@@ -75,6 +75,7 @@ BRANCHING_LIMIT = 16.0  # cap on p * binom(n, r-1); keeps E_t means O(1)
 _E_CHUNK = 4096
 _U_CHUNK = 8192
 _SHORT_CHUNK = 512  # edge-count chunks shorter than this are walked step by step
+_SCALAR_BLOCK = 128  # uniforms that _scalar_uniforms draws ahead at a time
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,8 @@ class ComponentRecord(NamedTuple):
 class RunResult:
     """Everything one exploration run produces.  The census fields (L1 to
     giant_nullity) are anchored at config.census_t0; the per-step arrays and
-    the component table depend on the requested record level ('none' <
-    'light' < 'full').  L2 is a lower bound when the run is not complete."""
+    the component table are kept at record level 'full' only.  L2 is a lower
+    bound when the run is not complete."""
 
     config: ExplorationConfig
     n_steps: int
@@ -233,21 +234,6 @@ def _step_counts(rand, m: int, ap: int, rr: int, k: int, u) -> tuple:
     return len(union) - xi, xi, zeta
 
 
-def _sample_step(rng, n: int, r: int, p: float, t: int, active_excl: int):
-    """Sample one implicit exploration step outcome.
-
-    Given t and the number `active_excl` of active vertices other than v_t,
-    returns (edge_count, eta, xi, zeta) with the exact conditional law of
-    the exploration of H^r(n, p).
-    """
-    m = n - t
-    k = sample_binomial(rng, comb0(m, r - 1), p)
-    if k == 0:
-        return 0, 0, 0, 0
-    u = rng.random(r - 1).tolist() if k == 1 else None
-    return (k, *_step_counts(rng.random, m, active_excl, r - 1, k, u))
-
-
 # ---------------------------------------------------------------------------
 # run engines
 # ---------------------------------------------------------------------------
@@ -256,12 +242,11 @@ def _sample_step(rng, n: int, r: int, p: float, t: int, active_excl: int):
 def run_exploration(config: ExplorationConfig, record: str = "none") -> RunResult:
     """Run one exploration to completion (or to the stop rule).
 
-    record: 'none' keeps only the census summary, 'light' additionally
-    stores the A_t and xi_t paths, 'full' stores every per-step column and
-    the component table.
+    record: 'none' keeps only the census summary, 'full' also stores every
+    per-step column and the component table.
     """
-    if record not in ("none", "light", "full"):
-        raise ValueError(f"record must be 'none', 'light' or 'full', got {record!r}")
+    if record not in ("none", "full"):
+        raise ValueError(f"record must be 'none' or 'full', got {record!r}")
     if config.mode == "explicit":
         return _run_explicit(config, record)
     return _run_implicit(config, record)
@@ -277,7 +262,7 @@ def _uniform_groups(rng, rr: int, steps_left: int) -> np.ndarray:
     return u
 
 
-def _scalar_uniforms(rng, block: int = 128):
+def _scalar_uniforms(rng):
     """rand() returning the stream's next uniform from blocks drawn ahead,
     and give_back() rewinding the stream over the unread ones.  PCG64 spends
     one 64-bit step per uniform, so the stream reads as if rand() had been
@@ -286,7 +271,7 @@ def _scalar_uniforms(rng, block: int = 128):
 
     def rand():
         if not buf:
-            buf.extend(rng.random(block)[::-1].tolist())
+            buf.extend(rng.random(_SCALAR_BLOCK)[::-1].tolist())
         return buf.pop()
 
     def give_back():
@@ -447,9 +432,8 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
     stop_after = t0c if config.stop_rule == "giant" and t0c >= 0 else n
     margin = config.margin
 
-    light = record != "none"
     full = record == "full"
-    cols: list = []  # per chunk: the recorded columns A, xi (light), edge counts, eta, zeta (full)
+    cols: list = []  # per chunk at level 'full': the recorded columns A, xi, edge counts, eta, zeta
     close_t: list = []  # the component table: close times and cumulative edge counts
     close_e: list = []
 
@@ -484,7 +468,7 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
             L = end - t
             total_edges += int(ks[:L].sum())
             A = int(cA[L - 1])
-            if light:
+            if full:
                 cols.append((cA[:L], cxi[:L], ks[:L], ceta[:L], czeta[:L]))
             t = end
             if t == t_stop:
@@ -519,13 +503,12 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
                     eta, xi, zeta = _step_counts(rand, n - t, ap, rr, k, None)
                 A = ap + eta
                 total_edges += k
-            if light:
+            if full:
                 rec_A.append(A)
                 rec_xi.append(xi)
-                if full:
-                    rec_E.append(k)
-                    rec_eta.append(eta)
-                    rec_zeta.append(zeta)
+                rec_E.append(k)
+                rec_eta.append(eta)
+                rec_zeta.append(zeta)
             if A == 0:
                 close_t.append(t)
                 close_e.append(total_edges)
@@ -534,7 +517,7 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
                     t_stop = t + margin
             if t == t_stop:
                 break
-        if light:
+        if full:
             cols.append(rec)
         if t == t_stop:
             break
@@ -562,10 +545,9 @@ def _result(config, record, n_steps, close_t, close_e, total_edges, A_end,
         **_census(close_t, close_e, rr, -1 if config.census_t0 is None else config.census_t0,
                   n_steps),
     )
-    if record != "none":
+    if record == "full":
         res.A = np.asarray(A, dtype=np.int64)
         res.xi = np.asarray(xi, dtype=np.int64)
-    if record == "full":
         res.edge_counts = np.asarray(E, dtype=np.int64)
         res.eta = np.asarray(eta, dtype=np.int64)
         res.zeta = np.asarray(zeta, dtype=np.int64)

@@ -280,10 +280,10 @@ class CellResult:
 
 def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
     windows, doob = "windows" in ctx.collect, "doob" in ctx.collect
-    trace_level = "light" if windows or doob or "gap" in ctx.collect else "none"
-    res = run_exploration(ctx.config(seed), record=trace_level)
+    traced = windows or doob or "gap" in ctx.collect
+    res = run_exploration(ctx.config(seed), record="full" if traced else "none")
     max_s_pre = max_s_t1 = duality = v1 = v2 = v12 = l1 = l2 = gap = None
-    if trace_level == "light":
+    if traced:
         seq = _drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)
         need_t1 = doob or windows
         if need_t1 and res.n_steps < ctx.t1:

@@ -215,6 +215,8 @@ def enumerate_step(n: int, r: int, p: float, explored, active) -> StepLaw:
     if any, else the minimum unseen vertex, and every subset of the
     binom(n - t, r - 1) tested r-sets is enumerated.
     """
+    if n < 1 or r < 2:
+        raise ValueError("need n >= 1 and r >= 2")
     explored = list(explored)
     active = set(active)
     if len(set(explored)) != len(explored):
@@ -233,10 +235,10 @@ def enumerate_step(n: int, r: int, p: float, explored, active) -> StepLaw:
     for i, u in enumerate(others):
         if u in active:
             act_mask |= 1 << i
-    family = sorted(combinations(range(m), r - 1), key=colex_rank) if m >= r - 1 else []
-    fam_n = len(family)
+    fam_n = math.comb(m, r - 1)
     if fam_n > MAX_STEP_FAMILY:
         raise ValueError(f"binom(n - t, r - 1) = {fam_n} exceeds the step enumeration limit {MAX_STEP_FAMILY}")
+    family = sorted(combinations(range(m), r - 1), key=colex_rank)
 
     if fam_n == 0:
         support = [(0, 0, 0, 0)]

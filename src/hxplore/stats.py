@@ -1,7 +1,7 @@
 """Statistical utilities for the Monte Carlo layer: standard normal CDF,
 Kolmogorov-Smirnov distance, Pearson chi-square goodness of fit with a
-regularized-incomplete-gamma tail, Wilson score intervals, and mergeable
-streaming bivariate moments.
+regularized-incomplete-gamma tail, Wilson score intervals, and streaming
+bivariate moments.
 
 All of it is self-contained (math + numpy); nothing here depends on the
 simulation modules.
@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_Z95 = 1.959963984540054
+_MIN_EXPECTED = 5.0  # chi_square_gof merges categories until each bin expects this many
 
 
 def normal_cdf(x: float) -> float:
@@ -33,14 +35,14 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def ks_distance(samples, cdf=normal_cdf) -> float:
+def ks_distance(samples) -> float:
     """Kolmogorov-Smirnov distance between the empirical law of `samples`
-    and a continuous reference distribution function."""
+    and the standard normal law."""
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     n = xs.shape[0]
     if n == 0:
         raise ValueError("need at least one sample")
-    f = np.array([cdf(float(x)) for x in xs])
+    f = np.array([normal_cdf(float(x)) for x in xs])
     i = np.arange(1, n + 1, dtype=np.float64)
     return float(np.max(np.maximum(i / n - f, f - (i - 1.0) / n)))
 
@@ -103,12 +105,12 @@ def chi_square_sf(stat: float, dof: int) -> float:
     return gamma_q(0.5 * dof, 0.5 * stat)
 
 
-def chi_square_gof(observed: dict, probs: dict, min_expected: float = 5.0):
+def chi_square_gof(observed: dict, probs: dict):
     """Pearson chi-square of observed category counts against exact category
     probabilities.
 
     Categories are merged greedily in sorted-key order until each bin's
-    expected count reaches `min_expected` (the trailing bin is folded into
+    expected count reaches _MIN_EXPECTED (the trailing bin is folded into
     its neighbor if it ends short); any probability mass absent from
     `observed` still contributes to the expectation.  Returns
     (stat, dof, p_value).
@@ -122,7 +124,7 @@ def chi_square_gof(observed: dict, probs: dict, min_expected: float = 5.0):
     for key in keys:
         acc_o += observed.get(key, 0)
         acc_e += probs[key] * total
-        if acc_e >= min_expected:
+        if acc_e >= _MIN_EXPECTED:
             bins.append((acc_o, acc_e))
             acc_o, acc_e = 0.0, 0.0
     if acc_e > 0.0 or acc_o > 0.0:
@@ -141,20 +143,17 @@ def chi_square_gof(observed: dict, probs: dict, min_expected: float = 5.0):
     return stat, dof, chi_square_sf(stat, dof)
 
 
-_Z95 = 1.959963984540054
-
-
-def wilson_interval(successes: int, trials: int, z: float = _Z95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int):
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     phat = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = _Z95 * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -178,24 +177,6 @@ class BivariateMoments:
         self.m2x += dx * (x - self.mean_x)
         self.m2y += dy * (y - self.mean_y)
         self.cxy += dx * (y - self.mean_y)
-
-    def merge(self, other: "BivariateMoments") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            for f in ("count", "mean_x", "mean_y", "m2x", "m2y", "cxy"):
-                setattr(self, f, getattr(other, f))
-            return
-        n1, n2 = self.count, other.count
-        n = n1 + n2
-        dx = other.mean_x - self.mean_x
-        dy = other.mean_y - self.mean_y
-        self.m2x += other.m2x + dx * dx * n1 * n2 / n
-        self.m2y += other.m2y + dy * dy * n1 * n2 / n
-        self.cxy += other.cxy + dx * dy * n1 * n2 / n
-        self.mean_x += dx * n2 / n
-        self.mean_y += dy * n2 / n
-        self.count = n
 
     @property
     def var_x(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -244,6 +245,18 @@ def test_verify_subset(capsys):
     (["mc", "--n", "3", "--r", "3", "--lambda", "3", "--seed", "1", "--replicates", "2"], None),
     (["run", "--n", "2", "--r", "3", "--lambda", "1.5", "--seed", "1", "--doob"], None),
     (["run", "--n", "3", "--r", "3", "--lambda", "3", "--seed", "1", "--doob"], None),
+    # n = 0 reached p_from_lambda's division; eps = 0 and nan reached the default L grid
+    (["run", "--n", "0", "--r", "3", "--lambda", "1.2", "--seed", "1"], None),
+    (["mc", "--n", "0", "--r", "3", "--lambda", "1.2", "--seed", "1", "--replicates", "2"], None),
+    (["tails", "--kind", "sub", "--n", "0", "--r", "3", "--eps", "0.3", "--seed", "1",
+      "--replicates", "2"], None),
+    (["tails", "--kind", "sub", "--n", "100", "--r", "3", "--eps", "0", "--seed", "1",
+      "--replicates", "2"], None),
+    (["tails", "--kind", "sub", "--n", "100", "--r", "3", "--eps", "nan", "--seed", "1",
+      "--replicates", "2"], None),
+    # the oracles' own argument checks
+    (["oracle", "--n", "5", "--r", "1", "--p", "0.1"], None),
+    (["oracle", "--n", "5", "--r", "1", "--p", "0.1", "--step"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:
@@ -254,6 +267,14 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_
     code, out, err = _run(capsys, argv)
     assert code == 2 and err.startswith("usage-error:"), err
     assert "criterion" not in out
+
+
+def test_oversized_step_family_is_rejected_before_it_is_built(capsys):
+    # binom(29, 9) = 10,015,005 companion sets against a limit of 22
+    start = time.perf_counter()
+    code, _, err = _run(capsys, ["oracle", "--n", "30", "--r", "10", "--p", "1e-5", "--step"])
+    assert code == 2 and err.startswith("usage-error:"), err
+    assert time.perf_counter() - start < 2.0
 
 
 def test_only_mc_warns_inside_the_critical_window(capsys):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hxplore.doob import approx_gap, conditional_moments, decompose, duality_diagnostic
-from hxplore.explore import ExplorationConfig, explore, run_exploration, _sample_step
+from hxplore.explore import ExplorationConfig, explore, run_exploration
 from hxplore.oracle import enumerate_step
 from hxplore.theory import drift_sequences, dual_lambda, p_from_lambda, rho_r
 from hxplore.util import comb0
+from test_explore import _sample_step
 
 
 def test_moments_match_step_enumeration_fresh():
@@ -81,7 +82,7 @@ def test_decompose_parameter_mismatch():
         decompose(tr, seq)
 
 
-def test_decompose_requires_light_record():
+def test_decompose_requires_full_record():
     cfg = ExplorationConfig(n=200, r=3, p=p_from_lambda(200, 3, 1.1), seed=3)
     res = run_exploration(cfg, record="none")
     seq = drift_sequences(200, 3, cfg.p, 10)
@@ -98,7 +99,7 @@ def test_martingale_increments_mean_zero():
     R = 4000
     for seed in range(R):
         res = run_exploration(ExplorationConfig(n=n, r=r, p=p, seed=7_000_000 + seed),
-                              record="light")
+                              record="full")
         dt = decompose(res, seq, t1=0)
         sums += dt.Delta[:5]
     means = sums / R
@@ -126,7 +127,7 @@ def test_approx_gap_finite_and_small():
     t1 = int(rho_r(r, lam) * n)
     seq = drift_sequences(n, r, p, t1)
     for seed in range(3):
-        res = run_exploration(ExplorationConfig(n=n, r=r, p=p, seed=seed), record="light")
+        res = run_exploration(ExplorationConfig(n=n, r=r, p=p, seed=seed), record="full")
         dt = decompose(res, seq)
         gap = approx_gap(res, dt)
         assert 0.0 <= gap <= 10.0
@@ -144,7 +145,7 @@ def test_duality_diagnostic_prediction():
     for seed in range(30):
         cfg = ExplorationConfig(n=n, r=r, p=p, seed=seed, census_t0=t0,
                                 stop_rule="giant", margin=2 * t0)
-        res = run_exploration(cfg, record="light")
+        res = run_exploration(cfg, record="full")
         dt = decompose(res, seq)
         cen_like = res  # RunResult carries T1
         dtt, pred = duality_diagnostic(dt, cen_like, las)
@@ -160,7 +161,7 @@ def test_duality_requires_t1():
     n, r = 400, 3
     p = p_from_lambda(n, r, 1.2)
     cfg = ExplorationConfig(n=n, r=r, p=p, seed=1, census_t0=n)  # T1 never defined
-    res = run_exploration(cfg, record="light")
+    res = run_exploration(cfg, record="full")
     seq = drift_sequences(n, r, p, 30)
     dt = decompose(res, seq, t1=30)
     assert res.T1 is None

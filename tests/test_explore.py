@@ -13,14 +13,30 @@ from hxplore.explore import (
     explore,
     materialize,
     run_exploration,
-    _sample_step,
+    _step_counts,
 )
 from hxplore.oracle import enumerate_all
+from hxplore.randvar import sample_binomial
 from hxplore.stats import chi_square_gof
 from hxplore.theory import p_from_lambda
 from hxplore.util import comb0
 
 explore_module = importlib.import_module("hxplore.explore")  # the package re-exports explore()
+
+
+def _sample_step(rng, n: int, r: int, p: float, t: int, active_excl: int):
+    """Sample one implicit exploration step outcome.
+
+    Given t and the number `active_excl` of active vertices other than v_t,
+    returns (edge_count, eta, xi, zeta) with the exact conditional law of
+    the exploration of H^r(n, p).
+    """
+    m = n - t
+    k = sample_binomial(rng, comb0(m, r - 1), p)
+    if k == 0:
+        return 0, 0, 0, 0
+    u = rng.random(r - 1).tolist() if k == 1 else None
+    return (k, *_step_counts(rng.random, m, active_excl, r - 1, k, u))
 
 
 def _trace_identities(tr, n, r):
@@ -57,6 +73,13 @@ def test_config_validation():
         ExplorationConfig(n=10**6, r=3, p=1e-12, seed=1, mode="explicit")
     with pytest.raises(ValueError):
         ExplorationConfig(n=10, r=3, p=0.01, seed=-1)
+
+
+def test_record_level_is_none_or_full():
+    cfg = ExplorationConfig(n=10, r=3, p=0.01, seed=1)
+    for record in ("light", "partial"):
+        with pytest.raises(ValueError):
+            run_exploration(cfg, record=record)
 
 
 def test_single_vertex():
@@ -243,7 +266,7 @@ def test_census_requires_full_trace_semantics():
     assert cen.T0 <= t0
     assert cen.T1 is None or cen.T1 > t0
     with pytest.raises(ValueError):
-        census(run_exploration(cfg, record="light"), t0=t0)
+        census(run_exploration(cfg, record="none"), t0=t0)
 
 
 from hypothesis import given, settings, strategies as st
@@ -300,7 +323,7 @@ def _walker_configs(count: int, seed: int) -> list:
 def test_block_walk_equals_step_loop(monkeypatch):
     # every edge-count chunk walked as a block, then every chunk step by step
     for cfg in _walker_configs(240, seed=4):
-        for record in ("none", "light", "full"):
+        for record in ("none", "full"):
             monkeypatch.setattr(explore_module, "_SHORT_CHUNK", 0)
             block = run_exploration(cfg, record=record)
             monkeypatch.setattr(explore_module, "_SHORT_CHUNK", 10**9)

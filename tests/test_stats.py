@@ -3,7 +3,6 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hxplore.stats import (
     BivariateMoments,
@@ -121,29 +120,6 @@ def test_wilson_interval_coverage():
             lo, hi = wilson_interval(int(k), 500)
             hits += lo <= q <= hi
         assert hits >= 930
-
-
-@given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=2, max_size=60),
-       st.integers(min_value=0, max_value=59))
-@settings(max_examples=200, deadline=None)
-def test_moments_merge_equals_single_pass(pairs, cut):
-    cut = min(cut, len(pairs))
-    single = BivariateMoments()
-    for x, y in pairs:
-        single.add(x, y)
-    left, right = BivariateMoments(), BivariateMoments()
-    for x, y in pairs[:cut]:
-        left.add(x, y)
-    for x, y in pairs[cut:]:
-        right.add(x, y)
-    left.merge(right)
-    assert left.count == single.count
-    for name in ("mean_x", "mean_y", "m2x", "m2y"):
-        want = getattr(single, name)
-        assert abs(getattr(left, name) - want) <= 1e-9 * max(1.0, abs(want)), name
-    # the co-moment may cancel to ~0, so its error is measured on the Cauchy-Schwarz scale
-    scale = math.sqrt(single.m2x * single.m2y)
-    assert abs(left.cxy - single.cxy) <= 1e-9 * max(1.0, scale)
 
 
 def test_bivariate_moments_match_numpy():
