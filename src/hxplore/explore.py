@@ -40,6 +40,15 @@ and the outputs of a step-by-step loop.  Two facts make that exact:
 Chunks shorter than _SHORT_CHUNK steps, where numpy's per-call cost would
 outweigh the block walk, run the step-by-step loop itself.
 
+The law of a chunk's edge counts depends on (n, r, p, t) alone, so its
+inversion table (randvar.binomial_table) is built once per process and kept
+in a least-recently-used cache of _TABLE_CACHE chunks, keyed on all four,
+with read-only arrays; every run of a cell draws its uniforms against the
+same tables.  The cache holds the 13 chunks that a giant-stop run at
+n = 3e5 reads, at most 0.27 MB a chunk.  The component table is kept as
+int64 arrays of close times and cumulative edge counts, and the census
+reduces them with numpy.
+
 A single run is strictly sequential; distinct runs with distinct seeds share
 no state and may execute concurrently.
 """
@@ -47,16 +56,14 @@ no state and may execute concurrently.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
-from operator import sub
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .randvar import sample_binomial, sample_binomial_array
+from .randvar import BinomialTable, binomial_table, sample_binomial, sample_binomial_table
 from .theory import MAX_R
 from .util import colex_unrank, comb0, comb_float
 
@@ -76,6 +83,7 @@ _E_CHUNK = 4096
 _U_CHUNK = 8192
 _SHORT_CHUNK = 512  # edge-count chunks shorter than this are walked step by step
 _SCALAR_BLOCK = 128  # uniforms that _scalar_uniforms draws ahead at a time
+_TABLE_CACHE = 16  # edge-count tables kept per process; a giant-stop run at n = 3e5 reads 13
 
 
 @dataclass(frozen=True)
@@ -423,6 +431,18 @@ def _block_chunk(rng, rand, give_back, ks: np.ndarray, t: int, n: int, rr: int, 
     return _lindley(Q, A0), xi, eta, zeta, u_rows, j
 
 
+@lru_cache(maxsize=_TABLE_CACHE)
+def _edge_count_table(n: int, rr: int, p: float, t: int) -> BinomialTable:
+    """The binomial table of the edge counts of steps t+1 .. min(n, t +
+    _E_CHUNK), Binomial(binom(n - s, rr), p) at step s.  Every run of a cell
+    draws from the same tables, so they are cached, with read-only arrays."""
+    hi = min(n, t + _E_CHUNK)
+    table = binomial_table(comb_float(np.arange(n - t - 1, n - hi - 1, -1, dtype=np.float64), rr), p)
+    for a in (table.trials, table.cum, table.big):
+        a.flags.writeable = False
+    return table
+
+
 def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
     n, r, p = config.n, config.r, config.p
     rr = r - 1
@@ -434,7 +454,7 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
 
     full = record == "full"
     cols: list = []  # per chunk at level 'full': the recorded columns A, xi, edge counts, eta, zeta
-    close_t: list = []  # the component table: close times and cumulative edge counts
+    close_t: list = []  # per chunk, the component table: close times and cumulative edge counts
     close_e: list = []
 
     groups = _U_CHUNK // rr
@@ -450,23 +470,23 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
     while t < n:
         # edge counts of steps t+1 .. hi, drawn once the previous chunk is used up
         hi = min(n, t + _E_CHUNK)
-        tested = comb_float(np.arange(n - t - 1, n - hi - 1, -1, dtype=np.float64), rr)
         give_back()
-        ks = sample_binomial_array(rng, tested, p)
+        ks = sample_binomial_table(rng, _edge_count_table(n, rr, p, t))
         if hi - t >= _SHORT_CHUNK:
             cA, cxi, ceta, czeta, u_rows, j = _block_chunk(rng, rand, give_back, ks, t, n, rr, A,
                                                           u_rows, j)
             z = np.flatnonzero(cA == 0)
-            ct = (z + (t + 1)).tolist()
-            if T1 is None and ct and ct[-1] > stop_after:
-                T1 = ct[bisect_right(ct, stop_after)]
+            ct = z + (t + 1)
+            if T1 is None and ct.size and ct[-1] > stop_after:
+                T1 = int(ct[ct.searchsorted(stop_after, "right")])
                 t_stop = T1 + margin
             end = t_stop if t < t_stop <= hi else hi
-            cut = bisect_right(ct, end)
-            close_t += ct[:cut]
-            close_e += (np.cumsum(ks)[z[:cut]] + total_edges).tolist()
+            cut = ct.searchsorted(end, "right")
+            edges = np.cumsum(ks)
+            close_t.append(ct[:cut])
+            close_e.append(edges[z[:cut]] + total_edges)
             L = end - t
-            total_edges += int(ks[:L].sum())
+            total_edges += int(edges[L - 1])
             A = int(cA[L - 1])
             if full:
                 cols.append((cA[:L], cxi[:L], ks[:L], ceta[:L], czeta[:L]))
@@ -477,6 +497,7 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
 
         # a short chunk: step by step, as the block walk's fixed cost would not pay
         u_min = reduce(np.minimum, u_rows.T).tolist()  # row minima, column by column
+        ct, ce = [], []
         rec = ([], [], [], [], [])
         rec_A, rec_xi, rec_E, rec_eta, rec_zeta = rec
         for k in ks.tolist():
@@ -510,13 +531,15 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
                 rec_eta.append(eta)
                 rec_zeta.append(zeta)
             if A == 0:
-                close_t.append(t)
-                close_e.append(total_edges)
+                ct.append(t)
+                ce.append(total_edges)
                 if T1 is None and t > stop_after:
                     T1 = t
                     t_stop = t + margin
             if t == t_stop:
                 break
+        close_t.append(np.array(ct, dtype=np.int64))
+        close_e.append(np.array(ce, dtype=np.int64))
         if full:
             cols.append(rec)
         if t == t_stop:
@@ -524,14 +547,16 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
 
     recorded = [col[0] if len(col) == 1 else np.concatenate([np.asarray(x, dtype=np.int64) for x in col])
                 for col in zip(*cols)] if cols else [None] * 5
-    return _result(config, record, t, close_t, close_e, total_edges, A, *recorded)
+    table = [x[0] if len(x) == 1 else np.concatenate(x) for x in (close_t, close_e)]
+    return _result(config, record, t, *table, total_edges, A, *recorded)
 
 
 def _result(config, record, n_steps, close_t, close_e, total_edges, A_end,
             A, xi, E, eta, zeta) -> RunResult:
     """RunResult of either engine from its final counts, its component table
-    (close times and the cumulative edge counts at each close) and its
-    recorded per-step lists (None below the record level that keeps them)."""
+    (int64 arrays of the close times and the cumulative edge counts at each
+    close) and its recorded per-step lists (None below the record level that
+    keeps them)."""
     rr = config.r - 1
     C_end = len(close_t) + (A_end > 0)  # components started: the closed ones and an open one
     res = RunResult(
@@ -555,40 +580,42 @@ def _result(config, record, n_steps, close_t, close_e, total_edges, A_end,
         res.new_component = np.concatenate(([True], res.A[:-1] == 0))  # step t starts one iff A_{t-1} = 0
         res.C = np.cumsum(res.new_component).astype(np.int64)
         res.X = np.cumsum(res.eta - 1).astype(np.int64)
-        res.close_t, res.close_e = close_t, close_e
+        res.close_t, res.close_e = close_t.tolist(), close_e.tolist()
     return res
 
 
-def _component(close_t: list, close_e: list, rr: int, i: int) -> ComponentRecord:
+def _component(close_t, close_e, rr: int, i: int) -> ComponentRecord:
     """Row i (0-based) of a component table kept as the close times and the
-    cumulative edge counts at each close."""
-    t_start = close_t[i - 1] if i else 0
-    v = close_t[i] - t_start
-    e = close_e[i] - (close_e[i - 1] if i else 0)
-    return ComponentRecord(i + 1, t_start, close_t[i], v, e, 1 + rr * e - v)  # n(C) = 1 + (r-1) e(C) - |C|
+    cumulative edge counts at each close, in Python ints."""
+    t_start = int(close_t[i - 1]) if i else 0
+    v = int(close_t[i]) - t_start
+    e = int(close_e[i]) - (int(close_e[i - 1]) if i else 0)
+    return ComponentRecord(i + 1, t_start, t_start + v, v, e, 1 + rr * e - v)  # n(C) = 1 + (r-1) e(C) - |C|
 
 
-def _census(close_t: list, close_e: list, rr: int, t0: int, n_steps: int) -> dict:
-    """Census fields of RunResult from a component table given as the close
-    times and the cumulative edge counts at each close, anchored at cutoff
-    t0 (none when t0 < 0): largest and second-largest component orders,
-    the largest component's edge count and nullity (ties broken toward the
-    earliest-explored component), the window quantities Z, T_0, T_1 with
-    the order and nullity of the component closing at T_1, and C_{t0+1}."""
-    sizes = list(map(sub, close_t, [0, *close_t]))
-    L1 = max(sizes)
-    i = sizes.index(L1)
-    tie = sizes.count(L1) > 1
+def _census(close_t: np.ndarray, close_e: np.ndarray, rr: int, t0: int, n_steps: int) -> dict:
+    """Census fields of RunResult from a component table given as int64
+    arrays of the close times and the cumulative edge counts at each close,
+    anchored at cutoff t0 (none when t0 < 0): largest and second-largest
+    component orders, the largest component's edge count and nullity (ties
+    broken toward the earliest-explored component), the window quantities
+    Z, T_0, T_1 with the order and nullity of the component closing at T_1,
+    and C_{t0+1}."""
+    sizes = close_t.copy()
+    np.subtract(close_t[1:], close_t[:-1], out=sizes[1:])
+    i = int(sizes.argmax())  # the first largest
+    L1 = sizes.item(i)
     sizes[i] = 0
+    L2 = sizes.item(sizes.argmax())  # L1 again on a tie
     largest = _component(close_t, close_e, rr, i)
-    Z = bisect_right(close_t, t0) if t0 >= 0 else 0  # components closed by t0
+    Z = int(close_t.searchsorted(t0, "right")) if t0 >= 0 else 0  # components closed by t0
     T1 = giant_v = giant_null = None
     if 0 <= t0 < close_t[-1]:
         giant = _component(close_t, close_e, rr, Z)
         T1, giant_v, giant_null = giant.t_end, giant.vertices, giant.nullity
-    return dict(L1=L1, L2=max(sizes),  # L1 again on a tie
-                M1=largest.edges, N1=largest.nullity, l1_tie=tie,
-                Z=Z, T0=close_t[Z - 1] if Z else 0, T1=T1,
+    return dict(L1=L1, L2=L2,
+                M1=largest.edges, N1=largest.nullity, l1_tie=L2 == L1,
+                Z=Z, T0=int(close_t[Z - 1]) if Z else 0, T1=T1,
                 c_t0p1=Z + 1 if 0 <= t0 < n_steps else None,  # the Z closed ones and the current one
                 giant_vertices=giant_v, giant_nullity=giant_null)
 
@@ -689,8 +716,8 @@ def _run_explicit(config: ExplorationConfig, record: str) -> RunResult:
         if T1 is not None and t - T1 >= config.margin:
             break
 
-    return _result(config, record, t, close_t, close_e, total_edges, A,
-                   rec["A"], rec["xi"], rec["E"], rec["eta"], rec["zeta"])
+    return _result(config, record, t, np.array(close_t, dtype=np.int64), np.array(close_e, dtype=np.int64),
+                   total_edges, A, rec["A"], rec["xi"], rec["E"], rec["eta"], rec["zeta"])
 
 
 def explore(config: ExplorationConfig) -> RunResult:
@@ -709,4 +736,5 @@ def census(run: RunResult, t0: int) -> RunResult:
     if run.close_t is None:
         raise ValueError("census needs a run recorded at level 'full'")
     return replace(run, config=replace(run.config, census_t0=t0),
-                   **_census(run.close_t, run.close_e, run.config.r - 1, t0, run.n_steps))
+                   **_census(np.asarray(run.close_t, dtype=np.int64), np.asarray(run.close_e, dtype=np.int64),
+                             run.config.r - 1, t0, run.n_steps))

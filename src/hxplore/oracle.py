@@ -223,6 +223,11 @@ def enumerate_step(n: int, r: int, p: float, explored, active) -> StepLaw:
         raise ValueError("explored vertices must be distinct")
     if active & set(explored):
         raise ValueError("active set must be disjoint from explored vertices")
+    outside = sorted(v for v in active.union(explored) if not 0 <= v < n)
+    if outside:
+        raise ValueError(f"vertex ids must lie in range({n}), got {outside}")
+    if len(explored) == n:
+        raise ValueError(f"the prefix explores all {n} vertices, so no step is left")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     unexplored = sorted(set(range(n)) - set(explored))

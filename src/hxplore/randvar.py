@@ -7,19 +7,36 @@ space as exp(N log1p(-p)) and the CDF is accumulated by the exact pmf ratio
 recursion.  For Np <= 30 the inversion starts at k = 0; above that it starts
 at the mode and expands outward, which keeps the expected number of terms
 at O(sqrt(Np)) and never leaves double precision.
+
+Array draws come in two steps.  binomial_table(trials, p) depends on the
+trial counts and p alone: per entry, the first few CDF values of the walk
+from k = 0, as inversion thresholds.  sample_binomial_table(rng, table)
+reads one uniform per entry and counts the thresholds it reaches; the rare
+entry that passes all of them walks again from k = 0.  A caller that draws
+from the same trial counts many times (each run of a Monte Carlo cell draws
+its edge counts from the same chunks) builds the table once and keeps it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["sample_binomial", "sample_binomial_array", "INVERSION_MEAN_CUTOFF"]
+__all__ = [
+    "sample_binomial",
+    "sample_binomial_array",
+    "BinomialTable",
+    "binomial_table",
+    "sample_binomial_table",
+    "INVERSION_MEAN_CUTOFF",
+]
 
 INVERSION_MEAN_CUTOFF = 30.0
 _MAX_TERMS = 4000
-_SHORT_ARRAY = 64  # sample_binomial_array walks arrays up to this long entry by entry
+_SHORT_ARRAY = 64  # tables of arrays up to this long keep P(0) alone and are read entry by entry
+_TABLE_ROWS = 7  # thresholds per entry; at mean 3 about 3% of draws pass all of them
 
 
 def _log_pmf(n, k: int, logp: float, logq: float) -> float:
@@ -113,55 +130,134 @@ def sample_binomial(rng: np.random.Generator, n_trials, p: float) -> int:
     return _sample_mode_centered(u, n_trials, p)
 
 
-def sample_binomial_array(rng: np.random.Generator, trials, p: float) -> np.ndarray:
-    """Vectorized exact binomial draws, one per entry of `trials`.
+class BinomialTable(NamedTuple):
+    """The inversion thresholds of Binomial(trials[i], p), one column per entry.
 
-    All entries with trials*p <= 30 run through a compressed vectorized
-    inversion (one pmf-ratio update per support point, applied only to the
-    still-unresolved lanes); larger-mean entries fall back to the scalar
-    mode-centered path, which reuses the entry's own uniform.  Arrays of at
-    most _SHORT_ARRAY entries skip the lane bookkeeping and run the same float
-    operations entry by entry.  Consumes exactly len(trials) uniforms from
-    `rng`, in one call.
-    """
+    Row k of `cum` holds cum_k = P(0) + ... + P(k) where the pmf recursion
+    takes a positive step to k + 1, and +inf where the support ends, so a
+    draw is the number of leading rows whose threshold its uniform reaches.
+    Arrays of at most _SHORT_ARRAY entries keep row 0, which is P(0), alone.
+    Entries above INVERSION_MEAN_CUTOFF (indices `big`) read 0 here and take
+    the mode-centred path instead."""
+
+    trials: np.ndarray
+    p: float
+    cum: np.ndarray
+    big: np.ndarray
+
+
+def _table_rows(mean: float, entries: int) -> int:
+    """The fewest table rows, at most _TABLE_ROWS, that fewer than one of
+    `entries` draws is expected to pass.  The Poisson(mean) tail, with
+    `mean` the largest mean, bounds each entry's binomial tail."""
+    term = math.exp(-mean)
+    tail = 1.0
+    for k in range(1, _TABLE_ROWS):
+        tail -= term  # P(X >= k)
+        if entries * tail < 1.0:
+            return k
+        term *= mean / k
+    return _TABLE_ROWS
+
+
+def binomial_table(trials, p: float) -> BinomialTable:
+    """The BinomialTable of `trials` at p, built with the float operations of
+    the CDF walk: P(0) = exp(c log1p(-p)), then step = pmf * ((c - k) /
+    (k + 1) * p / (1 - p)) and cum += step.  The rows are built over every
+    entry at once; only the entries whose support ends inside the table are
+    then walked again to place their +inf."""
     trials = np.asarray(trials, dtype=np.float64)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
-    out = np.zeros(trials.shape[0], dtype=np.int64)
-    if p == 0.0 or trials.shape[0] == 0:
-        rng.random(trials.shape[0])  # keep stream consumption uniform
-        return out
-    u = rng.random(trials.shape[0])
-    big = trials * p > INVERSION_MEAN_CUTOFF
     logq = math.log1p(-p)
     pq = p / (1.0 - p)
+    mean = trials * p
+    big_mask = mean > INVERSION_MEAN_CUTOFF
+    big = np.flatnonzero(big_mask)
+    c = np.where(big_mask, 0.0, trials) if big.size else trials
     if trials.shape[0] <= _SHORT_ARRAY:
-        # np.exp is elementwise: one call over all entries gives each small entry's P(0)
-        return np.array([_sample_mode_centered(ui, c, p) if b else _invert_from_zero(ui, c, pmf, pq)
-                         for ui, c, b, pmf in zip(u.tolist(), trials.tolist(), big.tolist(),
-                                                  np.exp(trials * logq).tolist())],
-                        dtype=np.int64)
+        return BinomialTable(trials, p, np.exp(c * logq)[None, :], big)
+    rows = _table_rows(float(mean.max()), trials.shape[0])
+    cum = np.empty((rows, trials.shape[0]))
+    np.exp(c * logq, out=cum[0])
+    pmf = cum[0].copy()
+    ratio = np.empty_like(pmf)
+    for k in range(rows):
+        np.subtract(c, k, out=ratio)
+        ratio /= k + 1.0
+        ratio *= pq
+        pmf *= ratio  # the step to k + 1
+        if k + 1 < rows:
+            np.add(cum[k], pmf, out=cum[k + 1])
+    # the entries with a step to some k <= rows that is not positive: with
+    # c >= rows no ratio is, and a step that underflows to 0 stays 0 to the end
+    ends = np.flatnonzero((c < rows) | ~(pmf > 0.0))
+    if ends.size:
+        ce = c[ends]
+        pmf = cum[0, ends]
+        live = np.ones(ends.size, dtype=bool)
+        for k in range(rows):
+            pmf = pmf * ((ce - k) / (k + 1.0) * pq)
+            live &= pmf > 0.0
+            cum[k, ends[~live]] = np.inf
+    return BinomialTable(trials, p, cum, big)
 
-    small_idx = np.nonzero(~big)[0]
-    c = trials[small_idx]
-    pmf = np.exp(c * logq)
-    cum = pmf.copy()
-    uu = u[small_idx]
+
+def _walk_from_zero(u: np.ndarray, c: np.ndarray, pmf: np.ndarray, pq: float):
+    """_invert_from_zero of every entry, given its uniform, trials and P(0):
+    entry by entry up to _SHORT_ARRAY entries, else over arrays, with one
+    pmf-ratio update per support point applied only to the still-unresolved
+    lanes."""
+    if c.shape[0] <= _SHORT_ARRAY:
+        return [_invert_from_zero(ui, ci, pi, pq) for ui, ci, pi in zip(u.tolist(), c.tolist(), pmf.tolist())]
+    out = np.zeros(c.shape[0], dtype=np.int64)
+    idx = np.arange(c.shape[0])
+    cum = pmf
     k = 0
-    while small_idx.size and k < _MAX_TERMS:
+    while idx.size and k < _MAX_TERMS:
         step = pmf * ((c - k) / (k + 1.0) * pq)
-        unresolved = (uu >= cum) & (step > 0.0)
+        unresolved = (u >= cum) & (step > 0.0)
         if not unresolved.any():
             break
-        small_idx = small_idx[unresolved]
+        idx = idx[unresolved]
         c = c[unresolved]
-        cum = cum[unresolved]
-        uu = uu[unresolved]
+        u = u[unresolved]
         pmf = step[unresolved]
-        cum = cum + pmf
+        cum = cum[unresolved] + pmf
         k += 1
-        out[small_idx] = k
+        out[idx] = k
+    return out
 
-    for i in np.nonzero(big)[0]:
+
+def sample_binomial_table(rng: np.random.Generator, table: BinomialTable) -> np.ndarray:
+    """One exact draw per entry of the table, from exactly len(table.trials)
+    uniforms of `rng`, read in one call.  A draw counts the leading rows of
+    `cum` that its uniform reaches, row by row until none does; entries that
+    pass every row, which is every entry with u >= P(0) in a short table,
+    resume the CDF walk from k = 0.  Entries above the cutoff take the
+    mode-centred path with their own uniform."""
+    trials, p, cum, big = table
+    u = rng.random(trials.shape[0])
+    pq = p / (1.0 - p)
+    if trials.shape[0] <= _SHORT_ARRAY:
+        out = np.array(_walk_from_zero(u, trials, cum[0], pq), dtype=np.int64)
+    else:
+        out = (u >= cum[0]).astype(np.int64)
+        for row in cum[1:]:
+            hit = u >= row
+            if not hit.any():
+                break
+            out += hit
+        past = np.flatnonzero(out == cum.shape[0])
+        if past.size:
+            out[past] = _walk_from_zero(u[past], trials[past], cum[0, past], pq)
+    for i in big.tolist():
         out[i] = _sample_mode_centered(u[i], trials[i], p)
     return out
+
+
+def sample_binomial_array(rng: np.random.Generator, trials, p: float) -> np.ndarray:
+    """Vectorized exact binomial draws, one per entry of `trials`: the
+    lookup of binomial_table(trials, p) by sample_binomial_table.  Consumes
+    exactly len(trials) uniforms from `rng`, in one call."""
+    return sample_binomial_table(rng, binomial_table(trials, p))

@@ -257,6 +257,10 @@ def test_verify_subset(capsys):
     # the oracles' own argument checks
     (["oracle", "--n", "5", "--r", "1", "--p", "0.1"], None),
     (["oracle", "--n", "5", "--r", "1", "--p", "0.1", "--step"], None),
+    # vertex ids outside range(n), and a prefix that leaves no vertex to step
+    *[(["oracle", "--n", "5", "--r", "3", "--p", "0.1", "--step", *extra], None)
+      for extra in (["--active", "9"], ["--active", "-1"], ["--explored", "7"],
+                    ["--explored", "0,1,2,3,4"])],
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:

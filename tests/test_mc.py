@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from hxplore.mc import (
     tail_experiment,
 )
 from hxplore.util import derive_seed
+
+explore_module = importlib.import_module("hxplore.explore")  # the package re-exports explore()
 
 
 def _small_plan(collect=("census",), R=30, seed=999, stop="giant"):
@@ -53,6 +57,25 @@ def test_worker_count_does_not_change_results():
         rows.append((format_cell_row(res), tuple(res.aggregate.z1),
                      tuple(res.aggregate.values("duality")), res.aggregate.windows()))
     assert rows[0] == rows[1]
+
+
+def test_cell_row_is_identical_across_calls_and_table_caches():
+    # each replicate draws its edge counts from the per-process table cache; a
+    # table that leaked state between calls would change the second row
+    spec, plan = _small_plan(R=8)
+    cache = explore_module._edge_count_table
+    cache.cache_clear()
+    rows = [format_cell_row(run_cell(spec, plan)) for _ in range(2)]
+    assert cache.cache_info().hits > 0
+    cache.cache_clear()
+    rows.append(format_cell_row(run_cell(spec, plan)))
+    assert rows[0] == rows[1] == rows[2]
+
+    assert 13 <= cache.cache_info().maxsize < 100  # a giant-stop run at n = 3e5 reads 13 chunks
+    table = cache(spec.n, spec.r - 1, make_context(spec, plan).p, 0)
+    for array in (table.trials, table.cum, table.big):
+        with pytest.raises(ValueError):
+            array[...] = 0
 
 
 def test_single_replicate_reports_absent_variance():

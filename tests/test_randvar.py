@@ -117,3 +117,35 @@ def test_short_array_path_matches_lane_path(monkeypatch):
             rng = np.random.default_rng(case)
             draws.append((sample_binomial_array(rng, trials, p).tolist(), rng.random()))
         assert draws[0] == draws[1], (case, size, p)
+
+
+def test_table_lookup_equals_scalar_walk():
+    # every draw of binomial_table + sample_binomial_table is the scalar CDF walk
+    # on the same uniform (the mode-centred one above the cutoff), and the call
+    # reads exactly one uniform per entry
+    gen = np.random.default_rng(2025)
+    rows_passed = support_ended = big_seen = 0
+    for case in range(80):
+        size = int(gen.choice([int(gen.integers(1, 60)), int(gen.integers(65, 3000))]))
+        p = float(10.0 ** gen.uniform(-12.0, math.log10(0.5)))
+        mean = 10.0 ** gen.uniform(-3.0, math.log10(40.0), size)  # up to above the cutoff
+        trials = np.maximum(np.floor(mean / p), 0.0)
+        trials[gen.random(size) < 0.1] = 0.0
+        trials[gen.random(size) < 0.1] = 1.0
+        rng = np.random.default_rng(case)
+        table = randvar_module.binomial_table(trials, p)
+        draws = randvar_module.sample_binomial_table(rng, table)
+        ref_rng = np.random.default_rng(case)
+        u = ref_rng.random(size)
+        pmf0 = np.exp(trials * math.log1p(-p))  # P(0) as the vectorised paths compute it
+        pq = p / (1.0 - p)
+        want = [randvar_module._sample_mode_centered(ui, c, p)
+                if c * p > randvar_module.INVERSION_MEAN_CUTOFF
+                else randvar_module._invert_from_zero(ui, c, pmf, pq)
+                for ui, c, pmf in zip(u.tolist(), trials.tolist(), pmf0.tolist())]
+        assert draws.tolist() == want, case
+        assert rng.random() == ref_rng.random(), case
+        rows_passed += int(np.sum(draws >= table.cum.shape[0]))
+        support_ended += int(np.sum(np.isinf(table.cum)))
+        big_seen += table.big.size
+    assert rows_passed > 100 and support_ended > 100 and big_seen > 100
