@@ -105,25 +105,50 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (helptext, flags) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
         for flag in flags.split() + ["config"]:
-            sp.add_argument(f"--{flag}", dest=_dest(flag), **_FLAGS[flag])
+            # an unset flag reads None here; _merge_config fills it from --config, then its default
+            sp.add_argument(f"--{flag}", dest=_dest(flag), **{**_FLAGS[flag], "default": None})
     return ap
 
 
+def _config_value(source: str, flag: str, val):
+    """A --config file's value for --flag, parsed as the flag's text on the command line is."""
+    kw = _FLAGS[flag]
+    try:
+        if kw.get("action") == "store_true":
+            if isinstance(val, bool):
+                return val
+        elif isinstance(val, (str, int, float)) and not isinstance(val, bool):
+            out = kw.get("type", str)(str(val))
+            if out in kw.get("choices", (out,)):
+                return out
+    except ValueError:
+        pass
+    raise UsageError(f"{source}: invalid value {val!r} for --{flag}")
+
+
 def _merge_config(args) -> None:
-    if getattr(args, "config", None):
+    """Fill each flag the command line leaves unset from the --config file, then from the
+    flag's default."""
+    flags = _SUBCOMMANDS[args.command][1].split()
+    given = {}
+    if args.config:
+        source = f"--config {args.config}"
         try:
             with open(args.config) as fh:
                 defaults = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise UsageError(f"--config {args.config}: {exc}") from None
+            raise UsageError(f"{source}: {exc}") from None
         if not isinstance(defaults, dict):
-            raise UsageError(f"--config {args.config}: expected a JSON object")
+            raise UsageError(f"{source}: expected a JSON object")
+        by_dest = {_dest(flag): flag for flag in flags}
         for key, val in defaults.items():
-            dest = _dest(key)
-            if dest in ("command", "config") or not hasattr(args, dest):
-                raise UsageError(f"--config {args.config}: {key!r} is not a flag of {args.command}")
-            if getattr(args, dest) is None:
-                setattr(args, dest, val)
+            flag = by_dest.get(_dest(key))
+            if flag is None:
+                raise UsageError(f"{source}: {key!r} is not a flag of {args.command}")
+            given[flag] = _config_value(source, flag, val)
+    for flag in flags:
+        if getattr(args, _dest(flag)) is None:
+            setattr(args, _dest(flag), given.get(flag, _FLAGS[flag].get("default")))
 
 
 def _checked(fn, *args, **kw):
@@ -250,8 +275,8 @@ def _trace_csv(run):
 
 def _components_csv(run):
     """The full-record run's component table; columns made per block keep the memory small."""
-    ends = np.fromiter([0, *run.close_t], np.int64)  # 0, then the close times
-    cum = np.fromiter([0, *run.close_e], np.int64)  # the cumulative edge counts at each
+    ends = np.concatenate(([0], run.close_t))  # 0, then the close times
+    cum = np.concatenate(([0], run.close_e))  # the cumulative edge counts at each
     def cols(a, b):
         t, e = ends[a : b + 1], np.diff(cum[a : b + 1])
         v = np.diff(t)
@@ -334,8 +359,6 @@ def cmd_mc(args) -> int:
 
 def cmd_tails(args) -> int:
     _require(args, "kind", "n", "r", "eps", "seed", "replicates")
-    if args.kind not in ("sub", "super"):
-        raise UsageError(f"--kind must be sub or super, got {args.kind!r}")
     _check_nr(args)
     if not (math.isfinite(args.eps) and args.eps > 0.0):
         raise UsageError(f"--eps must be finite and positive, got {args.eps}")

@@ -82,7 +82,6 @@ BRANCHING_LIMIT = 16.0  # cap on p * binom(n, r-1); keeps E_t means O(1)
 _E_CHUNK = 4096
 _U_CHUNK = 8192
 _SHORT_CHUNK = 512  # edge-count chunks shorter than this are walked step by step
-_SCALAR_BLOCK = 128  # uniforms that _scalar_uniforms draws ahead at a time
 _TABLE_CACHE = 16  # edge-count tables kept per process; a giant-stop run at n = 3e5 reads 13
 
 
@@ -153,8 +152,8 @@ class RunResult:
     c_t0p1: int | None  # C_{t0+1}
     giant_vertices: int | None
     giant_nullity: int | None  # nullity gathered between T0 and T1
-    close_t: list | None = None  # the component table at level 'full': close times
-    close_e: list | None = None  # and the cumulative edge counts at each close
+    close_t: np.ndarray | None = None  # the component table at level 'full': close times
+    close_e: np.ndarray | None = None  # and the cumulative edge counts at each close
     A: np.ndarray | None = None
     xi: np.ndarray | None = None
     edge_counts: np.ndarray | None = None
@@ -168,8 +167,10 @@ class RunResult:
     @cached_property
     def components(self) -> list:
         """The component table, built on first access from close_t and close_e."""
-        rr = self.config.r - 1
-        return [_component(self.close_t, self.close_e, rr, i) for i in range(len(self.close_t or ()))]
+        if self.close_t is None:
+            return []
+        close_t, close_e = self.close_t.tolist(), self.close_e.tolist()
+        return [_component(close_t, close_e, self.config.r - 1, i) for i in range(len(close_t))]
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +271,6 @@ def _uniform_groups(rng, rr: int, steps_left: int) -> np.ndarray:
     return u
 
 
-def _scalar_uniforms(rng):
-    """rand() returning the stream's next uniform from blocks drawn ahead,
-    and give_back() rewinding the stream over the unread ones.  PCG64 spends
-    one 64-bit step per uniform, so the stream reads as if rand() had been
-    rng.random()."""
-    buf: list = []
-
-    def rand():
-        if not buf:
-            buf.extend(rng.random(_SCALAR_BLOCK)[::-1].tolist())
-        return buf.pop()
-
-    def give_back():
-        if buf:
-            rng.bit_generator.advance(-len(buf))
-            buf.clear()
-
-    return rand, give_back
-
-
 def _union_stats(c: np.ndarray, ks: np.ndarray, rr: int) -> tuple:
     """For multi-edge steps with edge counts ks whose companion sets are the
     rows of c (one row per edge, steps in order): each step's union size,
@@ -317,7 +298,7 @@ def _union_stats(c: np.ndarray, ks: np.ndarray, rr: int) -> tuple:
     return size, vals[off], zeta, vals[new], valid
 
 
-def _segment_sets(rng, rand, give_back, m: np.ndarray, ks: np.ndarray, rr: int) -> tuple:
+def _segment_sets(rng, m: np.ndarray, ks: np.ndarray, rr: int) -> tuple:
     """_union_stats of a run of multi-edge steps (m = n - t and the edge
     count per step) that read consecutive uniforms.  Their companion sets
     are read as one vector of uniforms, the same ones _draw_distinct reads
@@ -333,9 +314,8 @@ def _segment_sets(rng, rand, give_back, m: np.ndarray, ks: np.ndarray, rr: int) 
         *stats, valid = _union_stats(c, ks, rr)
         if valid:
             return stats
-    rng.bit_generator.advance(-u.size)
-    rows = [s for mi, k in zip(m.tolist(), ks.tolist()) for s in _companion_sets(rand, mi, rr, k)]
-    give_back()
+    rng.bit_generator.advance(-u.size)  # PCG64 takes one 64-bit step per uniform
+    rows = [s for mi, k in zip(m.tolist(), ks.tolist()) for s in _companion_sets(rng.random, mi, rr, k)]
     return _union_stats(np.array(rows, dtype=np.int64), ks, rr)[:-1]
 
 
@@ -348,8 +328,8 @@ def _lindley(Q: np.ndarray, A0: int) -> np.ndarray:
     return np.subtract(Q[1:], low, out=low)
 
 
-def _block_chunk(rng, rand, give_back, ks: np.ndarray, t: int, n: int, rr: int, A0: int,
-                 u_rows: np.ndarray, j: int) -> tuple:
+def _block_chunk(rng, ks: np.ndarray, t: int, n: int, rr: int, A0: int, u_rows: np.ndarray,
+                 j: int) -> tuple:
     """Steps t+1 .. t+len(ks) of an implicit run, with edge counts ks, from
     A_t = A0 and row j of the uniform block u_rows, read from the stream in
     the order of the step loop.  Returns the chunk's A, xi, eta and zeta
@@ -367,7 +347,7 @@ def _block_chunk(rng, rand, give_back, ks: np.ndarray, t: int, n: int, rr: int, 
     lo = 0
     for hi in [*np.searchsorted(multi, refills).tolist(), multi.size]:
         if hi > lo:
-            stats.append(_segment_sets(rng, rand, give_back, top - multi[lo:hi], ks[multi[lo:hi]], rr))
+            stats.append(_segment_sets(rng, top - multi[lo:hi], ks[multi[lo:hi]], rr))
         if len(blocks) <= len(refills):
             blocks.append(_uniform_groups(rng, rr, n - t - refills[len(blocks) - 1]))
         lo = hi
@@ -459,7 +439,6 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
 
     groups = _U_CHUNK // rr
     u_rows = _uniform_groups(rng, rr, n)  # presampled uniforms for one-edge steps
-    rand, give_back = _scalar_uniforms(rng)  # uniforms for the companions of multi-edge steps
     j = 0
     A = 0
     total_edges = 0
@@ -470,11 +449,9 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
     while t < n:
         # edge counts of steps t+1 .. hi, drawn once the previous chunk is used up
         hi = min(n, t + _E_CHUNK)
-        give_back()
         ks = sample_binomial_table(rng, _edge_count_table(n, rr, p, t))
         if hi - t >= _SHORT_CHUNK:
-            cA, cxi, ceta, czeta, u_rows, j = _block_chunk(rng, rand, give_back, ks, t, n, rr, A,
-                                                          u_rows, j)
+            cA, cxi, ceta, czeta, u_rows, j = _block_chunk(rng, ks, t, n, rr, A, u_rows, j)
             z = np.flatnonzero(cA == 0)
             ct = z + (t + 1)
             if T1 is None and ct.size and ct[-1] > stop_after:
@@ -509,7 +486,6 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
             else:
                 if k == 1:
                     if j == groups:
-                        give_back()
                         u_rows = _uniform_groups(rng, rr, n - t + 1)
                         u_min = reduce(np.minimum, u_rows.T).tolist()  # row minima, column by column
                         j = 0
@@ -518,10 +494,10 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
                     if u_min[j] * (n - t - rr + 1) >= ap:
                         eta, xi, zeta = rr, 0, 0
                     else:
-                        eta, xi, zeta = _step_counts(rand, n - t, ap, rr, 1, u_rows[j].tolist())
+                        eta, xi, zeta = _step_counts(None, n - t, ap, rr, 1, u_rows[j].tolist())
                     j += 1
                 else:
-                    eta, xi, zeta = _step_counts(rand, n - t, ap, rr, k, None)
+                    eta, xi, zeta = _step_counts(rng.random, n - t, ap, rr, k, None)
                 A = ap + eta
                 total_edges += k
             if full:
@@ -580,7 +556,7 @@ def _result(config, record, n_steps, close_t, close_e, total_edges, A_end,
         res.new_component = np.concatenate(([True], res.A[:-1] == 0))  # step t starts one iff A_{t-1} = 0
         res.C = np.cumsum(res.new_component).astype(np.int64)
         res.X = np.cumsum(res.eta - 1).astype(np.int64)
-        res.close_t, res.close_e = close_t.tolist(), close_e.tolist()
+        res.close_t, res.close_e = close_t, close_e
     return res
 
 
@@ -736,5 +712,4 @@ def census(run: RunResult, t0: int) -> RunResult:
     if run.close_t is None:
         raise ValueError("census needs a run recorded at level 'full'")
     return replace(run, config=replace(run.config, census_t0=t0),
-                   **_census(np.asarray(run.close_t, dtype=np.int64), np.asarray(run.close_e, dtype=np.int64),
-                             run.config.r - 1, t0, run.n_steps))
+                   **_census(run.close_t, run.close_e, run.config.r - 1, t0, run.n_steps))

@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_SHORT_ARRAY = 16  # comb_float multiplies arrays up to this long entry by entry
 
 
 def comb0(m: int, k: int) -> int:
@@ -33,15 +32,6 @@ def comb_float(m, k: int):
     m = np.asarray(m, dtype=np.float64)
     if k < 0:
         return np.zeros_like(m)
-    if m.ndim == 1 and m.shape[0] <= _SHORT_ARRAY:  # the same products, in Python floats
-        fact = math.factorial(k)
-        out = []
-        for x in m.tolist():
-            acc = 1.0
-            for j in range(k):
-                acc = acc * (x - j)
-            out.append(acc / fact if x >= k else 0.0)
-        return np.array(out)
     out = np.ones_like(m)
     for j in range(k):
         out = out * (m - j)

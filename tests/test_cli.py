@@ -209,7 +209,7 @@ def test_verify_subset(capsys):
     (["verify", "--criteria", "1"], "two"),
     (["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "1", "--stop", "giant:abc"], None),
     (["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "1", "--stop", "giant:-5"], None),
-    (["theory", "--config", "MALFORMED_JSON"], None),
+    (["theory", "--config", '{"r": 3,'], None),
     (["tails", "--kind", "sub", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "10",
       "--seed", "1", "--L-grid", "1,x"], None),
     (["tails", "--kind", "super", "--n", "2000", "--r", "3", "--eps", "0.3", "--replicates", "10",
@@ -261,13 +261,25 @@ def test_verify_subset(capsys):
     *[(["oracle", "--n", "5", "--r", "3", "--p", "0.1", "--step", *extra], None)
       for extra in (["--active", "9"], ["--active", "-1"], ["--explored", "7"],
                     ["--explored", "0,1,2,3,4"])],
+    # --config values that the flag's own parser rejects
+    *[(["run", "--r", "3", "--lambda", "1.2", "--seed", "1", "--config", cfg], None)
+      for cfg in ('{"n": 50.5}', '{"n": "x"}', '{"n": true}', '{"n": null}', '{"n": [50]}')],
+    *[(["run", "--n", "50", "--r", "3", "--seed", "1", "--config", cfg], None)
+      for cfg in ('{"lambda": "1.2x"}', '{"doob": "yes"}', '{"doob": 1}', '{"mode": "lazy"}')],
+    *[(["oracle", "--n", "5", "--r", "3", "--p", "0.1", "--config", cfg], None)
+      for cfg in ('{"step": "true"}', '{"step": true, "explored": [0]}')],
+    *[(["tails", "--kind", "sub", "--n", "100", "--r", "3", "--eps", "0.3", "--seed", "1",
+        "--replicates", "2", "--config", cfg], None)
+      for cfg in ('{"bound-c": "x"}', '{"omega-grid": [2, 3]}', '{"kind": "foo"}')],
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:
         monkeypatch.setenv("HXPLORE_MAX_WORKERS", worker_cap)
-    malformed = tmp_path / "bad.json"
-    malformed.write_text('{"r": 3,')
-    argv = [str(malformed) if a == "MALFORMED_JSON" else a for a in argv]
+    argv = list(argv)
+    for i, a in enumerate(argv):
+        if a.startswith("{"):  # the text of a --config file
+            (tmp_path / "cfg.json").write_text(a)
+            argv[i] = str(tmp_path / "cfg.json")
     code, out, err = _run(capsys, argv)
     assert code == 2 and err.startswith("usage-error:"), err
     assert "criterion" not in out
@@ -322,6 +334,25 @@ def test_config_key_must_name_a_flag_of_the_command(tmp_path, capsys):
                                "replicates": 20, "L-grid": "5,10"}))
     code, out, _ = _run(capsys, ["tails", "--kind", "sub", "--config", str(cfg)])
     assert code == 0 and len(out.split("\n\n")[0].splitlines()) == 3
+
+
+@pytest.mark.parametrize("flags,config,same", [
+    # each value parsed as on the command line, including the flags that have a parser default
+    (["run", "--r", "3", "--seed", "1"], {"n": "50", "lambda": "1.2", "doob": True},
+     ["--n", "50", "--lambda", "1.2", "--doob"]),
+    (["oracle", "--n", "5", "--r", "3", "--p", "0.1"], {"step": True, "active": "1"},
+     ["--step", "--active", "1"]),
+    # an explicit flag still wins over the file
+    (["oracle", "--n", "5", "--r", "3", "--p", "0.1", "--step", "--active", "2"],
+     {"explored": "0", "active": "1"}, ["--explored", "0"]),
+    (["run", "--n", "50", "--r", "3", "--lambda", "1.2", "--seed", "1"], {"doob": False}, []),
+])
+def test_config_values_parse_as_their_flags(tmp_path, capsys, flags, config, same):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = _run(capsys, [*flags, "--config", str(cfg)])
+    assert code == 0 and not err
+    assert out == _run(capsys, [*flags, *same])[1]
 
 
 def test_tails_kind_from_config(tmp_path, capsys):

@@ -334,3 +334,37 @@ def test_block_walk_equals_step_loop(monkeypatch):
                     assert a.dtype == b.dtype and np.array_equal(a, b), (cfg, record, field.name)
                 else:
                     assert a == b, (cfg, record, field.name)
+
+
+def test_block_walk_configs_take_both_replay_triggers(monkeypatch):
+    # the configs of test_block_walk_equals_step_loop must reach the block walk's replay through
+    # _companion_sets on both of its triggers: a pool draw, where no vector of uniforms is tried,
+    # and a vector that holds an invalid set (a repeated vertex or set), which is rewound
+    segment_sets, union_stats, companion_sets = (
+        explore_module._segment_sets, explore_module._union_stats, explore_module._companion_sets)
+    calls = {"invalid": 0, "companions": 0}
+    replays = {"pool": 0, "redraw": 0}
+
+    def spy_segment_sets(*args):
+        before = dict(calls)
+        out = segment_sets(*args)
+        if calls["companions"] > before["companions"]:
+            replays["redraw" if calls["invalid"] > before["invalid"] else "pool"] += 1
+        return out
+
+    def spy_union_stats(*args):
+        out = union_stats(*args)
+        calls["invalid"] += not out[-1]
+        return out
+
+    def spy_companion_sets(*args):
+        calls["companions"] += 1
+        return companion_sets(*args)
+
+    monkeypatch.setattr(explore_module, "_SHORT_CHUNK", 0)
+    monkeypatch.setattr(explore_module, "_segment_sets", spy_segment_sets)
+    monkeypatch.setattr(explore_module, "_union_stats", spy_union_stats)
+    monkeypatch.setattr(explore_module, "_companion_sets", spy_companion_sets)
+    for cfg in _walker_configs(240, seed=4):
+        run_exploration(cfg)
+    assert replays["pool"] > 0 and replays["redraw"] > 0, replays

@@ -30,3 +30,17 @@ def test_package_reexports_resolve():
         for alias in node.names:
             assert alias.name in getattr(module, "__all__", ()), (node.module, alias.name)
             assert getattr(hxplore, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_are_used(name):
+    # the package's __init__ imports only to re-export, and is not a module of MODULES
+    tree = ast.parse(Path(hxplore.__file__).with_name(f"{name}.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert {k: v for k, v in imported.items() if k not in used} == {}

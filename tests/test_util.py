@@ -3,7 +3,6 @@ import math
 import numpy as np
 from hypothesis import given, strategies as st
 
-import hxplore.util as util_module
 from hxplore.theory import MAX_R
 from hxplore.util import colex_rank, colex_unrank, comb0, comb_float, derive_seed, splitmix64
 
@@ -22,20 +21,6 @@ def test_comb_float_matches_exact():
         got = comb_float(m, k)
         want = np.array([float(comb0(int(x), k)) for x in m])
         assert np.allclose(got, want, rtol=1e-12)
-
-
-def test_comb_float_short_path_matches_array_path(monkeypatch):
-    gen = np.random.default_rng(5)
-    for _ in range(200):
-        size = int(gen.integers(0, 40))
-        m = np.floor(10.0 ** gen.uniform(0.0, 12.0, size)) - gen.integers(0, 12, size)
-        k = int(gen.integers(-1, 10))
-        out = []
-        for short in (0, 10**9):
-            monkeypatch.setattr(util_module, "_SHORT_ARRAY", short)
-            got = comb_float(m, k)
-            out.append((got.dtype, got.shape, got.tobytes()))
-        assert out[0] == out[1], (m, k)
 
 
 def test_colex_rank_order_is_dense():
