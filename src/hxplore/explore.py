@@ -46,8 +46,13 @@ in a least-recently-used cache of _TABLE_CACHE chunks, keyed on all four,
 with read-only arrays; every run of a cell draws its uniforms against the
 same tables.  The cache holds the 13 chunks that a giant-stop run at
 n = 3e5 reads, at most 0.27 MB a chunk.  The component table is kept as
-int64 arrays of close times and cumulative edge counts, and the census
-reduces them with numpy.
+close times and cumulative edge counts, as int64 arrays in the full record;
+the census reduces long tables with numpy and short ones in Python ints.
+
+A run draws from a generator in the state np.random.default_rng(seed) gives,
+so its stream is a function of the seed alone.  util.seeded_generators makes
+it: run_exploration seeds one on its own, and a Monte Carlo cell computes the
+states a chunk of replicates at a time and passes each run its generator.
 
 A single run is strictly sequential; distinct runs with distinct seeds share
 no state and may execute concurrently.
@@ -56,6 +61,7 @@ no state and may execute concurrently.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
@@ -65,7 +71,7 @@ import numpy as np
 
 from .randvar import BinomialTable, binomial_table, sample_binomial, sample_binomial_table
 from .theory import MAX_R
-from .util import colex_unrank, comb0, comb_float
+from .util import colex_unrank, comb0, comb_float, seeded_generators
 
 __all__ = [
     "ExplorationConfig",
@@ -83,6 +89,7 @@ _E_CHUNK = 4096
 _U_CHUNK = 8192
 _SHORT_CHUNK = 512  # edge-count chunks shorter than this are walked step by step
 _TABLE_CACHE = 16  # edge-count tables kept per process; a giant-stop run at n = 3e5 reads 13
+_SHORT_TABLE = 32  # component tables up to this length are reduced in Python ints
 
 
 @dataclass(frozen=True)
@@ -248,17 +255,21 @@ def _step_counts(rand, m: int, ap: int, rr: int, k: int, u) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def run_exploration(config: ExplorationConfig, record: str = "none") -> RunResult:
+def run_exploration(config: ExplorationConfig, record: str = "none", rng=None) -> RunResult:
     """Run one exploration to completion (or to the stop rule).
 
     record: 'none' keeps only the census summary, 'full' also stores every
-    per-step column and the component table.
+    per-step column and the component table.  rng: the run's generator, in
+    the state util.seeded_generators gives config.seed; seeded here when
+    None.
     """
     if record not in ("none", "full"):
         raise ValueError(f"record must be 'none' or 'full', got {record!r}")
+    if rng is None:
+        rng = next(seeded_generators([config.seed]))
     if config.mode == "explicit":
-        return _run_explicit(config, record)
-    return _run_implicit(config, record)
+        return _run_explicit(config, record, rng)
+    return _run_implicit(config, record, rng)
 
 
 def _uniform_groups(rng, rr: int, steps_left: int) -> np.ndarray:
@@ -423,10 +434,9 @@ def _edge_count_table(n: int, rr: int, p: float, t: int) -> BinomialTable:
     return table
 
 
-def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
+def _run_implicit(config: ExplorationConfig, record: str, rng) -> RunResult:
     n, r, p = config.n, config.r, config.p
     rr = r - 1
-    rng = np.random.default_rng(config.seed)
     t0c = -1 if config.census_t0 is None else int(config.census_t0)
     # the first close after stop_after is T_1, which starts the giant stop rule's margin
     stop_after = t0c if config.stop_rule == "giant" and t0c >= 0 else n
@@ -514,25 +524,29 @@ def _run_implicit(config: ExplorationConfig, record: str) -> RunResult:
                     t_stop = t + margin
             if t == t_stop:
                 break
-        close_t.append(np.array(ct, dtype=np.int64))
-        close_e.append(np.array(ce, dtype=np.int64))
+        close_t.append(ct)
+        close_e.append(ce)
         if full:
             cols.append(rec)
         if t == t_stop:
             break
 
-    recorded = [col[0] if len(col) == 1 else np.concatenate([np.asarray(x, dtype=np.int64) for x in col])
-                for col in zip(*cols)] if cols else [None] * 5
-    table = [x[0] if len(x) == 1 else np.concatenate(x) for x in (close_t, close_e)]
-    return _result(config, record, t, *table, total_edges, A, *recorded)
+    recorded = [_joined(col) for col in zip(*cols)] if cols else [None] * 5
+    return _result(config, record, t, _joined(close_t), _joined(close_e), total_edges, A, *recorded)
+
+
+def _joined(parts: list):
+    """The one part of a column kept per chunk (a list or an int64 array) as
+    it is, else the int64 concatenation of the parts."""
+    return parts[0] if len(parts) == 1 else np.concatenate([np.asarray(x, dtype=np.int64) for x in parts])
 
 
 def _result(config, record, n_steps, close_t, close_e, total_edges, A_end,
             A, xi, E, eta, zeta) -> RunResult:
     """RunResult of either engine from its final counts, its component table
-    (int64 arrays of the close times and the cumulative edge counts at each
-    close) and its recorded per-step lists (None below the record level that
-    keeps them)."""
+    (the close times and the cumulative edge counts at each close, as lists
+    or int64 arrays) and its recorded per-step columns (None or empty below
+    the record level that keeps them)."""
     rr = config.r - 1
     C_end = len(close_t) + (A_end > 0)  # components started: the closed ones and an open one
     res = RunResult(
@@ -556,7 +570,8 @@ def _result(config, record, n_steps, close_t, close_e, total_edges, A_end,
         res.new_component = np.concatenate(([True], res.A[:-1] == 0))  # step t starts one iff A_{t-1} = 0
         res.C = np.cumsum(res.new_component).astype(np.int64)
         res.X = np.cumsum(res.eta - 1).astype(np.int64)
-        res.close_t, res.close_e = close_t, close_e
+        res.close_t = np.asarray(close_t, dtype=np.int64)
+        res.close_e = np.asarray(close_e, dtype=np.int64)
     return res
 
 
@@ -569,22 +584,33 @@ def _component(close_t, close_e, rr: int, i: int) -> ComponentRecord:
     return ComponentRecord(i + 1, t_start, t_start + v, v, e, 1 + rr * e - v)  # n(C) = 1 + (r-1) e(C) - |C|
 
 
-def _census(close_t: np.ndarray, close_e: np.ndarray, rr: int, t0: int, n_steps: int) -> dict:
-    """Census fields of RunResult from a component table given as int64
-    arrays of the close times and the cumulative edge counts at each close,
-    anchored at cutoff t0 (none when t0 < 0): largest and second-largest
-    component orders, the largest component's edge count and nullity (ties
-    broken toward the earliest-explored component), the window quantities
-    Z, T_0, T_1 with the order and nullity of the component closing at T_1,
-    and C_{t0+1}."""
-    sizes = close_t.copy()
-    np.subtract(close_t[1:], close_t[:-1], out=sizes[1:])
-    i = int(sizes.argmax())  # the first largest
-    L1 = sizes.item(i)
-    sizes[i] = 0
-    L2 = sizes.item(sizes.argmax())  # L1 again on a tie
+def _census(close_t, close_e, rr: int, t0: int, n_steps: int) -> dict:
+    """Census fields of RunResult from a component table given as the close
+    times and the cumulative edge counts at each close (lists or int64
+    arrays), anchored at cutoff t0 (none when t0 < 0): largest and
+    second-largest component orders, the largest component's edge count and
+    nullity (ties broken toward the earliest-explored component), the window
+    quantities Z, T_0, T_1 with the order and nullity of the component
+    closing at T_1, and C_{t0+1}.  Tables of at most _SHORT_TABLE components
+    are reduced in Python ints, as numpy's per-call cost would not pay."""
+    if len(close_t) > _SHORT_TABLE:
+        close_t = np.asarray(close_t, dtype=np.int64)
+        sizes = close_t.copy()
+        np.subtract(close_t[1:], close_t[:-1], out=sizes[1:])
+        i = int(sizes.argmax())  # the first largest
+        L1 = sizes.item(i)
+        sizes[i] = 0
+        L2 = sizes.item(sizes.argmax())  # L1 again on a tie
+    else:
+        if isinstance(close_t, np.ndarray):
+            close_t, close_e = close_t.tolist(), close_e.tolist()
+        sizes = [b - a for a, b in zip([0, *close_t], close_t)]
+        L1 = max(sizes)
+        i = sizes.index(L1)
+        sizes[i] = 0
+        L2 = max(sizes)
     largest = _component(close_t, close_e, rr, i)
-    Z = int(close_t.searchsorted(t0, "right")) if t0 >= 0 else 0  # components closed by t0
+    Z = bisect_right(close_t, t0) if t0 >= 0 else 0  # components closed by t0
     T1 = giant_v = giant_null = None
     if 0 <= t0 < close_t[-1]:
         giant = _component(close_t, close_e, rr, Z)
@@ -613,11 +639,10 @@ def materialize(n: int, r: int, p: float, rng: np.random.Generator) -> list:
     return [colex_unrank(rank, r) for rank in sorted(chosen)]
 
 
-def _run_explicit(config: ExplorationConfig, record: str) -> RunResult:
+def _run_explicit(config: ExplorationConfig, record: str, rng) -> RunResult:
     """Explicit engine: real vertex identities, a status bitmap, and a lazy
     min-heap over active vertices, with the implicit engine's bookkeeping."""
     n, r, p = config.n, config.r, config.p
-    rng = np.random.default_rng(config.seed)
     edges = materialize(n, r, p, rng)
     incidence = [[] for _ in range(n)]
     for idx, e in enumerate(edges):
@@ -628,7 +653,8 @@ def _run_explicit(config: ExplorationConfig, record: str) -> RunResult:
     heap: list = []
     cursor = 0
 
-    rec = {k: [] for k in ("E", "eta", "xi", "zeta", "A")}
+    full = record == "full"
+    rec = ([], [], [], [], [])  # at level 'full', per step: A, xi, edge counts, eta, zeta
     close_t: list = []
     close_e: list = []
     A = 0
@@ -654,24 +680,8 @@ def _run_explicit(config: ExplorationConfig, record: str) -> RunResult:
             if alive[idx]:
                 alive[idx] = 0
                 revealed.append(edges[idx])
-        newly = set()
-        hit_active = set()
-        for e in revealed:
-            for u in e:
-                if u == v:
-                    continue
-                s = status[u]
-                if s == 0:
-                    newly.add(u)
-                elif s == 1:
-                    hit_active.add(u)
-        zeta = 0
-        for i in range(len(revealed) - 1):
-            si = set(revealed[i])
-            si.discard(v)
-            for j in range(i + 1, len(revealed)):
-                zeta += len(si.intersection(revealed[j]))
         status[v] = 2
+        newly = {u for e in revealed for u in e if status[u] == 0}
         for u in newly:
             status[u] = 1
             heapq.heappush(heap, u)
@@ -679,11 +689,16 @@ def _run_explicit(config: ExplorationConfig, record: str) -> RunResult:
         eta = len(newly)
         A = ap + eta
         total_edges += k
-        rec["E"].append(k)
-        rec["eta"].append(eta)
-        rec["xi"].append(len(hit_active))
-        rec["zeta"].append(zeta)
-        rec["A"].append(A)
+        if full:
+            xi = len({u for e in revealed for u in e if status[u] == 1}) - eta  # active before this step
+            zeta = 0
+            for i in range(len(revealed) - 1):
+                si = set(revealed[i])
+                si.discard(v)
+                for j in range(i + 1, len(revealed)):
+                    zeta += len(si.intersection(revealed[j]))
+            for col, x in zip(rec, (A, xi, k, eta, zeta)):
+                col.append(x)
         if A == 0:
             close_t.append(t)
             close_e.append(total_edges)
@@ -692,8 +707,7 @@ def _run_explicit(config: ExplorationConfig, record: str) -> RunResult:
         if T1 is not None and t - T1 >= config.margin:
             break
 
-    return _result(config, record, t, np.array(close_t, dtype=np.int64), np.array(close_e, dtype=np.int64),
-                   total_edges, A, rec["A"], rec["xi"], rec["E"], rec["eta"], rec["zeta"])
+    return _result(config, record, t, close_t, close_e, total_edges, A, *rec)
 
 
 def explore(config: ExplorationConfig) -> RunResult:

@@ -2,7 +2,11 @@
 
 Replicates are fully independent: replicate k of cell c draws its own
 generator seeded by a splitmix64 mix of (master_seed, c, k), so results are
-byte-identical no matter how replicates are scheduled across workers.
+byte-identical no matter how replicates are scheduled across workers.  A
+replicate's generator starts in the state np.random.default_rng(seed) gives,
+but util.seeded_generators computes those states a chunk of replicates at a
+time and sets each on one reused generator.  The cell's exploration config
+is checked once, in make_context.
 A cell's statistics are read off its list of replicate results, always in
 replicate-index order, neutralizing floating-point non-associativity.
 """
@@ -15,6 +19,7 @@ import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from multiprocessing import get_context
 from typing import NamedTuple
 
@@ -26,7 +31,7 @@ from .stats import BivariateMoments, ks_distance, wilson_interval
 from .theory import (
     CltTargets, clt_targets, drift_sequences, dual_lambda, lambda_from_p, p_from_lambda, rho_r,
 )
-from .util import derive_seed
+from .util import derive_seed, seeded_generators
 
 __all__ = [
     "CellSpec",
@@ -168,12 +173,22 @@ class CellContext:
     lambda_star: float | None
     collect: frozenset
 
-    def config(self, seed: int) -> ExplorationConfig:
-        """The exploration of this cell's replicate with the given seed."""
+    @cached_property
+    def _checked_config(self) -> ExplorationConfig:
+        """The cell's exploration with seed 0, checked once."""
         return ExplorationConfig(
-            n=self.n, r=self.r, p=self.p, seed=seed, mode=self.mode, stop_rule=self.stop,
+            n=self.n, r=self.r, p=self.p, seed=0, mode=self.mode, stop_rule=self.stop,
             margin=self.margin if self.stop == "giant" else 0, census_t0=self.t0,
         )
+
+    def config(self, seed: int) -> ExplorationConfig:
+        """The exploration of this cell's replicate with the given seed: the
+        checked config with its seed replaced, which skips the re-check."""
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        config = object.__new__(ExplorationConfig)
+        config.__dict__.update(self._checked_config.__dict__, seed=seed)  # the frozen fields, set once
+        return config
 
 
 @dataclass(frozen=True)
@@ -278,10 +293,10 @@ class CellResult:
         return out
 
 
-def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
+def _run_replicate(ctx: CellContext, seed: int, rng) -> ReplicateStats:
     windows, doob = "windows" in ctx.collect, "doob" in ctx.collect
     traced = windows or doob or "gap" in ctx.collect
-    res = run_exploration(ctx.config(seed), record="full" if traced else "none")
+    res = run_exploration(ctx.config(seed), record="full" if traced else "none", rng=rng)
     max_s_pre = max_s_t1 = duality = v1 = v2 = v12 = l1 = l2 = gap = None
     if traced:
         seq = _drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)
@@ -310,22 +325,36 @@ def _run_replicate(ctx: CellContext, seed: int) -> ReplicateStats:
     )
 
 
+def _replay_command(ctx: CellContext, seed: int) -> str:
+    """The `hxplore run` command that reruns the replicate with this seed:
+    its flags rebuild ctx.config(seed)."""
+    config = ctx.config(seed)
+    stop = f"giant:{config.margin}" if config.stop_rule == "giant" else "full"
+    argv = ["hxplore", "run", "--n", str(config.n), "--r", str(config.r), "--p", repr(config.p),
+            "--mode", config.mode, "--stop", stop, "--omega", repr(ctx.omega), "--seed", str(seed)]
+    if ctx.collect & {"windows", "doob", "gap"}:
+        argv.append("--doob")
+    return " ".join(argv)
+
+
 def _replicate_chunk(args):
     ctx, master_seed, salt, lo, hi = args
     out = []
-    for rep in range(lo, hi):
-        seed = derive_seed(master_seed, salt, rep)
+    seeds = derive_seed(master_seed, salt, np.arange(lo, hi, dtype=np.uint64))
+    for rep, seed, rng in zip(range(lo, hi), seeds.tolist(), seeded_generators(seeds)):
         try:
-            out.append(_run_replicate(ctx, seed))
+            out.append(_run_replicate(ctx, seed, rng))
         except Exception as exc:  # reported upstream with the replicate's seed
-            return out, f"replicate {rep} (seed {seed}) failed: {exc!r}"
+            return out, (f"replicate {rep} (seed {seed}) failed: {exc!r}; "
+                         f"replay: {_replay_command(ctx, seed)}")
     return out, None
 
 
 def _map_replicates(ctx, R: int, master_seed: int, salt: int, workers: int) -> list:
-    """[_run_replicate(ctx, derive_seed(master_seed, salt, rep)) for rep in range(R)],
-    in chunks over a fork pool when workers > 1.  Raises RuntimeError naming
-    the lowest failed replicate and its derived seed."""
+    """_run_replicate of every replicate rep in range(R), on the seed
+    derive_seed(master_seed, salt, rep), in chunks over a fork pool when
+    workers > 1.  Raises RuntimeError naming the lowest failed replicate, its
+    derived seed and the command that replays it."""
     chunk = max(1, min(512, -(-R // (workers * 4)))) if workers > 1 else R
     tasks = [(ctx, master_seed, salt, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
     if workers > 1 and len(tasks) > 1:
@@ -360,7 +389,7 @@ def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
         t0=t0, t1=t1, margin=margin, omega=plan.omega, targets=targets,
         lambda_star=lam_star, collect=collect,
     )
-    ctx.config(0)
+    ctx.config(0)  # checks the cell's exploration, once
     if collect & {"windows", "doob", "gap"}:
         _drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)
     return ctx

@@ -296,6 +296,50 @@ def test_online_census_equals_posthoc():
             cen.L1, cen.L2, cen.M1, cen.N1, cen.Z, cen.T0, cen.T1)
 
 
+def _array_census(close_t, close_e, rr, t0, n_steps) -> dict:
+    """The census as numpy reductions over the whole table: the formulas the
+    census must keep on either side of its table-length branch."""
+    sizes = np.diff(close_t, prepend=0)
+    i = int(sizes.argmax())
+    v, e = int(sizes[i]), int(close_e[i] - (close_e[i - 1] if i else 0))
+    rest = np.delete(sizes, i)
+    L2 = int(rest.max()) if rest.size else 0
+    Z = int(close_t.searchsorted(t0, "right")) if t0 >= 0 else 0
+    T1 = giant_v = giant_null = None
+    if 0 <= t0 < close_t[-1]:
+        T1 = int(close_t[Z])
+        giant_v = T1 - (int(close_t[Z - 1]) if Z else 0)
+        giant_e = int(close_e[Z] - (close_e[Z - 1] if Z else 0))
+        giant_null = 1 + rr * giant_e - giant_v
+    return dict(L1=v, L2=L2, M1=e, N1=1 + rr * e - v, l1_tie=L2 == v, Z=Z,
+                T0=int(close_t[Z - 1]) if Z else 0, T1=T1,
+                c_t0p1=Z + 1 if 0 <= t0 < n_steps else None,
+                giant_vertices=giant_v, giant_nullity=giant_null)
+
+
+@pytest.mark.parametrize("short_table", [None, 0, 10**9])
+def test_census_matches_array_formulas(monkeypatch, short_table):
+    # component tables of 1-70 components, given as lists and as arrays, down the
+    # default length branch, then all down the array path, then all down the Python path
+    if short_table is None:
+        assert 1 <= explore_module._SHORT_TABLE < 70
+    else:
+        monkeypatch.setattr(explore_module, "_SHORT_TABLE", short_table)
+    rng = np.random.default_rng(70)
+    for _ in range(400):
+        size = int(rng.integers(1, 71))
+        close_t = np.cumsum(rng.integers(1, 6, size))
+        close_e = np.cumsum(rng.integers(0, 4, size))
+        n_steps = int(close_t[-1] + rng.integers(0, 4))
+        rr = int(rng.integers(1, 10))
+        for t0 in (-1, 0, int(rng.integers(0, n_steps + 2)), int(close_t[-1]), n_steps):
+            want = _array_census(close_t, close_e, rr, t0, n_steps)
+            for table in ((close_t, close_e), (close_t.tolist(), close_e.tolist())):
+                got = explore_module._census(*table, rr, t0, n_steps)
+                assert got == want, (size, t0)
+                assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+
+
 def _walker_configs(count: int, seed: int) -> list:
     """Seeded implicit configs over r = 2..10 and n = 1..5000, both stop
     rules (the giant stop with margin 0 half of the time) and p from deep

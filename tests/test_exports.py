@@ -44,3 +44,25 @@ def test_module_imports_are_used(name):
             imported.update({a.asname or a.name: node.lineno for a in node.names})
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {k: v for k, v in imported.items() if k not in used} == {}
+
+
+SEEDING_NAMES = {"default_rng", "SeedSequence", "PCG64"}
+SEEDING_HELPER = ("util", "seeded_generators")
+
+
+def test_generators_are_seeded_only_by_the_helper():
+    # a second seeding path could drift from the streams of util.seeded_generators
+    found = []
+    for name in MODULES:
+        tree = ast.parse(Path(hxplore.__file__).with_name(f"{name}.py").read_text())
+        helper = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and (name, fn.name) == SEEDING_HELPER
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):  # an import of the name
+                used = node.name.rpartition(".")[2]
+            else:
+                used = getattr(node, "id", None) or getattr(node, "attr", None)
+            if used in SEEDING_NAMES and id(node) not in helper:
+                found.append((name, node.lineno))
+    assert found == []

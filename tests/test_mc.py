@@ -1,8 +1,11 @@
 import importlib
+import shlex
 
 import numpy as np
 import pytest
 
+from hxplore import cli
+from hxplore.explore import ExplorationConfig, explore
 from hxplore.mc import (
     CELL_CSV_HEADER,
     CellSpec,
@@ -17,6 +20,7 @@ from hxplore.mc import (
 from hxplore.util import derive_seed
 
 explore_module = importlib.import_module("hxplore.explore")  # the package re-exports explore()
+mc_module = importlib.import_module("hxplore.mc")
 
 
 def _small_plan(collect=("census",), R=30, seed=999, stop="giant"):
@@ -178,3 +182,71 @@ def test_failed_replicate_names_its_seed(workers):
     seed = derive_seed(3, 0, 2)
     with pytest.raises(RuntimeError, match=rf"replicate 2 \(seed {seed}\) failed: .*too short"):
         run_cell(spec, plan, workers=workers)
+
+
+@pytest.mark.parametrize("spec", [
+    CellSpec(n=20_000, r=3, eps=0.2, stop="giant"),
+    CellSpec(n=20_000, r=3, eps=0.2, stop="giant", margin=7),
+    CellSpec(n=300, r=4, lam=0.7, stop="full"),
+    CellSpec(n=8, r=2, p=0.2, mode="explicit", stop="full"),
+])
+def test_cell_config_equals_a_checked_config(spec):
+    ctx = make_context(spec, ExperimentPlan(cells=(spec,), replicates=1, master_seed=1))
+    for seed in (0, 1, 2**32, 2**64 - 1):
+        fresh = ExplorationConfig(n=ctx.n, r=ctx.r, p=ctx.p, seed=seed, mode=ctx.mode,
+                                  stop_rule=ctx.stop, margin=ctx.margin if ctx.stop == "giant" else 0,
+                                  census_t0=ctx.t0)
+        config = ctx.config(seed)
+        assert config == fresh and hash(config) == hash(fresh) and repr(config) == repr(fresh)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        ctx.config(-1)
+
+
+@pytest.mark.parametrize("cell, collect", [
+    (dict(n=0, r=3, p=0.1), ()),
+    (dict(n=100, r=1, p=0.1), ()),
+    (dict(n=100, r=11, lam=1.2), ()),
+    (dict(n=30, r=2, p=0.6), ()),  # past the branching limit
+    (dict(n=100, r=3, p=0.0), ()),
+    (dict(n=10, r=3, p=0.99), ()),
+    (dict(n=2000, r=3, lam=1.2, mode="explicit"), ()),
+    (dict(n=100, r=3, lam=1.2, mode="lazy"), ()),
+    (dict(n=100, r=3, lam=1.2, stop="all"), ()),
+    (dict(n=100, r=3, lam=1.2, stop="giant", margin=-1), ()),
+    (dict(n=100, r=3, lam=0.8, stop="giant"), ()),
+    (dict(n=100, r=3, lam=0.8), ("doob",)),
+    (dict(n=100, r=3, lam=0.8), ("windows",)),
+])
+def test_make_context_rejects_bad_cells(cell, collect):
+    spec = CellSpec(**{"stop": "full", **cell})
+    plan = ExperimentPlan(cells=(spec,), replicates=1, master_seed=1, collect=("census", *collect))
+    with pytest.raises(ValueError):
+        make_context(spec, plan)
+
+
+@pytest.mark.parametrize("spec, collect, forced", [
+    # margin 0 stops replicate 2 before the t1 horizon that the doob sums need
+    (CellSpec(n=20_000, r=3, eps=0.2, stop="giant", margin=0), ("census", "doob"), False),
+    (CellSpec(n=7, r=3, lam=1.3, mode="explicit", stop="full"), ("census",), True),
+    (CellSpec(n=500, r=2, p=0.0013, stop="full"), ("census",), True),
+])
+def test_failed_replicate_prints_its_replay_command(monkeypatch, tmp_path, spec, collect, forced):
+    plan = ExperimentPlan(cells=(spec,), replicates=4, master_seed=3, omega=3.5, collect=collect)
+    seed = derive_seed(3, 0, 2)
+    if forced:
+        run = mc_module.run_exploration
+
+        def failing(config, *args, **kw):
+            if config.seed == seed:
+                raise RuntimeError("forced failure")
+            return run(config, *args, **kw)
+
+        monkeypatch.setattr(mc_module, "run_exploration", failing)
+    with pytest.raises(RuntimeError, match=rf"replicate 2 \(seed {seed}\) failed: .*; replay: ") as info:
+        run_cell(spec, plan)
+    argv = shlex.split(str(info.value).split("; replay: ", 1)[1])
+    assert argv[:2] == ["hxplore", "run"] and ("--doob" in argv) == ("doob" in collect)
+    seen = []
+    monkeypatch.setattr(cli, "explore", lambda config: seen.append(config) or explore(config))
+    assert cli.main([*argv[1:], "--out", str(tmp_path / "replay")]) == 0
+    assert seen == [make_context(spec, plan).config(seed)]

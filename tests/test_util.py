@@ -1,10 +1,16 @@
+import importlib
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from hxplore.theory import MAX_R
-from hxplore.util import colex_rank, colex_unrank, comb0, comb_float, derive_seed, splitmix64
+from hxplore.util import (
+    colex_rank, colex_unrank, comb0, comb_float, derive_seed, seeded_generators, splitmix64,
+)
+
+util_module = importlib.import_module("hxplore.util")
 
 
 def test_comb0_zero_conventions():
@@ -53,3 +59,38 @@ def test_derive_seed_is_deterministic_and_spread():
     # one-bit change in the master seed flips roughly half the output bits
     x, y = splitmix64(12345), splitmix64(12345 ^ 1)
     assert 16 <= bin(x ^ y).count("1") <= 48
+
+
+def test_derive_seed_maps_an_index_array_elementwise():
+    reps = np.arange(0, 300, 7, dtype=np.uint64)
+    seeds = derive_seed(2**64 - 1, 5, reps)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_seed(2**64 - 1, 5, k) for k in reps.tolist()]
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_seeded_generators_match_default_rng(monkeypatch, block, as_array):
+    # the first generator is default_rng itself; every later one has its state set,
+    # in blocks that a small block size makes many of
+    if block is not None:
+        monkeypatch.setattr(util_module, "_SEED_BLOCK", block)
+    draw = np.random.default_rng(2026)
+    seeds = [12345, *EDGE_SEEDS,
+             *draw.integers(0, 2**64 - 1, 200, dtype=np.uint64, endpoint=True).tolist(), *EDGE_SEEDS]
+    batch = np.array(seeds, dtype=np.uint64) if as_array else seeds
+    for seed, rng in zip(seeds, seeded_generators(batch), strict=True):
+        ref = np.random.default_rng(seed)
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
+        assert np.array_equal(rng.random(1000), ref.random(1000)), seed
+        assert np.array_equal(rng.integers(0, 1000, 50), ref.integers(0, 1000, 50)), seed
+        # scalar draws below 2^32 keep half of a 64-bit output for the next one
+        assert [int(rng.integers(0, k)) for k in range(1, 40)] == [int(ref.integers(0, k)) for k in range(1, 40)]
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
+    assert list(seeded_generators([])) == []
+    # a lone seed may have any size, as default_rng's may
+    lone = next(seeded_generators([2**70 + 3]))
+    assert lone.bit_generator.state == np.random.default_rng(2**70 + 3).bit_generator.state
