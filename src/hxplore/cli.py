@@ -11,6 +11,7 @@ and across --threads values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,7 +46,8 @@ TRACE_HEADER = "t,edges,eta,xi,zeta,nullity_inc,A,C,X,new_component"
 TRACE_COLUMNS = ("edge_counts", "eta", "xi", "zeta", "nullity_inc", "A", "C", "X", "new_component")
 COMPONENTS_HEADER = "index,t_start,t_end,vertices,edges,nullity"
 DOOB_HEADER = "t,D,Delta,Dstar,DeltaStar,S,Xtilde,Shat"
-_BLOCK = 4096  # CSV rows formatted per text chunk
+_BLOCK = 2048  # CSV rows formatted per text chunk
+_MAX_Q = 27  # 5**27 < 2**63: the largest power of five _significands multiplies by
 
 
 class UsageError(Exception):
@@ -257,19 +259,184 @@ def cmd_theory(args) -> int:
     return 0
 
 
-def _csv_rows(template, cols, lo, hi):
-    """Rows lo+1 .. hi of a CSV table in chunks of _BLOCK rows: the row number, then
-    the fields of rows a+1 .. b in the arrays cols(a, b), through a %-template of one row."""
+@functools.cache
+def _digit_tables():
+    """Lookup tables of the CSV writer, built on first use and read-only.
+
+    Each 4-digit group 0000 .. 9999 as ASCII read as one little-endian word, then the
+    same with its leading zeros as NUL bytes (0000 all NUL), each group's count of trailing
+    zeros (4 for 0000), the masks of the low j bytes of a word for j = 0 .. 8, and 5**q for
+    q = 0 .. _MAX_Q."""
+    d = np.arange(10_000)
+    place = np.array([1000, 100, 10, 1])
+    chars = (d[:, None] // place % 10 + 48).astype(np.uint8)
+    lead = np.where(d[:, None] < place, 0, chars).astype(np.uint8)
+    zeros = sum(d % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
+    low_bytes = np.array([2 ** (8 * j) - 1 for j in range(9)], np.uint64)
+    tables = (chars.view("<u4").ravel().astype(np.uint64), lead.view("<u4").ravel(), zeros,
+              low_bytes, np.uint64(5) ** np.arange(_MAX_Q + 1, dtype=np.uint64))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _int_fields(v):
+    """The integers v as '%d' writes them: one row of ASCII bytes each, NUL-padded to the
+    4-digit groups of the widest value, after a sign column if one is negative."""
+    quad, quad_lead, *_ = _digit_tables()
+    v = np.asarray(v, np.int64)
+    neg = v < 0
+    u = np.abs(v).view(np.uint64)  # |int64 min| wraps to int64 min, which reads as 2**63
+    groups = max(1, (len(str(u.max(initial=0))) + 3) // 4)
+    out = np.empty((len(u), groups), "<u4")
+    rest = u
+    for j in range(groups - 1, 0, -1):
+        rest, low = np.divmod(rest, 10_000)
+        # a group at or above the leading digit drops its leading zeros
+        out[:, j] = np.where(u < 10 ** (4 * (groups - j)), quad_lead[low], quad[low])
+    out[:, 0] = quad_lead[rest]
+    digits = out.view(np.uint8)
+    digits[u == 0, -1] = 48
+    return np.column_stack([np.where(neg, 45, 0).astype(np.uint8), digits]) if neg.any() else digits
+
+
+def _significands(v):
+    """For finite v > 0: the 17 digits n of each, 10**16 <= n < 10**17, correctly rounded
+    (half to even), its decimal exponent k, and whether n and k are exact.
+
+    With v = M * 2**(E - 53), k = floor(log10 v) and q = 16 - k, v * 10**q is
+    M * 5**q / 2**s: a product below 2**116, held as two uint64 words of 32-bit half
+    products and shifted right by s bits. That is exact for 0 <= q <= _MAX_Q and
+    s = 1 .. 63, and k is right only if n lands in range, since log10 can miss a power
+    of ten by one; the flag is false where either fails."""
+    bits = v.view(np.uint64)  # a subnormal gets a wrong M here, but lies outside the range
+    M = (bits & (2**52 - 1)) | 2**52
+    E = (bits >> 52).astype(np.int16) - 1022
+    k = np.floor(np.log10(v)).astype(np.int16)
+    q = 16 - k
+    s = 53 - E - q
+    ok = (q >= 0) & (q <= _MAX_Q) & (s >= 1) & (s <= 63)
+    f = _digit_tables()[-1][np.where(ok, q, 0)]
+    fl, fh, ml, mh = (w.astype(np.uint32) for w in (f, f >> 32, M, M >> 32))
+    s = np.where(ok, s, 1).astype(np.uint8)
+    hi = np.multiply(mh, fh, dtype=np.uint64)
+    mid = np.multiply(ml, fh, dtype=np.uint64)
+    mid += np.multiply(mh, fl, dtype=np.uint64)
+    lo = np.multiply(ml, fl, dtype=np.uint64)
+    hi += mid >> 32
+    mid <<= 32
+    lo += mid
+    hi += lo < mid  # the carry out of the low word
+    n = hi << (64 - s)
+    n |= lo >> s
+    half = np.uint64(1) << (s - 1)
+    up = ((lo & half) != 0) & (((lo & (half - 1)) != 0) | ((n & 1) != 0))
+    ok &= (n >= 10**16) & (n + up < 10**17)
+    return n + up, k.astype(np.int8), ok
+
+
+def _digit_bytes(n, k, neg):
+    """The byte table that _layout reads, one row of four little-endian words per
+    significand n of exponent k: sign, point (NUL when no digit follows it), 'e', '-',
+    '000' and the 17 digits with the trailing zeros after the point as NULs, then the two
+    digits of -k."""
+    quad, _, zeros4, low_bytes, _ = _digit_tables()
+    lead, rest = np.divmod(n, 10**16)
+    g1, g2 = np.divmod((rest // 10**8).astype(np.uint32), 10_000)
+    g3, g4 = np.divmod((rest % 10**8).astype(np.uint32), 10_000)
+    tz = zeros4[g4] + (g4 == 0) * (zeros4[g3] + (g3 == 0) * (zeros4[g2] + (g2 == 0) * zeros4[g1]))
+    whole = np.where(k >= 0, k + 1, k < -4)  # digits before the point, never dropped
+    keep = np.maximum(17 - tz, whole)
+    table = np.empty((len(n), 4), "<u8")
+    table[:, 0] = quad[lead] << 32 | 101 << 16 | 45 << 24
+    table[:, 0] |= np.where(neg, np.uint64(45), 0) | np.where(keep > whole, np.uint64(46 << 8), 0)
+    table[:, 1] = (quad[g1] | quad[g2] << 32) & low_bytes[np.clip(keep - 1, 0, 8)]
+    table[:, 2] = (quad[g3] | quad[g4] << 32) & low_bytes[np.clip(keep - 9, 0, 8)]
+    e = -k.astype(np.int16)  # read below -4 only
+    table[:, 3] = (48 + e // 10 | (48 + e % 10) << 8).astype(np.uint64)
+    return table.view(np.uint8)
+
+
+# the bytes of _digit_bytes' rows
+_SIGN, _POINT, _E, _MINUS, _ZERO, _DIGITS, _EXP = 0, 1, 2, 3, 4, range(7, 24), 24
+
+
+@functools.cache
+def _layout(x):
+    """The bytes of a _digit_bytes row that spell a value of decimal exponent x (cached,
+    read-only): fixed notation for -4 <= x <= 16, d.ddde-XX below."""
+    digits = list(_DIGITS)
+    if x >= 0:
+        cols = [_SIGN, *digits[: x + 1], _POINT, *digits[x + 1 :]]
+    elif x >= -4:
+        cols = [_SIGN, _ZERO, _POINT, *[_ZERO] * (-x - 1), *digits]
+    else:
+        cols = [_SIGN, digits[0], _POINT, *digits[1:], _E, _MINUS, _EXP, _EXP + 1]
+    cols = np.array(cols)
+    cols.flags.writeable = False
+    return cols
+
+
+def _float_fields(x):
+    """The floats x as '%.17g' writes them: one row of ASCII bytes each, NUL-padded.
+
+    Zeros are written in bulk. A finite x with 1e-11 < |x| < 2**51 gets its 17 correctly
+    rounded digits from _significands, its trailing zeros after the point dropped by a
+    mask, and one _layout per decimal exponent; nan, inf and the rest go through the '%'
+    operator one at a time."""
+    neg = np.signbit(x)
+    fast = np.flatnonzero(np.isfinite(x) & (x != 0))
+    n, k, ok = _significands(np.abs(x[fast]))
+    slow = np.concatenate([np.flatnonzero(~np.isfinite(x)), fast[~ok]])
+    exact = np.flatnonzero(ok)
+    order = exact[np.argsort(k[exact], kind="stable")]  # by exponent: a radix sort of int8
+    fast, n, k = fast[order], n[order], k[order]
+    table = _digit_bytes(n, k, neg[fast])
+
+    ends = np.flatnonzero(np.diff(k)) + 1
+    groups = [(a, b, _layout(int(k[a]))) for a, b in zip([0, *ends], [*ends, len(k)]) if b > a]
+    zero = np.flatnonzero(x == 0)
+    text = [("%.17g" % v).encode() for v in x[slow].tolist()]
+    width = max([2 * (len(zero) > 0), *(len(c) for _, _, c in groups), *map(len, text)])
+    out = np.zeros((len(x), width), np.uint8)
+    for a, b, c in groups:
+        out[fast[a:b], : len(c)] = table[a:b, c]
+    out[zero, 0] = np.where(neg[zero], 45, 0)
+    out[zero, 1] = 48
+    if text:
+        out[slow] = np.array(text, f"S{width}").view(np.uint8).reshape(len(text), width)
+    return out
+
+
+def _csv_block(fields, end):
+    """The ASCII bytes of one block of CSV rows: the arrays fields joined by commas, each
+    row ending with end. Integer arrays are written as '%d' writes them, float arrays as
+    mc.fmt17 does (all of them in one _float_fields call); the fields are NUL-padded byte
+    rows, and one compaction drops the NULs."""
+    rows = len(fields[0])
+    floats = [f for f in fields if f.dtype.kind == "f"]
+    if floats:
+        text = iter(_float_fields(np.column_stack(floats).ravel())
+                    .reshape(rows, len(floats), -1).swapaxes(0, 1))
+    comma = np.full((rows, 1), 44, np.uint8)
+    parts = []
+    for f in fields:
+        parts += [next(text) if f.dtype.kind == "f" else _int_fields(f), comma]
+    parts[-1] = np.broadcast_to(np.frombuffer(end.encode(), np.uint8), (rows, len(end)))
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+
+
+def _csv_rows(cols, lo, hi, end="\n"):
+    """Rows lo+1 .. hi of a CSV table as text chunks of _BLOCK rows: the row number, then
+    the fields of rows a+1 .. b in the arrays cols(a, b), then end."""
     for a in range(lo, hi, _BLOCK):
         b = min(a + _BLOCK, hi)
-        block = np.column_stack([np.arange(a + 1, b + 1), *cols(a, b)])
-        yield (template + "\n") * (b - a) % tuple(block.ravel().tolist())
+        yield _csv_block([np.arange(a + 1, b + 1), *cols(a, b)], end).decode("ascii")
 
 
 def _trace_csv(run):
     yield TRACE_HEADER + "\n"
-    yield from _csv_rows(",".join(["%d"] * (len(TRACE_COLUMNS) + 1)),
-                         lambda a, b: [getattr(run, name)[a:b] for name in TRACE_COLUMNS],
+    yield from _csv_rows(lambda a, b: [getattr(run, name)[a:b] for name in TRACE_COLUMNS],
                          0, run.n_steps)
 
 
@@ -282,17 +449,16 @@ def _components_csv(run):
         v = np.diff(t)
         return [t[:-1], t[1:], v, e, 1 + (run.config.r - 1) * e - v]  # n(C) = 1 + (r-1) e(C) - |C|
     yield COMPONENTS_HEADER + "\n"
-    yield from _csv_rows("%d,%d,%d,%d,%d,%d", cols, 0, len(ends) - 1)
+    yield from _csv_rows(cols, 0, len(ends) - 1)
 
 
 def _doob_csv(dt, gap):
-    """Rows t <= t1 carry Shat, later rows leave it empty; "%.17g" writes mc.fmt17's bytes."""
+    """Rows t <= t1 carry Shat, later rows leave it empty; every real has mc.fmt17's
+    bytes, through _csv_rows' block formatter."""
     cols = [dt.D, dt.Delta, dt.Dstar, dt.DeltaStar, dt.S, dt.Xtilde]
     yield DOOB_HEADER + "\n"
-    yield from _csv_rows("%d" + ",%.17g" * 7, lambda a, b: [c[a:b] for c in cols + [dt.Shat]],
-                         0, dt.t1)
-    yield from _csv_rows("%d" + ",%.17g" * 6 + ",", lambda a, b: [c[a:b] for c in cols],
-                         dt.t1, dt.n_steps)
+    yield from _csv_rows(lambda a, b: [c[a:b] for c in cols + [dt.Shat]], 0, dt.t1)
+    yield from _csv_rows(lambda a, b: [c[a:b] for c in cols], dt.t1, dt.n_steps, end=",\n")
     yield (f"# V1={fmt17(dt.V1)} V2={fmt17(dt.V2)} V12={fmt17(dt.V12)} "
            f"lindeberg1={fmt17(dt.lindeberg1)} lindeberg2={fmt17(dt.lindeberg2)} c1={fmt17(gap)}\n")
 
@@ -318,9 +484,11 @@ def cmd_run(args) -> int:
     else:
         sections = [("trace.csv", _trace_csv(trace)), ("components.csv", _components_csv(trace))]
     if args.doob:
-        t1 = min(ctx.t1, trace.n_steps)
-        seq = drift_sequences(ctx.n, ctx.r, ctx.p, t1)
-        dt = decompose(trace, seq, t1=t1)
+        if trace.n_steps < ctx.t1:  # mc's rule, so that a failed replicate's replay fails too
+            raise RuntimeError(
+                f"replicate too short for the t1 horizon: {trace.n_steps} < {ctx.t1}")
+        seq = drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)
+        dt = decompose(trace, seq, t1=ctx.t1)
         sections.append(("doob.csv", _doob_csv(dt, approx_gap(trace, dt))))
     _emit(args.out, sections)
     return 0

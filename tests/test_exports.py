@@ -66,3 +66,19 @@ def test_generators_are_seeded_only_by_the_helper():
             if used in SEEDING_NAMES and id(node) not in helper:
                 found.append((name, node.lineno))
     assert found == []
+
+
+FLOAT_FORMATTERS = {("mc", "fmt17"), ("cli", "_float_fields")}
+
+
+def test_reals_are_formatted_only_by_fmt17_and_the_block_writer():
+    # a second '%.17g' path could drift from the bytes of the CSV block writer
+    found = []
+    for name in MODULES:
+        text = Path(hxplore.__file__).with_name(f"{name}.py").read_text()
+        allowed = {line for fn in ast.walk(ast.parse(text))
+                   if isinstance(fn, ast.FunctionDef) and (name, fn.name) in FLOAT_FORMATTERS
+                   for line in range(fn.lineno, fn.end_lineno + 1)}
+        found += [(name, i) for i, line in enumerate(text.splitlines(), 1)
+                  if ".17g" in line and i not in allowed]
+    assert found == []

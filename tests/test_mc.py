@@ -230,7 +230,8 @@ def test_make_context_rejects_bad_cells(cell, collect):
     (CellSpec(n=7, r=3, lam=1.3, mode="explicit", stop="full"), ("census",), True),
     (CellSpec(n=500, r=2, p=0.0013, stop="full"), ("census",), True),
 ])
-def test_failed_replicate_prints_its_replay_command(monkeypatch, tmp_path, spec, collect, forced):
+def test_failed_replicate_prints_its_replay_command(monkeypatch, tmp_path, capsys, spec, collect,
+                                                   forced):
     plan = ExperimentPlan(cells=(spec,), replicates=4, master_seed=3, omega=3.5, collect=collect)
     seed = derive_seed(3, 0, 2)
     if forced:
@@ -244,9 +245,17 @@ def test_failed_replicate_prints_its_replay_command(monkeypatch, tmp_path, spec,
         monkeypatch.setattr(mc_module, "run_exploration", failing)
     with pytest.raises(RuntimeError, match=rf"replicate 2 \(seed {seed}\) failed: .*; replay: ") as info:
         run_cell(spec, plan)
-    argv = shlex.split(str(info.value).split("; replay: ", 1)[1])
+    cause, replay = str(info.value).split(" failed: ", 1)[1].split("; replay: ", 1)
+    argv = shlex.split(replay)
     assert argv[:2] == ["hxplore", "run"] and ("--doob" in argv) == ("doob" in collect)
     seen = []
     monkeypatch.setattr(cli, "explore", lambda config: seen.append(config) or explore(config))
-    assert cli.main([*argv[1:], "--out", str(tmp_path / "replay")]) == 0
+    capsys.readouterr()
+    code = cli.main([*argv[1:], "--out", str(tmp_path / "replay")])
     assert seen == [make_context(spec, plan).config(seed)]
+    if forced:  # the failure was patched into mc's engine only, so the replay runs
+        assert code == 0
+    else:  # the replay fails as the replicate did
+        err = capsys.readouterr().err
+        assert code == 3 and err.startswith("error: RuntimeError: replicate too short for the t1 ")
+        assert cause == repr(RuntimeError(err.removeprefix("error: RuntimeError: ").rstrip("\n")))
