@@ -27,7 +27,6 @@ from .mc import (
     run_cell,
     run_experiment,
     tail_experiment,
-    tail_grid,
 )
 from .oracle import enumerate_all, enumerate_step
 from .stats import chi_square_gof
@@ -298,7 +297,7 @@ def criterion_variance_sums(workers):
 @_criterion(7, "subcritical tail bound shape for L1")
 def criterion_subcritical_tail(workers):
     eps = 0.3
-    rep = tail_experiment("sub", 30_000, 3, eps, tail_grid(eps), R=20_000,
+    rep = tail_experiment("sub", 30_000, 3, eps, None, R=20_000,
                           master_seed=SEED_SUBTAIL, workers=workers, c_bound=TAIL_C)
     for row in rep.rows:
         yield Record(f"Pr(L1 > {row.L})", row.p_hat, hi=row.bound)
@@ -311,7 +310,7 @@ def criterion_subcritical_tail(workers):
 @_criterion(8, "supercritical concentration of L1 and tails of L2")
 def criterion_supercritical_tail(workers):
     n, r, eps = WINDOW_CELL["n"], WINDOW_CELL["r"], WINDOW_CELL["eps"]
-    rep = tail_experiment("super", n, r, eps, tail_grid(eps), R=2000, master_seed=SEED_SUPERTAIL,
+    rep = tail_experiment("super", n, r, eps, None, R=2000, master_seed=SEED_SUPERTAIL,
                           workers=workers, omega_grid=(2.0, 3.0, 4.0, 5.0), c_bound=TAIL_C)
     # nested events: each frequency is at most the one before it
     previous = 1.0

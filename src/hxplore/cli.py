@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -34,12 +33,10 @@ from .mc import (
     resolve_workers,
     run_experiment,
     tail_experiment,
-    tail_grid,
 )
 from .oracle import enumerate_all, enumerate_step
 from .theory import (
-    MAX_R, check_drift_args, clt_targets, derived_constants, drift_sequences, lambda_from_p,
-    p_from_lambda,
+    check_drift_args, clt_targets, derived_constants, drift_sequences, lambda_from_p, p_from_lambda,
 )
 
 TRACE_HEADER = "t,edges,eta,xi,zeta,nullity_inc,A,C,X,new_component"
@@ -161,24 +158,14 @@ def _checked(fn, *args, **kw):
         raise UsageError(str(exc)) from None
 
 
-def _check_nr(args) -> None:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if not 2 <= args.r <= MAX_R:
-        raise UsageError(f"--r must be an integer in [2, {MAX_R}], got {args.r}")
-
-
 def _resolve_p(args) -> float:
     given = [x is not None for x in (args.eps, args.lam, args.p)]
     if sum(given) != 1:
         raise UsageError("give exactly one of --eps, --lambda, --p")
-    if args.n is None or args.r is None:
-        raise UsageError("--n and --r are required")
-    _check_nr(args)
     if args.p is not None:
-        return args.p
+        return args.p  # make_context checks it with --n and --r
     lam = args.lam if args.lam is not None else 1.0 + args.eps
-    return p_from_lambda(args.n, args.r, lam)
+    return _checked(p_from_lambda, args.n, args.r, lam)
 
 
 def _parse_stop(args):
@@ -226,15 +213,10 @@ def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) is None:
             raise UsageError(f"--{name.replace('_', '-')} is required")
-    if "replicates" in names and args.replicates < 1:
-        raise UsageError(f"--replicates must be >= 1, got {args.replicates}")
 
 
 def cmd_theory(args) -> int:
-    if args.r is None:
-        raise UsageError("--r is required")
-    if args.n is not None and args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
+    _require(args, "r")
     if (args.lam is None) == (args.eps is None):
         raise UsageError("give exactly one of --eps, --lambda")
     lam = args.lam if args.lam is not None else 1.0 + args.eps
@@ -249,12 +231,12 @@ def cmd_theory(args) -> int:
         "rho_star": cons.rho_star,
     }
     if args.n is not None:
+        out["p"] = _checked(p_from_lambda, args.n, args.r, lam)
         t = clt_targets(args.n, args.r, lam - 1.0)
         out["clt_targets"] = {
             "mean_L1": t.mean_L1, "sd_L1": t.sd_L1,
             "mean_N1": t.mean_N1, "sd_N1": t.sd_N1, "corr": t.corr,
         }
-        out["p"] = p_from_lambda(args.n, args.r, lam)
     _emit(args.out, [("json", [json.dumps(out, indent=2, sort_keys=True) + "\n"])])
     return 0
 
@@ -497,7 +479,7 @@ def cmd_run(args) -> int:
 def cmd_mc(args) -> int:
     _require(args, "n", "r", "seed", "replicates")
     p = _resolve_p(args)
-    super_cell = lambda_from_p(args.n, args.r, p) > 1.0
+    super_cell = _checked(lambda_from_p, args.n, args.r, p) > 1.0
     stop, margin = _parse_stop(args) if args.stop else (("giant", None) if super_cell else ("full", 0))
     spec = CellSpec(n=args.n, r=args.r, p=p, mode=args.mode or "implicit", stop=stop, margin=margin)
     plan = _plan(args, spec, args.replicates, ("census", "windows") if super_cell else ("census",))
@@ -527,14 +509,8 @@ def cmd_mc(args) -> int:
 
 def cmd_tails(args) -> int:
     _require(args, "kind", "n", "r", "eps", "seed", "replicates")
-    _check_nr(args)
-    if not (math.isfinite(args.eps) and args.eps > 0.0):
-        raise UsageError(f"--eps must be finite and positive, got {args.eps}")
     workers = _checked(resolve_workers, args.threads)
-    if args.l_grid:
-        grid = _parse_list(args.l_grid, int, "--L-grid")
-    else:
-        grid = tail_grid(args.eps)
+    grid = _parse_list(args.l_grid, int, "--L-grid") if args.l_grid else None
     omega_grid = _parse_list(args.omega_grid, float, "--omega-grid")
     rep = _checked(tail_experiment, args.kind, args.n, args.r, args.eps, grid, args.replicates,
                    args.seed, workers=workers, omega_grid=omega_grid, c_bound=args.bound_c)
@@ -555,10 +531,6 @@ def cmd_tails(args) -> int:
 
 def cmd_oracle(args) -> int:
     _require(args, "n", "r", "p")
-    if not 0.0 <= args.p <= 1.0:
-        raise UsageError(f"--p must lie in [0, 1], got {args.p}")
-    if args.n < 1 or args.r < 2:
-        raise UsageError(f"need --n >= 1 and --r >= 2, got {args.n} and {args.r}")
     if args.step:
         explored = _parse_list(args.explored, int, "--explored")
         active = _parse_list(args.active, int, "--active")
@@ -570,7 +542,7 @@ def cmd_oracle(args) -> int:
             "moments": law.moments(),
         }
     else:
-        dist = enumerate_all(args.n, args.r, args.p)  # its size guard is a runtime fault
+        dist = _checked(enumerate_all, args.n, args.r, args.p)
         out = {
             "n": args.n, "r": args.r, "p": args.p,
             "support": [list(k) for k in dist.support],

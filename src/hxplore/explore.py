@@ -640,7 +640,7 @@ def materialize(n: int, r: int, p: float, rng: np.random.Generator) -> list:
 
 
 def _run_explicit(config: ExplorationConfig, record: str, rng) -> RunResult:
-    """Explicit engine: real vertex identities, a status bitmap, and a lazy
+    """Explicit engine: real vertex identities, a status bitmap, and a
     min-heap over active vertices, with the implicit engine's bookkeeping."""
     n, r, p = config.n, config.r, config.p
     edges = materialize(n, r, p, rng)
@@ -666,9 +666,7 @@ def _run_explicit(config: ExplorationConfig, record: str, rng) -> RunResult:
     while t < n:
         t += 1
         if A > 0:
-            while status[heap[0]] != 1:
-                heapq.heappop(heap)
-            v = heapq.heappop(heap)
+            v = heapq.heappop(heap)  # the heap holds exactly the A active vertices
             ap = A - 1
         else:
             while status[cursor] != 0:

@@ -383,6 +383,8 @@ def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
         lam_star = dual_lambda(lam)
     else:
         t0, t1, targets, lam_star = None, 0, None, None
+    if "windows" in collect and t1 < 1:
+        raise ValueError(f"window collection needs t1 = floor(rho_r n) >= 1, got {t1}")
     margin = spec.margin if spec.margin is not None else 2 * (t0 or 0)
     ctx = CellContext(
         n=spec.n, r=spec.r, p=p, eps=eps, mode=spec.mode, stop=spec.stop,
@@ -483,11 +485,18 @@ def tail_experiment(kind: str, n: int, r: int, eps: float, L_grid, R: int, maste
     Pr(L2 > L) and, per omega, Pr(|L1 - rho n| >= omega sqrt(n/eps)) (nested
     events over one run set, hence non-increasing) for 'super'.  Each row has
     its Wilson interval and the exponential tail bound with the frozen
-    constant; log Pr gets an affine fit against L.  Raises ValueError on
-    inputs that the experiment or the exploration rejects, before any
-    replicate runs."""
-    if kind not in ("sub", "super") or not eps > 0.0:
-        raise ValueError(f"need kind 'sub' or 'super' and eps > 0, got {kind!r} and {eps}")
+    constant; log Pr gets an affine fit against L, which defaults to
+    tail_grid(eps).  Raises ValueError on inputs that the experiment or the
+    exploration rejects, before any replicate runs."""
+    if kind not in ("sub", "super") or not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(
+            f"need kind 'sub' or 'super' and a finite eps > 0, got {kind!r} and {eps}")
+    if L_grid is None:
+        L_grid = tail_grid(eps)
+    if not L_grid or min(L_grid) < 1:
+        raise ValueError(f"the L grid needs at least one L and every L >= 1, got {list(L_grid)}")
+    if not (math.isfinite(c_bound) and c_bound > 0.0):
+        raise ValueError(f"c_bound must be finite and positive, got {c_bound}")
     lam = 1.0 - eps if kind == "sub" else 1.0 + eps
     spec = CellSpec(n=n, r=r, lam=lam, stop="full")
     plan = ExperimentPlan(cells=(spec,), replicates=R, master_seed=master_seed)

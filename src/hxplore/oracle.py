@@ -230,19 +230,19 @@ def enumerate_step(n: int, r: int, p: float, explored, active) -> StepLaw:
         raise ValueError(f"the prefix explores all {n} vertices, so no step is left")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+    t = len(explored) + 1
+    m = n - t  # the unexplored vertices besides the stepped one
+    fam_n = math.comb(m, r - 1)
+    if fam_n > MAX_STEP_FAMILY:
+        raise ValueError(f"binom(n - t, r - 1) = {fam_n} exceeds the step enumeration limit {MAX_STEP_FAMILY}")
     unexplored = sorted(set(range(n)) - set(explored))
     unseen = sorted(set(unexplored) - active)
     v = min(active) if active else min(unseen)
-    t = len(explored) + 1
     others = [u for u in unexplored if u != v]
-    m = len(others)
     act_mask = 0
     for i, u in enumerate(others):
         if u in active:
             act_mask |= 1 << i
-    fam_n = math.comb(m, r - 1)
-    if fam_n > MAX_STEP_FAMILY:
-        raise ValueError(f"binom(n - t, r - 1) = {fam_n} exceeds the step enumeration limit {MAX_STEP_FAMILY}")
     family = sorted(combinations(range(m), r - 1), key=colex_rank)
 
     if fam_n == 0:

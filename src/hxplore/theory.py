@@ -64,11 +64,13 @@ class CltTargets:
 
 def p_from_lambda(n: int, r: int, lam: float) -> float:
     """Edge probability p = lambda (r-2)! n^(-r+1) for given branching lambda."""
+    _check_params(r, n)
     return lam * math.factorial(r - 2) * float(n) ** (-(r - 1))
 
 
 def lambda_from_p(n: int, r: int, p: float) -> float:
     """Branching parameter lambda = p n^(r-1) / (r-2)! of edge probability p."""
+    _check_params(r, n)
     return p * float(n) ** (r - 1) / math.factorial(r - 2)
 
 
@@ -169,9 +171,11 @@ def derived_constants(r: int, lam: float) -> DerivedConstants:
     return c
 
 
-def _check_params(r: int) -> None:
+def _check_params(r: int, n: int = 1) -> None:
     if not (2 <= r <= MAX_R) or r != int(r):
         raise ValueError(f"r must be an integer in [2, {MAX_R}], got {r}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
 
 
 def g_eval(r: int, lam: float, tau):

@@ -175,10 +175,11 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
-def test_runtime_error_exit_code(capsys):
-    # oracle guard: binom(9,2) = 36 exceeds the enumeration limit
-    code, _, err = _run(capsys, ["oracle", "--n", "9", "--r", "2", "--p", "0.1"])
-    assert code == 3 and err.startswith("error:")
+def test_runtime_error_exit_code(capsys, tmp_path):
+    # a valid run whose trace, stopped at margin 0, ends before the Doob sums' t1 horizon
+    code, _, err = _run(capsys, ["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "3",
+                                 "--stop", "giant:0", "--doob", "--out", str(tmp_path / "P")])
+    assert code == 3 and err.startswith("error: RuntimeError: replicate too short"), err
 
 
 def test_argparse_usage_exit_code(capsys):
@@ -271,6 +272,10 @@ def test_verify_subset(capsys):
     *[(["tails", "--kind", "sub", "--n", "100", "--r", "3", "--eps", "0.3", "--seed", "1",
         "--replicates", "2", "--config", cfg], None)
       for cfg in ('{"bound-c": "x"}', '{"omega-grid": [2, 3]}', '{"kind": "foo"}')],
+    # the full-law oracle's size guard: binom(9, 2) = 36 exceeds the enumeration limit
+    (["oracle", "--n", "9", "--r", "2", "--p", "0.1"], None),
+    # lambda_from_p rejects r = 1 before mc picks the cell's stop rule
+    (["mc", "--n", "100", "--r", "1", "--p", "0.1", "--seed", "1", "--replicates", "2"], None),
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:

@@ -365,13 +365,23 @@ def _walker_configs(count: int, seed: int) -> list:
 
 
 def test_block_walk_equals_step_loop(monkeypatch):
-    # every edge-count chunk walked as a block, then every chunk step by step
-    for cfg in _walker_configs(240, seed=4):
+    # every edge-count chunk walked as a block, then every chunk step by step; the last
+    # config's step loop takes more than _U_CHUNK // (r - 1) = 910 one-edge steps, so it
+    # refills its block of companion uniforms
+    refill = ExplorationConfig(n=30_000, r=10, p=p_from_lambda(30_000, 10, 12.0), seed=5)
+    uniform_groups = explore_module._uniform_groups
+    blocks = []
+    monkeypatch.setattr(explore_module, "_uniform_groups",
+                        lambda *args: blocks.append(args) or uniform_groups(*args))
+    for cfg in [*_walker_configs(240, seed=4), refill]:
         for record in ("none", "full"):
             monkeypatch.setattr(explore_module, "_SHORT_CHUNK", 0)
             block = run_exploration(cfg, record=record)
             monkeypatch.setattr(explore_module, "_SHORT_CHUNK", 10**9)
+            blocks.clear()
             steps = run_exploration(cfg, record=record)
+            if cfg is refill:
+                assert len(blocks) > 1, record  # the first block, then at least one refill
             for field in dataclasses.fields(block):
                 a, b = getattr(block, field.name), getattr(steps, field.name)
                 if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
