@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .doob import approx_gap, decompose
+from .doob import approx_gap
 from .explore import explore
 from .mc import (
     CELL_CSV_HEADER,
@@ -35,9 +35,7 @@ from .mc import (
     tail_experiment,
 )
 from .oracle import enumerate_all, enumerate_step
-from .theory import (
-    check_drift_args, clt_targets, derived_constants, drift_sequences, lambda_from_p, p_from_lambda,
-)
+from .theory import clt_targets, derived_constants, lambda_from_p, p_from_lambda
 
 TRACE_HEADER = "t,edges,eta,xi,zeta,nullity_inc,A,C,X,new_component"
 TRACE_COLUMNS = ("edge_counts", "eta", "xi", "zeta", "nullity_inc", "A", "C", "X", "new_component")
@@ -450,9 +448,8 @@ def cmd_run(args) -> int:
     stop, margin = _parse_stop(args)
     spec = CellSpec(n=args.n, r=args.r, p=_resolve_p(args), mode=args.mode or "implicit",
                     stop=stop, margin=margin)
-    ctx = _checked(make_context, spec, _plan(args, spec))
-    if args.doob:
-        _checked(check_drift_args, ctx.n, ctx.r, ctx.p, ctx.t1)
+    collect = ("census", "gap") if args.doob else ("census",)  # c1 is the gap a cell collects
+    ctx = _checked(make_context, spec, _plan(args, spec, collect=collect))
     trace = explore(_checked(ctx.config, args.seed))
     if args.format == "json":
         names = TRACE_HEADER.split(",")
@@ -465,12 +462,8 @@ def cmd_run(args) -> int:
         sections = [("json", [json.dumps(doc, indent=2, sort_keys=True) + "\n"])]
     else:
         sections = [("trace.csv", _trace_csv(trace)), ("components.csv", _components_csv(trace))]
-    if args.doob:
-        if trace.n_steps < ctx.t1:  # mc's rule, so that a failed replicate's replay fails too
-            raise RuntimeError(
-                f"replicate too short for the t1 horizon: {trace.n_steps} < {ctx.t1}")
-        seq = drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)
-        dt = decompose(trace, seq, t1=ctx.t1)
+    if ctx.traced:
+        dt = ctx.replay(trace)  # the cell's replay, so that a failed replicate's replay fails too
         sections.append(("doob.csv", _doob_csv(dt, approx_gap(trace, dt))))
     _emit(args.out, sections)
     return 0

@@ -118,7 +118,7 @@ def decompose(run, seq: DriftSequences, t1: int | None = None) -> DoobTrace:
     (gamma var_eta + cov)/beta, and the realized Lindeberg sums
     sum Delta^2 1{|Delta| >= delta sqrt(eps n)} and
     sum Dhat^2 1{|Dhat| >= delta sqrt(eps^3 n)} with delta =
-    DEFAULT_LINDEBERG_DELTA.
+    DEFAULT_LINDEBERG_DELTA.  Raises RuntimeError when the run ends before t1.
     """
     if run.eta is None:
         raise ValueError("decompose needs a run recorded at level 'full'")
@@ -130,8 +130,8 @@ def decompose(run, seq: DriftSequences, t1: int | None = None) -> DoobTrace:
     if t1 > seq.t1:
         raise ValueError(f"t1 = {t1} exceeds the drift sequences' horizon {seq.t1}")
     T = run.n_steps
-    if t1 > T:
-        raise ValueError(f"run has only {T} steps but t1 = {t1}")
+    if T < t1:
+        raise RuntimeError(f"replicate too short for the t1 horizon: {T} < {t1}")
 
     t = np.arange(1, T + 1, dtype=np.float64)
     ap = (run.A - run.eta).astype(np.float64)  # A' = A - eta: the active vertices besides v_t

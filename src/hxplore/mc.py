@@ -5,10 +5,11 @@ generator seeded by a splitmix64 mix of (master_seed, c, k), so results are
 byte-identical no matter how replicates are scheduled across workers.  A
 replicate's generator starts in the state np.random.default_rng(seed) gives,
 but util.seeded_generators computes those states a chunk of replicates at a
-time and sets each on one reused generator.  The cell's exploration config
-is checked once, in make_context.
-A cell's statistics are read off its list of replicate results, always in
-replicate-index order, neutralizing floating-point non-associativity.
+time and sets each on one reused generator.  make_context checks the cell's
+config and drift arguments once.  CellContext.replay is the one Doob replay of
+a run, for a replicate and its `hxplore run --doob` replay alike.  A cell's
+statistics are read off its replicate results in replicate-index order,
+neutralizing floating-point non-associativity.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .doob import approx_gap, decompose, duality_diagnostic
+from .doob import DoobTrace, approx_gap, decompose, duality_diagnostic
 from .explore import ExplorationConfig, run_exploration
 from .stats import BivariateMoments, ks_distance, wilson_interval
 from .theory import (
@@ -190,6 +191,16 @@ class CellContext:
         config.__dict__.update(self._checked_config.__dict__, seed=seed)  # the frozen fields, set once
         return config
 
+    @cached_property
+    def traced(self) -> bool:
+        """Whether a replicate records and replays its trace: it collects windows, doob or gap."""
+        return bool(self.collect & {"windows", "doob", "gap"})
+
+    def replay(self, run) -> DoobTrace:
+        """The Doob decomposition of a traced replicate's run up to t1, for the cell and for
+        `hxplore run --doob`; decompose raises RuntimeError when the run ends before t1."""
+        return decompose(run, _drift_sequences(self.n, self.r, self.p, self.t1))
+
 
 @dataclass(frozen=True)
 class MCAggregate:
@@ -294,26 +305,18 @@ class CellResult:
 
 
 def _run_replicate(ctx: CellContext, seed: int, rng) -> ReplicateStats:
-    windows, doob = "windows" in ctx.collect, "doob" in ctx.collect
-    traced = windows or doob or "gap" in ctx.collect
-    res = run_exploration(ctx.config(seed), record="full" if traced else "none", rng=rng)
+    res = run_exploration(ctx.config(seed), record="full" if ctx.traced else "none", rng=rng)
     max_s_pre = max_s_t1 = duality = v1 = v2 = v12 = l1 = l2 = gap = None
-    if traced:
-        seq = _drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)
-        need_t1 = doob or windows
-        if need_t1 and res.n_steps < ctx.t1:
-            raise RuntimeError(
-                f"replicate too short for the t1 horizon: {res.n_steps} < {ctx.t1}"
-            )
-        dt = decompose(res, seq, t1=ctx.t1 if need_t1 else 0)
-        if windows:
+    if ctx.traced:
+        dt = ctx.replay(res)
+        if "windows" in ctx.collect:
             upto = min(res.n_steps, ctx.t1 + (ctx.t0 or 0))
             abs_s = np.abs(dt.S)
             max_s_pre = float(np.max(abs_s[:upto]))
             max_s_t1 = float(np.max(abs_s[: ctx.t1]))
             if res.T1 is not None:
                 duality = duality_diagnostic(dt, res, ctx.lambda_star)
-        if doob:
+        if "doob" in ctx.collect:
             v1, v2, v12 = dt.V1, dt.V2, dt.V12
             l1, l2 = dt.lindeberg1, dt.lindeberg2
         if "gap" in ctx.collect:
@@ -332,7 +335,7 @@ def _replay_command(ctx: CellContext, seed: int) -> str:
     stop = f"giant:{config.margin}" if config.stop_rule == "giant" else "full"
     argv = ["hxplore", "run", "--n", str(config.n), "--r", str(config.r), "--p", repr(config.p),
             "--mode", config.mode, "--stop", stop, "--omega", repr(ctx.omega), "--seed", str(seed)]
-    if ctx.collect & {"windows", "doob", "gap"}:
+    if ctx.traced:
         argv.append("--doob")
     return " ".join(argv)
 
@@ -392,8 +395,8 @@ def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
         lambda_star=lam_star, collect=collect,
     )
     ctx.config(0)  # checks the cell's exploration, once
-    if collect & {"windows", "doob", "gap"}:
-        _drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)
+    if ctx.traced:
+        _drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)  # checks the drift arguments
     return ctx
 
 
@@ -497,6 +500,8 @@ def tail_experiment(kind: str, n: int, r: int, eps: float, L_grid, R: int, maste
         raise ValueError(f"the L grid needs at least one L and every L >= 1, got {list(L_grid)}")
     if not (math.isfinite(c_bound) and c_bound > 0.0):
         raise ValueError(f"c_bound must be finite and positive, got {c_bound}")
+    for om in omega_grid:
+        check_omega(om)
     lam = 1.0 - eps if kind == "sub" else 1.0 + eps
     spec = CellSpec(n=n, r=r, lam=lam, stop="full")
     plan = ExperimentPlan(cells=(spec,), replicates=R, master_seed=master_seed)

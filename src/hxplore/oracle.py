@@ -55,6 +55,17 @@ MAX_STEP_FAMILY = 22
 _CHUNK = 1 << 21
 
 
+def _binom_within(m: int, k: int, limit: int, name: str) -> int:
+    """binom(m, k) for k >= 0, or ValueError naming it once past limit >= 1: binom(m, i)
+    grows with i up to min(k, m - k), so a huge m or k stops the product in a few steps."""
+    c = int(k <= m)
+    for i in range(min(k, m - k)):
+        c = c * (m - i) // (i + 1)
+        if c > limit:
+            raise ValueError(f"{name} exceeds the enumeration limit {limit}")
+    return c
+
+
 def _edge_weights(n_edges: int, p: float) -> np.ndarray:
     """Exact Bernoulli weight of one subset with e edges, per e."""
     e = np.arange(n_edges + 1, dtype=np.float64)
@@ -137,10 +148,8 @@ def enumerate_all(n: int, r: int, p: float, workers: int = 1) -> ExactDistributi
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if n < 1 or r < 2:
         raise ValueError("need n >= 1 and r >= 2")
-    ne = math.comb(n, r)
     limit = MAX_EDGES_SMALL_N if n <= 8 else MAX_EDGES_GENERAL
-    if ne > limit:
-        raise ValueError(f"binom(n, r) = {ne} exceeds the enumeration limit {limit} for n = {n}")
+    ne = _binom_within(n, r, limit, f"binom(n, r) at n = {n}")
 
     c = _connected_counts(n, r)
     counts: dict = {}
@@ -232,9 +241,7 @@ def enumerate_step(n: int, r: int, p: float, explored, active) -> StepLaw:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     t = len(explored) + 1
     m = n - t  # the unexplored vertices besides the stepped one
-    fam_n = math.comb(m, r - 1)
-    if fam_n > MAX_STEP_FAMILY:
-        raise ValueError(f"binom(n - t, r - 1) = {fam_n} exceeds the step enumeration limit {MAX_STEP_FAMILY}")
+    fam_n = _binom_within(m, r - 1, MAX_STEP_FAMILY, "the step family's binom(n - t, r - 1)")
     unexplored = sorted(set(range(n)) - set(explored))
     unseen = sorted(set(unexplored) - active)
     v = min(active) if active else min(unseen)

@@ -31,7 +31,6 @@ __all__ = [
     "g_eval",
     "h_eval",
     "integrate_h",
-    "check_drift_args",
     "drift_sequences",
     "clt_targets",
 ]
@@ -244,8 +243,14 @@ class DriftSequences:
     gamma: np.ndarray
 
 
-def check_drift_args(n: int, r: int, p: float, t1: int) -> None:
-    """Raise ValueError unless drift_sequences accepts (n, r, p, t1)."""
+def drift_sequences(n: int, r: int, p: float, t1: int) -> DriftSequences:
+    """Compute alpha, beta, x, pi, gamma in one vectorized pass.
+
+    beta is accumulated in log space (exp of a running sum of log1p(-alpha)),
+    which keeps full relative accuracy for the tiny alpha_t of interest, and
+    pi uses the exp(c log1p(-p)) form since c may be as large as n^(r-2).
+    gamma comes from a single backward suffix pass over beta_t pi_t.
+    """
     _check_params(r)
     if n < r:
         raise ValueError(f"need n >= r, got n={n}, r={r}")
@@ -255,17 +260,6 @@ def check_drift_args(n: int, r: int, p: float, t1: int) -> None:
         raise ValueError("alpha_1 = p binom(n-2, r-2) must stay below 1/2; p too large for this n")
     if not 0 <= t1 <= n:
         raise ValueError(f"t1 must lie in [0, n], got {t1}")
-
-
-def drift_sequences(n: int, r: int, p: float, t1: int) -> DriftSequences:
-    """Compute alpha, beta, x, pi, gamma in one vectorized pass.
-
-    beta is accumulated in log space (exp of a running sum of log1p(-alpha)),
-    which keeps full relative accuracy for the tiny alpha_t of interest, and
-    pi uses the exp(c log1p(-p)) form since c may be as large as n^(r-2).
-    gamma comes from a single backward suffix pass over beta_t pi_t.
-    """
-    check_drift_args(n, r, p, t1)
 
     t = np.arange(0, n + 1, dtype=np.float64)
     c_cov = comb_float(n - t - 1.0, r - 2)  # tested sets covering one fixed vertex

@@ -276,6 +276,9 @@ def test_verify_subset(capsys):
     (["oracle", "--n", "9", "--r", "2", "--p", "0.1"], None),
     # lambda_from_p rejects r = 1 before mc picks the cell's stop rule
     (["mc", "--n", "100", "--r", "1", "--p", "0.1", "--seed", "1", "--replicates", "2"], None),
+    # omegas that are not finite and positive: a NaN in report.json, a row counting every run
+    *[(["tails", "--kind", "super", "--n", "30", "--r", "3", "--eps", "0.5", "--seed", "1",
+        "--replicates", "2", "--omega-grid", grid], None) for grid in ("nan,-1", "2,-1")],
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:
@@ -291,11 +294,16 @@ def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_
 
 
 def test_oversized_step_family_is_rejected_before_it_is_built(capsys):
-    # binom(29, 9) = 10,015,005 companion sets against a limit of 22
-    start = time.perf_counter()
-    code, _, err = _run(capsys, ["oracle", "--n", "30", "--r", "10", "--p", "1e-5", "--step"])
-    assert code == 2 and err.startswith("usage-error:"), err
-    assert time.perf_counter() - start < 2.0
+    for argv in (
+        ["--n", "30", "--r", "10", "--p", "1e-5", "--step"],  # binom(29, 9) = 10,015,005 sets
+        # binomials of thousands of digits, whose text Python refuses to print
+        ["--n", "1000000000", "--r", "100000", "--p", "0.1"],
+        ["--n", "1000000000", "--r", "400000", "--p", "0.1", "--step"],
+    ):
+        start = time.perf_counter()
+        code, _, err = _run(capsys, ["oracle", *argv])
+        assert code == 2 and err.startswith("usage-error:") and "enumeration limit" in err, err
+        assert time.perf_counter() - start < 2.0
 
 
 def test_only_mc_warns_inside_the_critical_window(capsys):

@@ -82,3 +82,28 @@ def test_reals_are_formatted_only_by_fmt17_and_the_block_writer():
         found += [(name, i) for i, line in enumerate(text.splitlines(), 1)
                   if ".17g" in line and i not in allowed]
     assert found == []
+
+
+REPLAY = ("mc", "CellContext", "replay")
+T1_FAULT = "too short for the t1 horizon"
+
+
+def test_runs_are_replayed_only_by_the_cell():
+    # a second replay path could drift from the t1 rule of the replicate it replays
+    calls, faults = [], []
+    for name in MODULES:
+        text = Path(hxplore.__file__).with_name(f"{name}.py").read_text()
+        tree = ast.parse(text)
+        replay = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and (name, cls.name) == REPLAY[:2]
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == REPLAY[2]
+                  for node in ast.walk(fn)}
+        calls += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in replay
+                  and "decompose" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        owner = {line for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and (name, fn.name) == ("doob", "decompose")
+                 for line in range(fn.lineno, fn.end_lineno + 1)}
+        faults += [(name, i) for i, line in enumerate(text.splitlines(), 1)
+                   if T1_FAULT in line and i not in owner]
+    assert calls == [] and faults == []

@@ -225,10 +225,11 @@ def test_make_context_rejects_bad_cells(cell, collect):
 
 
 @pytest.mark.parametrize("spec, collect, forced", [
-    # margin 0 stops replicate 2 before the t1 horizon that the doob sums need
+    # margin 0 stops replicate 2 before the t1 horizon that every traced replicate reaches
     (CellSpec(n=20_000, r=3, eps=0.2, stop="giant", margin=0), ("census", "doob"), False),
     (CellSpec(n=7, r=3, lam=1.3, mode="explicit", stop="full"), ("census",), True),
     (CellSpec(n=500, r=2, p=0.0013, stop="full"), ("census",), True),
+    (CellSpec(n=20_000, r=3, eps=0.2, stop="giant", margin=0), ("census", "gap"), False),
 ])
 def test_failed_replicate_prints_its_replay_command(monkeypatch, tmp_path, capsys, spec, collect,
                                                    forced):
@@ -247,7 +248,7 @@ def test_failed_replicate_prints_its_replay_command(monkeypatch, tmp_path, capsy
         run_cell(spec, plan)
     cause, replay = str(info.value).split(" failed: ", 1)[1].split("; replay: ", 1)
     argv = shlex.split(replay)
-    assert argv[:2] == ["hxplore", "run"] and ("--doob" in argv) == ("doob" in collect)
+    assert argv[:2] == ["hxplore", "run"] and ("--doob" in argv) == (collect != ("census",))
     seen = []
     monkeypatch.setattr(cli, "explore", lambda config: seen.append(config) or explore(config))
     capsys.readouterr()
