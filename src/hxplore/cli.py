@@ -476,10 +476,9 @@ def cmd_mc(args) -> int:
     stop, margin = _parse_stop(args) if args.stop else (("giant", None) if super_cell else ("full", 0))
     spec = CellSpec(n=args.n, r=args.r, p=p, mode=args.mode or "implicit", stop=stop, margin=margin)
     plan = _plan(args, spec, args.replicates, ("census", "windows") if super_cell else ("census",))
-    # replicates run on derived seeds, so any --seed is valid here
-    _checked(make_context, spec, plan)
     workers = _checked(resolve_workers, args.threads)
-    results = run_experiment(plan, workers=workers)
+    # make_context checks the cell; replicates run on derived seeds, so any --seed is valid here
+    results = _checked(run_experiment, plan, workers=workers)
     csv_text = CELL_CSV_HEADER + "\n" + "\n".join(format_cell_row(r) for r in results) + "\n"
     report = []
     for res in results:

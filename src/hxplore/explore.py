@@ -104,8 +104,8 @@ class ExplorationConfig:
     census_t0: int | None = None  # cutoff anchoring Z / T_0 / T_1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.n < 2**63:
+            raise ValueError(f"n must lie in [1, 2**63), got {self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not (2 <= self.r <= MAX_R):
@@ -120,6 +120,8 @@ class ExplorationConfig:
             raise ValueError("margin must be nonnegative")
         if self.stop_rule == "giant" and self.census_t0 is None:
             raise ValueError("stop_rule 'giant' needs census_t0 to locate the giant window")
+        if self.census_t0 is not None and self.census_t0 < 0:
+            raise ValueError(f"census_t0 must be nonnegative, got {self.census_t0}")
         if self.p * comb0(self.n, self.r - 1) > BRANCHING_LIMIT:
             raise ValueError("p binom(n, r-1) too large; the exploration assumes an O(1) branching factor")
         if self.mode == "explicit" and comb0(self.n, self.r) > EXPLICIT_EDGE_LIMIT:
@@ -439,7 +441,7 @@ def _run_implicit(config: ExplorationConfig, record: str, rng) -> RunResult:
     rr = r - 1
     t0c = -1 if config.census_t0 is None else int(config.census_t0)
     # the first close after stop_after is T_1, which starts the giant stop rule's margin
-    stop_after = t0c if config.stop_rule == "giant" and t0c >= 0 else n
+    stop_after = t0c if config.stop_rule == "giant" else n
     margin = config.margin
 
     full = record == "full"
@@ -661,7 +663,7 @@ def _run_explicit(config: ExplorationConfig, record: str, rng) -> RunResult:
     total_edges = 0
     t = 0
     t0c = -1 if config.census_t0 is None else int(config.census_t0)
-    stop_after = t0c if config.stop_rule == "giant" and t0c >= 0 else n
+    stop_after = t0c if config.stop_rule == "giant" else n
     T1 = None
     while t < n:
         t += 1

@@ -6,15 +6,16 @@ byte-identical no matter how replicates are scheduled across workers.  A
 replicate's generator starts in the state np.random.default_rng(seed) gives,
 but util.seeded_generators computes those states a chunk of replicates at a
 time and sets each on one reused generator.  make_context checks the cell's
-config and drift arguments once.  CellContext.replay is the one Doob replay of
-a run, for a replicate and its `hxplore run --doob` replay alike.  A cell's
-statistics are read off its replicate results in replicate-index order,
-neutralizing floating-point non-associativity.
+config once and builds a traced cell's drift table, CellContext.drift, which
+the context carries to the fork workers and which is freed with the context.
+CellContext.replay is the one Doob replay of a run, for a replicate and its
+`hxplore run --doob` replay alike.  A cell's statistics are read off its
+replicate results in replicate-index order, neutralizing floating-point
+non-associativity.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import warnings
@@ -30,7 +31,8 @@ from .doob import DoobTrace, approx_gap, decompose, duality_diagnostic
 from .explore import ExplorationConfig, run_exploration
 from .stats import BivariateMoments, ks_distance, wilson_interval
 from .theory import (
-    CltTargets, clt_targets, drift_sequences, dual_lambda, lambda_from_p, p_from_lambda, rho_r,
+    CltTargets, DriftSequences, clt_targets, drift_sequences, dual_lambda, lambda_from_p,
+    p_from_lambda, rho_r,
 )
 from .util import derive_seed, seeded_generators
 
@@ -54,7 +56,6 @@ __all__ = [
 
 ENV_WORKER_CAP = "HXPLORE_MAX_WORKERS"
 DEFAULT_OMEGA = 4.0
-_drift_sequences = functools.lru_cache(maxsize=8)(drift_sequences)  # read-only to decompose
 
 
 def resolve_workers(requested: int | None) -> int:
@@ -128,8 +129,8 @@ class ExperimentPlan:
     collect: tuple = ("census",)
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        if not 1 <= self.replicates < 2**63:
+            raise ValueError(f"replicates must lie in [1, 2**63), got {self.replicates}")
         check_omega(self.omega)
         known = {"census", "windows", "doob", "gap", "l1law"}
         bad = set(self.collect) - known
@@ -196,10 +197,15 @@ class CellContext:
         """Whether a replicate records and replays its trace: it collects windows, doob or gap."""
         return bool(self.collect & {"windows", "doob", "gap"})
 
+    @cached_property
+    def drift(self) -> DriftSequences:
+        """The cell's drift table up to t1, built once, by make_context for a traced cell."""
+        return drift_sequences(self.n, self.r, self.p, self.t1)
+
     def replay(self, run) -> DoobTrace:
         """The Doob decomposition of a traced replicate's run up to t1, for the cell and for
         `hxplore run --doob`; decompose raises RuntimeError when the run ends before t1."""
-        return decompose(run, _drift_sequences(self.n, self.r, self.p, self.t1))
+        return decompose(run, self.drift)
 
 
 @dataclass(frozen=True)
@@ -396,7 +402,7 @@ def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
     )
     ctx.config(0)  # checks the cell's exploration, once
     if ctx.traced:
-        _drift_sequences(ctx.n, ctx.r, ctx.p, ctx.t1)  # checks the drift arguments
+        ctx.drift  # builds the drift table, which checks the drift arguments
     return ctx
 
 
@@ -496,8 +502,9 @@ def tail_experiment(kind: str, n: int, r: int, eps: float, L_grid, R: int, maste
             f"need kind 'sub' or 'super' and a finite eps > 0, got {kind!r} and {eps}")
     if L_grid is None:
         L_grid = tail_grid(eps)
-    if not L_grid or min(L_grid) < 1:
-        raise ValueError(f"the L grid needs at least one L and every L >= 1, got {list(L_grid)}")
+    if not L_grid or min(L_grid) < 1 or max(L_grid) >= 2**63:
+        raise ValueError(f"the L grid needs at least one L and every L in [1, 2**63), "
+                         f"got {list(L_grid)}")
     if not (math.isfinite(c_bound) and c_bound > 0.0):
         raise ValueError(f"c_bound must be finite and positive, got {c_bound}")
     for om in omega_grid:
@@ -539,23 +546,18 @@ CELL_CSV_HEADER = (
     "z1_mean,z1_var,z2_mean,z2_var,ks_z1,ks_z2"
 )
 
-TAILS_CSV_HEADER = "L,exceed_count,R,p_hat,wilson_lo,wilson_hi,bound"
+TAILS_CSV_HEADER = ",".join(_TailRow._fields)
+
+
+def _csv_row(values) -> str:
+    """The CSV row of values: ints and strings with str, reals and None with fmt17."""
+    return ",".join(str(v) if isinstance(v, (int, str)) else fmt17(v) for v in values)
 
 
 def format_cell_row(result: CellResult) -> str:
     s = result.summary()
-    fields = [
-        s["cell"], str(s["n"]), str(s["r"]), fmt17(s["eps"]), str(s["R"]),
-        fmt17(s["mean_L1"]), fmt17(s["var_L1"]), fmt17(s["mean_N1"]),
-        fmt17(s["var_N1"]), fmt17(s["cov"]), fmt17(s["corr"]),
-        fmt17(s["z1_mean"]), fmt17(s["z1_var"]), fmt17(s["z2_mean"]),
-        fmt17(s["z2_var"]), fmt17(s["ks_z1"]), fmt17(s["ks_z2"]),
-    ]
-    return ",".join(fields)
+    return _csv_row(s[k] for k in CELL_CSV_HEADER.split(","))
 
 
 def format_tail_row(row: _TailRow) -> str:
-    return ",".join([
-        str(row.L), str(row.exceed_count), str(row.R), fmt17(row.p_hat),
-        fmt17(row.wilson_lo), fmt17(row.wilson_hi), fmt17(row.bound),
-    ])
+    return _csv_row(row)

@@ -80,6 +80,19 @@ def _edge_weights(n_edges: int, p: float) -> np.ndarray:
     return w
 
 
+def _law(strata: dict, n_edges: int, p: float, first: int) -> tuple:
+    """The sorted support and the probabilities of the outcomes key[first:] of the exact
+    stratum counts strata, keyed (edge count, ...) among n_edges possible edges; each
+    outcome sums its strata's weights in the order of strata."""
+    w = _edge_weights(n_edges, p)
+    probs: dict = {}
+    for key, cnt in strata.items():
+        outcome = key[first:]
+        probs[outcome] = probs.get(outcome, 0.0) + cnt * w[key[0]]
+    support = sorted(k for k, q in probs.items() if q > 0.0)
+    return support, np.array([probs[k] for k in support])
+
+
 @dataclass
 class ExactDistribution:
     """Exact joint law of (L1, N1, L2) over H^r(n, p)."""
@@ -166,14 +179,7 @@ def enumerate_all(n: int, r: int, p: float, workers: int = 1) -> ExactDistributi
                         key = (e1 + e, big, n1, l2)
                         counts[key] = counts.get(key, 0) + marked * x // (j + 1)
     strata = {key: counts[key] for key in sorted(counts)}
-
-    w = _edge_weights(ne, p)
-    probs: dict = {}
-    for (e, l1, n1, l2), cnt in strata.items():
-        key = (l1, n1, l2)
-        probs[key] = probs.get(key, 0.0) + cnt * w[e]
-    support = sorted(k for k, q in probs.items() if q > 0.0)
-    probability = np.array([probs[k] for k in support])
+    support, probability = _law(strata, ne, p, 1)
     return ExactDistribution(n=n, r=r, p=p, support=support, probability=probability, strata=strata)
 
 
@@ -251,13 +257,6 @@ def enumerate_step(n: int, r: int, p: float, explored, active) -> StepLaw:
         if u in active:
             act_mask |= 1 << i
     family = sorted(combinations(range(m), r - 1), key=colex_rank)
-
-    if fam_n == 0:
-        support = [(0, 0, 0, 0)]
-        probability = np.array([1.0])
-        return StepLaw(n=n, r=r, p=p, t=t, v=v, active_excl=len(active - {v}),
-                       unseen_excl=m - len(active - {v}), support=support, probability=probability)
-
     fam_masks = [sum(1 << i for i in s) for s in family]
     pair_overlap = []
     for i in range(fam_n - 1):
@@ -293,13 +292,7 @@ def enumerate_step(n: int, r: int, p: float, explored, active) -> StepLaw:
             k = (ee, hh, xx, zz)
             strata[k] = strata.get(k, 0) + int(cnt[flat])
 
-    w = _edge_weights(fam_n, p)
-    probs: dict = {}
-    for (e, eta, xi, zeta), cnt in strata.items():
-        key = (e, eta, xi, zeta)
-        probs[key] = probs.get(key, 0.0) + cnt * w[e]
-    support = sorted(k for k, q in probs.items() if q > 0.0)
-    probability = np.array([probs[k] for k in support])
+    support, probability = _law(strata, fam_n, p, 0)
     ax = len(active - {v})
     return StepLaw(n=n, r=r, p=p, t=t, v=v, active_excl=ax, unseen_excl=m - ax,
                    support=support, probability=probability)

@@ -11,6 +11,7 @@ use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,8 +174,8 @@ def derived_constants(r: int, lam: float) -> DerivedConstants:
 def _check_params(r: int, n: int = 1) -> None:
     if not (2 <= r <= MAX_R) or r != int(r):
         raise ValueError(f"r must be an integer in [2, {MAX_R}], got {r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= sys.float_info.max:
+        raise ValueError(f"n must be >= 1 and fit a float, got {n}")
 
 
 def g_eval(r: int, lam: float, tau):
@@ -227,8 +228,7 @@ def integrate_h(r: int, lam: float, a: float, b: float) -> float:
 class DriftSequences:
     """Deterministic per-step drift sequences for a given (n, r, p).
 
-    Arrays are indexed by step t: alpha[t] and pi[t] are meaningful for
-    t in [1, n] (entry 0 is zero), beta[t] for t in [0, n] with beta[0] = 1,
+    Arrays are indexed by step t: beta[t] for t in [0, n] with beta[0] = 1,
     x[t] for t in [0, n], gamma[t] for t in [1, t1] with gamma[t1] = 0.
     """
 
@@ -236,16 +236,15 @@ class DriftSequences:
     r: int
     p: float
     t1: int
-    alpha: np.ndarray
     beta: np.ndarray
     x: np.ndarray
-    pi: np.ndarray
     gamma: np.ndarray
 
 
 def drift_sequences(n: int, r: int, p: float, t1: int) -> DriftSequences:
-    """Compute alpha, beta, x, pi, gamma in one vectorized pass.
+    """Compute beta, x and gamma in one vectorized pass.
 
+    With alpha_t = p binom(n - t - 1, r - 2) and pi_t = 1 - (1 - p)^binom(n - t - 1, r - 2),
     beta is accumulated in log space (exp of a running sum of log1p(-alpha)),
     which keeps full relative accuracy for the tiny alpha_t of interest, and
     pi uses the exp(c log1p(-p)) form since c may be as large as n^(r-2).
@@ -263,22 +262,18 @@ def drift_sequences(n: int, r: int, p: float, t1: int) -> DriftSequences:
 
     t = np.arange(0, n + 1, dtype=np.float64)
     c_cov = comb_float(n - t - 1.0, r - 2)  # tested sets covering one fixed vertex
-    alpha = p * c_cov
-    alpha[0] = 0.0
     beta = np.empty(n + 1)
     beta[0] = 1.0
-    beta[1:] = np.exp(np.cumsum(np.log1p(-alpha[1:])))
+    alpha = p * c_cov[1:]  # alpha_t for t = 1 .. n
+    beta[1:] = np.exp(np.cumsum(np.log1p(-alpha)))
     x = n - t - n * beta
-    logq = math.log1p(-p)
-    pi = -np.expm1(c_cov * logq)
-    pi[0] = 0.0
 
     gamma = np.zeros(t1 + 1)
     if t1 >= 2:
-        bp = beta[1 : t1] * pi[1 : t1]  # summand beta_t pi_t for t = 1 .. t1-1
-        suffix = np.cumsum(bp[::-1])[::-1]
+        pi = -np.expm1(c_cov[1:t1] * math.log1p(-p))  # pi_t for t = 1 .. t1-1
+        suffix = np.cumsum((beta[1:t1] * pi)[::-1])[::-1]  # the suffix sums of beta_t pi_t
         gamma[1:t1] = suffix / beta[1:t1]
-    return DriftSequences(n=n, r=r, p=p, t1=t1, alpha=alpha, beta=beta, x=x, pi=pi, gamma=gamma)
+    return DriftSequences(n=n, r=r, p=p, t1=t1, beta=beta, x=x, gamma=gamma)
 
 
 def clt_targets(n: int, r: int, eps: float) -> CltTargets:

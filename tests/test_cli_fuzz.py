@@ -65,6 +65,7 @@ _COMMANDS = {
 }
 
 _TAILS = ["tails", "--n", "30", "--r", "3", "--eps", "0.5", "--seed", "1", "--replicates", "2"]
+_HUGE = str(10**400)  # no float and no int64 holds it
 # earlier faults, each once an uncaught exception, an exit 3 or an exit 0 on bad input
 EXAMPLES = [
     ["theory", "--r", "3", "--lambda", "1.5", "--n", "0"],
@@ -84,6 +85,16 @@ EXAMPLES = [
     ["mc", "--n", "8", "--r", "4", "--lambda", "1.2", "--seed", "1", "--replicates", "2"],
     ["mc", "--n", "5", "--r", "3", "--eps", "0.2", "--seed", "0", "--replicates", "2",
      "--omega", "0.5"],
+    # integers past a float or an int64, each once an overflow traceback (exit 1) or exit 3
+    ["theory", "--r", "3", "--lambda", "2", "--n", _HUGE],
+    ["run", "--n", _HUGE, "--r", "3", "--lambda", "2", "--seed", "1"],
+    ["mc", "--n", _HUGE, "--r", "3", "--lambda", "2", "--seed", "1", "--replicates", "2"],
+    ["tails", "--kind", "sub", "--n", _HUGE, "--r", "3", "--eps", "0.3", "--seed", "1",
+     "--replicates", "2"],
+    ["run", "--n", "100000000000000000000", "--r", "3", "--lambda", "1.2", "--seed", "1"],
+    ["mc", "--n", "30", "--r", "3", "--lambda", "0.8", "--seed", "1", "--replicates", _HUGE],
+    ["tails", "--kind", "sub", "--n", "300", "--r", "3", "--eps", "0.3", "--seed", "1",
+     "--replicates", "2", "--L-grid", _HUGE],
 ]
 
 
@@ -115,6 +126,8 @@ def _check(argv, capsys, want=None) -> str | None:
         return f"took {seconds:.1f} s"
     if code == 2 and not err.startswith("usage-error:") and "usage:" not in err:
         return f"exit 2 without a usage message: {err!r}"
+    if err.startswith("usage-error:") and err.count("\n") != 1:
+        return f"a usage error of more than one line: {err!r}"
     if code == want or want is None and (code in (0, 2) or code == 3 and T1_FAULT in err):
         return None
     return f"exit {code}: {err!r}"

@@ -69,6 +69,10 @@ def test_config_validation():
         ExplorationConfig(n=10, r=3, p=0.9, seed=1)  # branching factor blown
     with pytest.raises(ValueError):
         ExplorationConfig(n=10, r=3, p=0.01, seed=1, stop_rule="giant")  # no census_t0
+    with pytest.raises(ValueError, match="census_t0 must be nonnegative"):
+        ExplorationConfig(n=10, r=3, p=0.01, seed=1, stop_rule="giant", census_t0=-5)
+    with pytest.raises(ValueError, match=r"n must lie in \[1, 2\*\*63\)"):
+        ExplorationConfig(n=2**63, r=3, p=1e-40, seed=1)
     with pytest.raises(ValueError):
         ExplorationConfig(n=10**6, r=3, p=1e-12, seed=1, mode="explicit")
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import shlex
 
@@ -17,6 +18,7 @@ from hxplore.mc import (
     run_cell,
     tail_experiment,
 )
+from hxplore.theory import DriftSequences
 from hxplore.util import derive_seed
 
 explore_module = importlib.import_module("hxplore.explore")  # the package re-exports explore()
@@ -260,3 +262,21 @@ def test_failed_replicate_prints_its_replay_command(monkeypatch, tmp_path, capsy
         err = capsys.readouterr().err
         assert code == 3 and err.startswith("error: RuntimeError: replicate too short for the t1 ")
         assert cause == repr(RuntimeError(err.removeprefix("error: RuntimeError: ").rstrip("\n")))
+
+
+def test_traced_cell_builds_its_drift_table_once(monkeypatch):
+    calls = []
+    build = mc_module.drift_sequences
+    monkeypatch.setattr(mc_module, "drift_sequences", lambda *args: calls.append(args) or build(*args))
+    ctx = run_cell(*_small_plan(collect=("census", "doob"), R=4), workers=1).aggregate.ctx
+    assert calls == [(ctx.n, ctx.r, ctx.p, ctx.t1)]
+    calls.clear()
+    run_cell(*_small_plan(R=4), workers=1)
+    assert calls == []
+
+
+def test_run_doob_frees_its_drift_table(tmp_path, capsys):
+    argv = ["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "1", "--doob"]
+    assert cli.main([*argv, "--out", str(tmp_path / "run")]) == 0
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, DriftSequences)]

@@ -148,6 +148,7 @@ def test_step_law_empty_family():
     law = enumerate_step(3, 3, 0.4, explored=[0], active=[])
     # one unexplored other: no testable 2-sets
     assert law.support == [(0, 0, 0, 0)]
+    assert law.probability.tolist() == [1.0]
 
 
 def test_step_law_single_bernoulli():

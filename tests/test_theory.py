@@ -164,12 +164,10 @@ def test_drift_sequences_basics():
     seq = drift_sequences(n, r, p, t1)
     assert seq.beta[0] == 1.0
     assert seq.x[0] == 0.0
-    assert np.all(seq.alpha[1:] >= 0.0) and np.all(seq.alpha[1:] < 0.5)
     assert np.all(np.diff(seq.beta) <= 0.0)
-    live = seq.alpha[1:] > 0
-    assert np.all(np.diff(seq.beta)[live] < 0.0)
+    # alpha_t = p binom(n - t - 1, r - 2) > 0, so beta strictly decreases, up to t = n - r + 1
+    assert np.all(np.diff(seq.beta)[: n - r + 1] < 0.0)
     assert np.all((seq.beta > 0.0) & (seq.beta <= 1.0))
-    assert np.all((seq.pi[1:] >= 0.0) & (seq.pi[1:] <= 1.0))
     assert seq.gamma[t1] == 0.0
     assert np.allclose(seq.x, n - np.arange(n + 1) - n * seq.beta)
 
