@@ -581,6 +581,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # numpy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ replicate's generator starts in the state np.random.default_rng(seed) gives,
 but util.seeded_generators computes those states a chunk of replicates at a
 time and sets each on one reused generator.  make_context checks the cell's
 config once and builds a traced cell's drift table, CellContext.drift, which
-the context carries to the fork workers and which is freed with the context.
+is freed with the context.  With workers > 1 a cell runs in this process and
+workers - 1 forked children, which inherit the context and its drift table;
+nothing is pickled but each child's results.
 CellContext.replay is the one Doob replay of a run, for a replicate and its
 `hxplore run --doob` replay alike.  A cell's statistics are read off its
 replicate results in replicate-index order, neutralizing floating-point
@@ -18,11 +20,12 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from multiprocessing import get_context
 from typing import NamedTuple
 
 import numpy as np
@@ -346,8 +349,7 @@ def _replay_command(ctx: CellContext, seed: int) -> str:
     return " ".join(argv)
 
 
-def _replicate_chunk(args):
-    ctx, master_seed, salt, lo, hi = args
+def _replicate_chunk(ctx: CellContext, master_seed: int, salt: int, lo: int, hi: int):
     out = []
     seeds = derive_seed(master_seed, salt, np.arange(lo, hi, dtype=np.uint64))
     for rep, seed, rng in zip(range(lo, hi), seeds.tolist(), seeded_generators(seeds)):
@@ -359,18 +361,79 @@ def _replicate_chunk(args):
     return out, None
 
 
+def _fork_share(run_share, w: int):
+    """Fork a child that writes one pickle of run_share(w) to a pipe and ends
+    with os._exit, running no atexit handler and flushing no inherited stdio
+    buffer; returns (pid, the pipe's read end)."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as fh:
+                pickle.dump(run_share(w), fh, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(wfd)  # now only the child holds the write end, so its death ends the pipe
+    return pid, open(rfd, "rb")
+
+
+def _fork_map(run_share, workers: int) -> list:
+    """[run_share(w) for w in range(workers)]: share 0 in this process, share w
+    in forked child w.  A child that exits nonzero, dies by a signal or sends a
+    short pickle raises RuntimeError naming it and its exit status (-N: signal
+    N).  No child outlives the call: when anything raises, KeyboardInterrupt
+    included, every child still running is killed and reaped."""
+    children = {}
+    try:
+        for w in range(1, workers):
+            children[w] = _fork_share(run_share, w)
+        shares = [run_share(0)]
+        for w in range(1, workers):
+            pid, reader = children[w]
+            with reader:
+                data = reader.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[w]
+            if status == 0:
+                try:
+                    shares.append(pickle.loads(data))
+                    continue
+                except (EOFError, pickle.UnpicklingError):
+                    pass
+            raise RuntimeError(f"worker {w} exited with status {status} "
+                               f"after sending {len(data)} bytes")
+        return shares
+    finally:
+        for pid, reader in children.values():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _map_replicates(ctx, R: int, master_seed: int, salt: int, workers: int) -> list:
     """_run_replicate of every replicate rep in range(R), on the seed
-    derive_seed(master_seed, salt, rep), in chunks over a fork pool when
-    workers > 1.  Raises RuntimeError naming the lowest failed replicate, its
-    derived seed and the command that replays it."""
+    derive_seed(master_seed, salt, rep), in chunks.  With workers > 1 the
+    chunks are dealt round-robin into shares that run in this process and in
+    forked children (see _fork_map).  Raises RuntimeError naming the lowest
+    failed replicate, its derived seed and the command that replays it."""
     chunk = max(1, min(512, -(-R // (workers * 4)))) if workers > 1 else R
-    tasks = [(ctx, master_seed, salt, lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
-    if workers > 1 and len(tasks) > 1:
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_replicate_chunk, tasks, chunksize=1)
-    else:
-        parts = [_replicate_chunk(t) for t in tasks]
+    tasks = [(lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
+    shares = max(1, min(workers, len(tasks)))
+
+    def run_share(w):
+        return [_replicate_chunk(ctx, master_seed, salt, lo, hi) for lo, hi in tasks[w::shares]]
+
+    parts = [None] * len(tasks)
+    for w, share in enumerate(_fork_map(run_share, shares)):
+        parts[w::shares] = share
     for _, error in parts:
         if error is not None:
             raise RuntimeError(error)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import time
@@ -180,6 +181,21 @@ def test_runtime_error_exit_code(capsys, tmp_path):
     code, _, err = _run(capsys, ["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "3",
                                  "--stop", "giant:0", "--doob", "--out", str(tmp_path / "P")])
     assert code == 3 and err.startswith("error: RuntimeError: replicate too short"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "1", "--doob"],
+    ["mc", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "1", "--replicates", "2"],
+])
+def test_memory_error_exit_code(monkeypatch, capsys, tmp_path, argv):
+    # the drift table of a huge traced cell does not fit in memory
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(importlib.import_module("hxplore.mc"), "drift_sequences", out_of_memory)
+    code, _, err = _run(capsys, [*argv, "--out", str(tmp_path / "M")])
+    assert code == 3
+    assert err == "error: MemoryError: Unable to allocate 7.45 GiB for an array\n"
 
 
 def test_argparse_usage_exit_code(capsys):

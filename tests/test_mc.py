@@ -1,6 +1,10 @@
 import gc
 import importlib
+import os
+import pickle
 import shlex
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -56,13 +60,98 @@ def test_replicate_seeds_are_per_replicate():
 
 
 def test_worker_count_does_not_change_results():
-    spec, plan = _small_plan(collect=("census", "windows"), R=24)
-    rows = []
-    for w in (1, 2):
-        res = run_cell(spec, plan, workers=w)
-        rows.append((format_cell_row(res), tuple(res.aggregate.z1),
-                     tuple(res.aggregate.values("duality")), res.aggregate.windows()))
-    assert rows[0] == rows[1]
+    for collect in (("census", "windows"), ("census", "doob")):
+        spec, plan = _small_plan(collect=collect, R=24)
+        rows = []
+        for w in (1, 2, 3):
+            res = run_cell(spec, plan, workers=w)
+            rows.append((format_cell_row(res), tuple(res.aggregate.z1), res.aggregate.reps,
+                         res.aggregate.windows()))
+        assert rows[0] == rows[1] == rows[2]
+
+
+def test_a_cell_forks_workers_minus_one_children(monkeypatch):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    for workers in (1, 2, 3):
+        forks.clear()
+        run_cell(*_small_plan(R=8), workers=workers)
+        assert forks == [os.getpid()] * (workers - 1)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_lowest_failure_across_shares(monkeypatch):
+    # R = 4 on 2 workers: this process runs chunks 0 and 2, the child 1 and 3
+    spec, plan = _small_plan(R=4, seed=3)
+    bad = {derive_seed(3, 0, 1), derive_seed(3, 0, 2)}
+    run = mc_module.run_exploration
+
+    def failing(config, *args, **kw):
+        if config.seed in bad:
+            raise RuntimeError("forced failure")
+        return run(config, *args, **kw)
+
+    monkeypatch.setattr(mc_module, "run_exploration", failing)
+    with pytest.raises(RuntimeError, match=rf"replicate 1 \(seed {derive_seed(3, 0, 1)}\) failed"):
+        run_cell(spec, plan, workers=2)
+    _no_child_left()
+
+
+def test_interrupted_parent_kills_its_workers(monkeypatch):
+    parent = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(mc_module, "_run_replicate", interrupted)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_cell(*_small_plan(R=8), workers=3)
+    assert time.perf_counter() - t0 < 5.0
+    _no_child_left()
+
+
+def test_short_result_raises(monkeypatch):
+    dumps = pickle.dumps
+    monkeypatch.setattr(pickle, "dump", lambda obj, fh, protocol: fh.write(dumps(obj, protocol)[:10]))
+    with pytest.raises(RuntimeError, match="worker 1 exited with status 0 after sending 10 bytes"):
+        run_cell(*_small_plan(R=4), workers=2)
+    _no_child_left()
+
+
+def test_killed_worker_raises_instead_of_hanging(monkeypatch):
+    parent = os.getpid()
+    run = mc_module._run_replicate
+
+    def killing(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(*args)
+
+    def hung(signum, frame):
+        raise TimeoutError("run_cell hung after its worker was killed")
+
+    monkeypatch.setattr(mc_module, "_run_replicate", killing)
+    spec = CellSpec(n=300, r=3, lam=0.7, stop="full")
+    plan = ExperimentPlan(cells=(spec,), replicates=16, master_seed=1)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(RuntimeError, match=r"worker 1 exited with status -9 "):
+            run_cell(spec, plan, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - t0 < 5.0
+    _no_child_left()
 
 
 def test_cell_row_is_identical_across_calls_and_table_caches():
