@@ -9,7 +9,6 @@ from .explore import (
     ExplorationConfig,
     RunResult,
     census,
-    explore,
     materialize,
     run_exploration,
 )
@@ -18,7 +17,6 @@ from .mc import (
     ExperimentPlan,
     MCAggregate,
     run_cell,
-    run_experiment,
     tail_experiment,
 )
 from .oracle import ExactDistribution, StepLaw, enumerate_all, enumerate_step

@@ -25,7 +25,6 @@ from .mc import (
     ExperimentPlan,
     format_cell_row,
     run_cell,
-    run_experiment,
     tail_experiment,
 )
 from .oracle import enumerate_all, enumerate_step
@@ -361,7 +360,7 @@ def criterion_determinism(workers):
     spec = CellSpec(n=20_000, r=3, eps=0.2, stop="giant")
     plan = ExperimentPlan(cells=(spec,), replicates=40, master_seed=SEED_DETERMINISM,
                           omega=4.0, collect=("census", "windows"))
-    results = [run_experiment(plan, workers=w)[0] for w in (1, 2, 1)]
+    results = [run_cell(spec, plan, workers=w) for w in (1, 2, 1)]
     rows = [(format_cell_row(res), tuple(res.aggregate.z1), tuple(res.aggregate.values("duality")))
             for res in results]
     yield Record("mc output equal at workers 1, 2, 1", rows[0] == rows[1] == rows[2], True, True)

@@ -31,7 +31,7 @@ from .mc import (
     format_tail_row,
     make_context,
     resolve_workers,
-    run_experiment,
+    run_cell,
     tail_experiment,
 )
 from .oracle import enumerate_all, enumerate_step
@@ -478,22 +478,20 @@ def cmd_mc(args) -> int:
     plan = _plan(args, spec, args.replicates, ("census", "windows") if super_cell else ("census",))
     workers = _checked(resolve_workers, args.threads)
     # make_context checks the cell; replicates run on derived seeds, so any --seed is valid here
-    results = _checked(run_experiment, plan, workers=workers)
-    csv_text = CELL_CSV_HEADER + "\n" + "\n".join(format_cell_row(r) for r in results) + "\n"
-    report = []
-    for res in results:
-        s = res.summary()
-        report.append({
-            "cell": s["cell"],
-            "summary": s,
-            **res.aggregate.windows(),
-            "verdicts": {
-                f"ks_z1_below_{acceptance.CLT_KS_Z1}": None if s["ks_z1"] is None
-                else bool(s["ks_z1"] < acceptance.CLT_KS_Z1),
-                f"corr_within_{acceptance.CLT_CORR_TOL}_of_sqrt35": None if s["corr"] is None
-                else bool(abs(s["corr"] - acceptance.CLT_CORR) < acceptance.CLT_CORR_TOL),
-            },
-        })
+    res = _checked(run_cell, spec, plan, workers=workers)
+    csv_text = CELL_CSV_HEADER + "\n" + format_cell_row(res) + "\n"
+    s = res.summary()
+    report = [{
+        "cell": s["cell"],
+        "summary": s,
+        **res.aggregate.windows(),
+        "verdicts": {
+            f"ks_z1_below_{acceptance.CLT_KS_Z1}": None if s["ks_z1"] is None
+            else bool(s["ks_z1"] < acceptance.CLT_KS_Z1),
+            f"corr_within_{acceptance.CLT_CORR_TOL}_of_sqrt35": None if s["corr"] is None
+            else bool(abs(s["corr"] - acceptance.CLT_CORR) < acceptance.CLT_CORR_TOL),
+        },
+    }]
     json_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     _emit(args.out, [("cells.csv", [csv_text]), ("report.json", [json_text])])
     return 0

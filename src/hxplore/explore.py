@@ -40,14 +40,14 @@ and the outputs of a step-by-step loop.  Two facts make that exact:
 Chunks shorter than _SHORT_CHUNK steps, where numpy's per-call cost would
 outweigh the block walk, run the step-by-step loop itself.
 
-The law of a chunk's edge counts depends on (n, r, p, t) alone, so its
-inversion table (randvar.binomial_table) is built once per process and kept
-in a least-recently-used cache of _TABLE_CACHE chunks, keyed on all four,
-with read-only arrays; every run of a cell draws its uniforms against the
-same tables.  The cache holds the 13 chunks that a giant-stop run at
-n = 3e5 reads, at most 0.27 MB a chunk.  The component table is kept as
-close times and cumulative edge counts, as int64 arrays in the full record;
-the census reduces long tables with numpy and short ones in Python ints.
+The law of a chunk's edge counts depends on (n, r, p, t) alone, so the runs
+of one law can share its inversion tables (randvar.binomial_table), with
+read-only arrays: run_exploration takes a dict from chunk start t to table,
+which a Monte Carlo cell owns, and fills it as its runs reach new chunks.
+Without one, a run builds each chunk's table when it reaches that chunk and
+keeps none.  The component table is kept as close times and cumulative edge
+counts, as int64 arrays in the full record; the census reduces long tables
+with numpy and short ones in Python ints.
 
 A run draws from a generator in the state np.random.default_rng(seed) gives,
 so its stream is a function of the seed alone.  util.seeded_generators makes
@@ -64,7 +64,7 @@ import heapq
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -88,7 +88,6 @@ BRANCHING_LIMIT = 16.0  # cap on p * binom(n, r-1); keeps E_t means O(1)
 _E_CHUNK = 4096
 _U_CHUNK = 8192
 _SHORT_CHUNK = 512  # edge-count chunks shorter than this are walked step by step
-_TABLE_CACHE = 16  # edge-count tables kept per process; a giant-stop run at n = 3e5 reads 13
 _SHORT_TABLE = 32  # component tables up to this length are reduced in Python ints
 
 
@@ -257,13 +256,16 @@ def _step_counts(rand, m: int, ap: int, rr: int, k: int, u) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def run_exploration(config: ExplorationConfig, record: str = "none", rng=None) -> RunResult:
+def run_exploration(config: ExplorationConfig, record: str = "none", rng=None,
+                    tables: dict | None = None) -> RunResult:
     """Run one exploration to completion (or to the stop rule).
 
     record: 'none' keeps only the census summary, 'full' also stores every
     per-step column and the component table.  rng: the run's generator, in
     the state util.seeded_generators gives config.seed; seeded here when
-    None.
+    None.  tables: chunk start t -> edge-count table, shared by the runs of
+    one (n, r, p); the implicit engine takes each chunk's table from it, or
+    builds the table and stores it there.  None keeps no table.
     """
     if record not in ("none", "full"):
         raise ValueError(f"record must be 'none' or 'full', got {record!r}")
@@ -271,7 +273,7 @@ def run_exploration(config: ExplorationConfig, record: str = "none", rng=None) -
         rng = next(seeded_generators([config.seed]))
     if config.mode == "explicit":
         return _run_explicit(config, record, rng)
-    return _run_implicit(config, record, rng)
+    return _run_implicit(config, record, rng, tables)
 
 
 def _uniform_groups(rng, rr: int, steps_left: int) -> np.ndarray:
@@ -424,11 +426,10 @@ def _block_chunk(rng, ks: np.ndarray, t: int, n: int, rr: int, A0: int, u_rows: 
     return _lindley(Q, A0), xi, eta, zeta, u_rows, j
 
 
-@lru_cache(maxsize=_TABLE_CACHE)
 def _edge_count_table(n: int, rr: int, p: float, t: int) -> BinomialTable:
     """The binomial table of the edge counts of steps t+1 .. min(n, t +
-    _E_CHUNK), Binomial(binom(n - s, rr), p) at step s.  Every run of a cell
-    draws from the same tables, so they are cached, with read-only arrays."""
+    _E_CHUNK), Binomial(binom(n - s, rr), p) at step s, with read-only arrays,
+    as the runs of a cell share it."""
     hi = min(n, t + _E_CHUNK)
     table = binomial_table(comb_float(np.arange(n - t - 1, n - hi - 1, -1, dtype=np.float64), rr), p)
     for a in (table.trials, table.cum, table.big):
@@ -436,7 +437,7 @@ def _edge_count_table(n: int, rr: int, p: float, t: int) -> BinomialTable:
     return table
 
 
-def _run_implicit(config: ExplorationConfig, record: str, rng) -> RunResult:
+def _run_implicit(config: ExplorationConfig, record: str, rng, tables: dict | None) -> RunResult:
     n, r, p = config.n, config.r, config.p
     rr = r - 1
     t0c = -1 if config.census_t0 is None else int(config.census_t0)
@@ -461,7 +462,11 @@ def _run_implicit(config: ExplorationConfig, record: str, rng) -> RunResult:
     while t < n:
         # edge counts of steps t+1 .. hi, drawn once the previous chunk is used up
         hi = min(n, t + _E_CHUNK)
-        ks = sample_binomial_table(rng, _edge_count_table(n, rr, p, t))
+        if tables is None:
+            table = _edge_count_table(n, rr, p, t)
+        elif (table := tables.get(t)) is None:
+            table = tables[t] = _edge_count_table(n, rr, p, t)
+        ks = sample_binomial_table(rng, table)
         if hi - t >= _SHORT_CHUNK:
             cA, cxi, ceta, czeta, u_rows, j = _block_chunk(rng, ks, t, n, rr, A, u_rows, j)
             z = np.flatnonzero(cA == 0)

@@ -6,10 +6,11 @@ byte-identical no matter how replicates are scheduled across workers.  A
 replicate's generator starts in the state np.random.default_rng(seed) gives,
 but util.seeded_generators computes those states a chunk of replicates at a
 time and sets each on one reused generator.  make_context checks the cell's
-config once and builds a traced cell's drift table, CellContext.drift, which
-is freed with the context.  With workers > 1 a cell runs in this process and
-workers - 1 forked children, which inherit the context and its drift table;
-nothing is pickled but each child's results.
+config once and builds a traced cell's drift table, CellContext.drift; its
+runs build its edge-count tables, CellContext.tables, once a chunk.  Both
+are freed with the context.  With workers > 1 a cell runs in this process
+and workers - 1 forked children, which inherit the context and fill their
+own copies of its tables; nothing is pickled but each child's results.
 CellContext.replay is the one Doob replay of a run, for a replicate and its
 `hxplore run --doob` replay alike.  A cell's statistics are read off its
 replicate results in replicate-index order, neutralizing floating-point
@@ -46,7 +47,6 @@ __all__ = [
     "MCAggregate",
     "CellResult",
     "ReplicateStats",
-    "run_experiment",
     "run_cell",
     "tail_experiment",
     "tail_grid",
@@ -63,16 +63,19 @@ DEFAULT_OMEGA = 4.0
 
 def resolve_workers(requested: int | None) -> int:
     """Advisory parallelism: the smaller of the request, the CPU count, and
-    the HXPLORE_MAX_WORKERS cap.  Never affects results, only scheduling."""
+    the HXPLORE_MAX_WORKERS cap.  Never affects results, only scheduling.
+    Raises ValueError on a request or a cap below 1."""
     cap = os.environ.get(ENV_WORKER_CAP)
     try:
         cap = int(cap) if cap else 1 << 30
     except ValueError:
         raise ValueError(f"{ENV_WORKER_CAP} must be an integer, got {cap!r}") from None
     cpus = os.cpu_count() or 1
-    if requested is None:
-        requested = cpus
-    return max(1, min(requested, cpus, cap))
+    requested = cpus if requested is None else requested
+    for name, value in (("the worker count", requested), (ENV_WORKER_CAP, cap)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    return min(requested, cpus, cap)
 
 
 def fmt17(x) -> str:
@@ -205,6 +208,11 @@ class CellContext:
         """The cell's drift table up to t1, built once, by make_context for a traced cell."""
         return drift_sequences(self.n, self.r, self.p, self.t1)
 
+    @cached_property
+    def tables(self) -> dict:
+        """Chunk start t -> the cell's edge-count table, filled by run_exploration."""
+        return {}
+
     def replay(self, run) -> DoobTrace:
         """The Doob decomposition of a traced replicate's run up to t1, for the cell and for
         `hxplore run --doob`; decompose raises RuntimeError when the run ends before t1."""
@@ -314,7 +322,8 @@ class CellResult:
 
 
 def _run_replicate(ctx: CellContext, seed: int, rng) -> ReplicateStats:
-    res = run_exploration(ctx.config(seed), record="full" if ctx.traced else "none", rng=rng)
+    res = run_exploration(ctx.config(seed), record="full" if ctx.traced else "none", rng=rng,
+                          tables=ctx.tables)
     max_s_pre = max_s_t1 = duality = v1 = v2 = v12 = l1 = l2 = gap = None
     if ctx.traced:
         dt = ctx.replay(res)
@@ -483,15 +492,6 @@ def run_cell(spec: CellSpec, plan: ExperimentPlan, cell_index: int = 0,
     except RuntimeError as exc:
         raise RuntimeError(f"cell {spec.name()} aborted: {exc}") from None
     return CellResult(spec=spec, aggregate=MCAggregate(tuple(reps), ctx))
-
-
-def run_experiment(plan: ExperimentPlan, workers: int = 1) -> list:
-    """Run every cell of the plan; deterministic in (plan, master_seed)
-    regardless of worker count."""
-    return [
-        run_cell(spec, plan, cell_index=ci, workers=workers)
-        for ci, spec in enumerate(plan.cells)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,11 @@ def test_verify_subset(capsys):
     # omegas that are not finite and positive: a NaN in report.json, a row counting every run
     *[(["tails", "--kind", "super", "--n", "30", "--r", "3", "--eps", "0.5", "--seed", "1",
         "--replicates", "2", "--omega-grid", grid], None) for grid in ("nan,-1", "2,-1")],
+    # worker counts and caps below 1, which ran on one worker
+    *[(["mc", "--n", "200", "--r", "3", "--lambda", "0.8", "--seed", "1", "--replicates", "2",
+        "--threads", k], None) for k in ("0", "-4")],
+    (["verify", "--criteria", "1", "--threads", "0"], None),
+    *[(["verify", "--criteria", "1"], cap) for cap in ("0", "-1")],
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:

@@ -1,11 +1,12 @@
 import dataclasses
-import importlib
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 
+import hxplore.explore as explore_module
 from hxplore.doob import conditional_moments
 from hxplore.explore import (
     ExplorationConfig,
@@ -20,8 +21,6 @@ from hxplore.randvar import sample_binomial
 from hxplore.stats import chi_square_gof
 from hxplore.theory import p_from_lambda
 from hxplore.util import comb0
-
-explore_module = importlib.import_module("hxplore.explore")  # the package re-exports explore()
 
 
 def _sample_step(rng, n: int, r: int, p: float, t: int, active_excl: int):
@@ -111,6 +110,24 @@ def test_determinism_same_seed():
     assert np.array_equal(a.edge_counts, b.edge_counts)
     c = explore(ExplorationConfig(n=400, r=3, p=cfg.p, seed=100))
     assert not np.array_equal(a.edge_counts, c.edge_counts)
+
+
+def test_run_without_tables_builds_its_own_and_keeps_none(monkeypatch):
+    # a full-stop run at n = 20,000 reads 5 chunks of 4,096 steps; each run builds
+    # its tables as it reaches their chunks and frees them
+    built = []
+    build = explore_module.binomial_table
+
+    def counting(*args):
+        table = build(*args)
+        built.append(weakref.ref(table.cum))
+        return table
+
+    monkeypatch.setattr(explore_module, "binomial_table", counting)
+    cfg = ExplorationConfig(n=20_000, r=3, p=p_from_lambda(20_000, 3, 1.2), seed=3)
+    assert run_exploration(cfg) == run_exploration(cfg)
+    assert len(built) == 2 * 5
+    assert [ref() for ref in built] == [None] * 10
 
 
 @pytest.mark.parametrize("mode,n,r,lam", [

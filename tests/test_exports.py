@@ -33,6 +33,12 @@ def test_package_reexports_resolve():
 
 
 @pytest.mark.parametrize("name", MODULES)
+def test_package_attribute_is_the_module(name):
+    # a re-exported name equal to a module's, like explore(), would hide the module
+    assert getattr(hxplore, name) is importlib.import_module(f"hxplore.{name}")
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_module_imports_are_used(name):
     # the package's __init__ imports only to re-export, and is not a module of MODULES
     tree = ast.parse(Path(hxplore.__file__).with_name(f"{name}.py").read_text())

@@ -11,11 +11,10 @@ import hashlib
 import math
 import operator
 
-import importlib
-
 import numpy as np
 import pytest
 
+import hxplore.explore as explore_module
 from hxplore.cli import main
 from hxplore.explore import ExplorationConfig, census, explore, run_exploration
 from hxplore.oracle import enumerate_all
@@ -30,7 +29,6 @@ from hxplore.mc import (
 from hxplore.theory import p_from_lambda
 from hxplore.util import comb0
 
-explore_module = importlib.import_module("hxplore.explore")  # the package re-exports explore()
 
 TRACE_COLUMNS = ("edge_counts", "eta", "xi", "zeta", "nullity_inc", "A", "C", "X", "new_component")
 CENSUS_FIELDS = ("L1", "L2", "M1", "N1", "Z", "T0", "T1", "c_t0p1", "l1_tie")

@@ -1,5 +1,4 @@
 import gc
-import importlib
 import os
 import pickle
 import shlex
@@ -9,8 +8,10 @@ import time
 import numpy as np
 import pytest
 
+import hxplore.explore as explore_module
+import hxplore.mc as mc_module
 from hxplore import cli
-from hxplore.explore import ExplorationConfig, explore
+from hxplore.explore import ExplorationConfig, explore, run_exploration
 from hxplore.mc import (
     CELL_CSV_HEADER,
     CellSpec,
@@ -24,9 +25,6 @@ from hxplore.mc import (
 )
 from hxplore.theory import DriftSequences
 from hxplore.util import derive_seed
-
-explore_module = importlib.import_module("hxplore.explore")  # the package re-exports explore()
-mc_module = importlib.import_module("hxplore.mc")
 
 
 def _small_plan(collect=("census",), R=30, seed=999, stop="giant"):
@@ -155,22 +153,32 @@ def test_killed_worker_raises_instead_of_hanging(monkeypatch):
 
 
 def test_cell_row_is_identical_across_calls_and_table_caches():
-    # each replicate draws its edge counts from the per-process table cache; a
-    # table that leaked state between calls would change the second row
+    # each replicate draws its edge counts from its cell's tables; a table that
+    # leaked state between runs would change the second row or a later run
     spec, plan = _small_plan(R=8)
-    cache = explore_module._edge_count_table
-    cache.cache_clear()
     rows = [format_cell_row(run_cell(spec, plan)) for _ in range(2)]
-    assert cache.cache_info().hits > 0
-    cache.cache_clear()
-    rows.append(format_cell_row(run_cell(spec, plan)))
-    assert rows[0] == rows[1] == rows[2]
+    assert rows[0] == rows[1]
 
-    assert 13 <= cache.cache_info().maxsize < 100  # a giant-stop run at n = 3e5 reads 13 chunks
-    table = cache(spec.n, spec.r - 1, make_context(spec, plan).p, 0)
-    for array in (table.trials, table.cum, table.big):
-        with pytest.raises(ValueError):
-            array[...] = 0
+    ctx = make_context(spec, plan)
+    runs = [run_exploration(ctx.config(5), tables=tables) for tables in (ctx.tables, ctx.tables, None)]
+    assert runs[0] == runs[1] == runs[2]
+    assert ctx.tables
+    for table in ctx.tables.values():
+        for array in (table.trials, table.cum, table.big):
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+
+def test_cell_builds_each_chunk_table_once(monkeypatch):
+    # a full-stop run at n = 70,000 reads 18 chunks of 4,096 steps; the cell's three runs share them
+    builds = []
+    build = explore_module.binomial_table
+    monkeypatch.setattr(explore_module, "binomial_table", lambda *args: builds.append(args) or build(*args))
+    spec = CellSpec(n=70_000, r=3, lam=1.2, stop="full")
+    ctx = run_cell(spec, ExperimentPlan(cells=(spec,), replicates=3, master_seed=7),
+                   workers=1).aggregate.ctx
+    assert len(builds) == 18
+    assert len(ctx.tables) == 18
 
 
 def test_single_replicate_reports_absent_variance():
