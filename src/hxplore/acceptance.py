@@ -235,7 +235,7 @@ def criterion_trace_identities(workers):
 def criterion_oracle_equivalence(workers):
     R = 200_000
     for salt, (n, r, p) in enumerate([(5, 3, 0.15), (8, 2, 0.2)]):
-        exact = enumerate_all(n, r, p, workers=workers)
+        exact = enumerate_all(n, r, p)
         marginal = exact.l1_marginal()
         exact_mean = exact.mean_l1()
         exact_var = sum(q * (l1 - exact_mean) ** 2 for l1, q in marginal.items())

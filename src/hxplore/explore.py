@@ -52,7 +52,7 @@ with numpy and short ones in Python ints.
 A run draws from a generator in the state np.random.default_rng(seed) gives,
 so its stream is a function of the seed alone.  util.seeded_generators makes
 it: run_exploration seeds one on its own, and a Monte Carlo cell computes the
-states a chunk of replicates at a time and passes each run its generator.
+states for a range of replicates and passes each run its generator.
 
 A single run is strictly sequential; distinct runs with distinct seeds share
 no state and may execute concurrently.

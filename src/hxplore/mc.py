@@ -4,13 +4,14 @@ Replicates are fully independent: replicate k of cell c draws its own
 generator seeded by a splitmix64 mix of (master_seed, c, k), so results are
 byte-identical no matter how replicates are scheduled across workers.  A
 replicate's generator starts in the state np.random.default_rng(seed) gives,
-but util.seeded_generators computes those states a chunk of replicates at a
-time and sets each on one reused generator.  make_context checks the cell's
+but util.seeded_generators computes those states for a range of replicates
+and sets each on one reused generator.  make_context checks the cell's
 config once and builds a traced cell's drift table, CellContext.drift; its
 runs build its edge-count tables, CellContext.tables, once a chunk.  Both
 are freed with the context.  With workers > 1 a cell runs in this process
-and workers - 1 forked children, which inherit the context and fill their
-own copies of its tables; nothing is pickled but each child's results.
+and workers - 1 forked children, one contiguous range of replicates each;
+the children inherit the context and fill their own copies of its tables,
+and nothing is pickled but each child's results.
 CellContext.replay is the one Doob replay of a run, for a replicate and its
 `hxplore run --doob` replay alike.  A cell's statistics are read off its
 replicate results in replicate-index order, neutralizing floating-point
@@ -358,7 +359,7 @@ def _replay_command(ctx: CellContext, seed: int) -> str:
     return " ".join(argv)
 
 
-def _replicate_chunk(ctx: CellContext, master_seed: int, salt: int, lo: int, hi: int):
+def _run_range(ctx: CellContext, master_seed: int, salt: int, lo: int, hi: int):
     out = []
     seeds = derive_seed(master_seed, salt, np.arange(lo, hi, dtype=np.uint64))
     for rep, seed, rng in zip(range(lo, hi), seeds.tolist(), seeded_generators(seeds)):
@@ -429,24 +430,22 @@ def _fork_map(run_share, workers: int) -> list:
 
 def _map_replicates(ctx, R: int, master_seed: int, salt: int, workers: int) -> list:
     """_run_replicate of every replicate rep in range(R), on the seed
-    derive_seed(master_seed, salt, rep), in chunks.  With workers > 1 the
-    chunks are dealt round-robin into shares that run in this process and in
-    forked children (see _fork_map).  Raises RuntimeError naming the lowest
-    failed replicate, its derived seed and the command that replays it."""
-    chunk = max(1, min(512, -(-R // (workers * 4)))) if workers > 1 else R
-    tasks = [(lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
-    shares = max(1, min(workers, len(tasks)))
+    derive_seed(master_seed, salt, rep).  Of `shares` processes, process w
+    runs the replicates R * w // shares up to R * (w + 1) // shares - 1:
+    process 0 is this one, the others forked children (see _fork_map).
+    Raises RuntimeError naming the lowest failed replicate, its derived seed
+    and the command that replays it."""
+    shares = max(1, min(workers, R))
 
     def run_share(w):
-        return [_replicate_chunk(ctx, master_seed, salt, lo, hi) for lo, hi in tasks[w::shares]]
+        return _run_range(ctx, master_seed, salt, R * w // shares, R * (w + 1) // shares)
 
-    parts = [None] * len(tasks)
-    for w, share in enumerate(_fork_map(run_share, shares)):
-        parts[w::shares] = share
-    for _, error in parts:
+    reps = []
+    for out, error in _fork_map(run_share, shares):
         if error is not None:
             raise RuntimeError(error)
-    return [item for out, _ in parts for item in out]
+        reps += out
+    return reps
 
 
 def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:

@@ -49,11 +49,6 @@ def _log_pmf(n, k: int, logp: float, logq: float) -> float:
     )
 
 
-def _sample_small_mean(u: float, n, p: float) -> int:
-    """Sequential CDF inversion from k = 0; exact for Np <= 30."""
-    return _invert_from_zero(u, n, math.exp(n * math.log1p(-p)), p / (1.0 - p))
-
-
 def _invert_from_zero(u: float, n, pmf: float, pq: float) -> int:
     """CDF inversion from k = 0, given P(0) = pmf and the odds pq = p / (1 - p)."""
     cum = pmf
@@ -124,9 +119,9 @@ def sample_binomial(rng: np.random.Generator, n_trials, p: float) -> int:
     if p == 1.0:
         return int(n_trials)
     u = rng.random()
-    mean = n_trials * p
-    if mean <= INVERSION_MEAN_CUTOFF and n_trials * math.log1p(-p) > -700.0:
-        return _sample_small_mean(u, n_trials, p)
+    log_q0 = n_trials * math.log1p(-p)  # log P(0)
+    if n_trials * p <= INVERSION_MEAN_CUTOFF and log_q0 > -700.0:
+        return _invert_from_zero(u, n_trials, math.exp(log_q0), p / (1.0 - p))
     return _sample_mode_centered(u, n_trials, p)
 
 

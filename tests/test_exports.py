@@ -113,3 +113,33 @@ def test_runs_are_replayed_only_by_the_cell():
         faults += [(name, i) for i, line in enumerate(text.splitlines(), 1)
                    if T1_FAULT in line and i not in owner]
     assert calls == [] and faults == []
+
+
+SCHEDULER_MODULES = {"multiprocessing", "concurrent", "subprocess"}
+FORK = ("mc", "_fork_share")
+
+
+def test_cells_are_split_only_by_the_fork_map():
+    # a second scheduler could deal replicates differently from mc._map_replicates
+    imports, forks = [], []
+    for name in MODULES:
+        tree = ast.parse(Path(hxplore.__file__).with_name(f"{name}.py").read_text())
+        owner = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and (name, fn.name) == FORK
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            imports += [(name, node.lineno) for module in modules
+                        if module.partition(".")[0] in SCHEDULER_MODULES]
+            if isinstance(node, ast.alias):  # an import of the name
+                used = node.name.rpartition(".")[2]
+            else:
+                used = getattr(node, "id", None) or getattr(node, "attr", None)
+            if used == "fork" and id(node) not in owner:
+                forks.append((name, node.lineno))
+    assert imports == [] and forks == []

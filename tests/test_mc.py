@@ -1,9 +1,13 @@
 import gc
 import os
 import pickle
+import resource
 import shlex
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,13 +82,46 @@ def test_a_cell_forks_workers_minus_one_children(monkeypatch):
         assert forks == [os.getpid()] * (workers - 1)
 
 
+def test_each_process_runs_one_contiguous_range(monkeypatch):
+    parent = os.getpid()
+    calls = []
+    derive = mc_module.derive_seed
+
+    def recording(master_seed, salt, reps):
+        if os.getpid() == parent:
+            calls.append(reps.tolist())
+        return derive(master_seed, salt, reps)
+
+    monkeypatch.setattr(mc_module, "derive_seed", recording)
+    run_cell(*_small_plan(R=8), workers=2)
+    assert calls == [[0, 1, 2, 3]]
+
+
+def test_huge_replicate_count_fails_alike_at_every_worker_count(tmp_path):
+    # no process may build anything that grows with R before its range's first replicate
+    src = str(Path(mc_module.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    ends = []
+    for threads in ("1", "2"):
+        argv = [sys.executable, "-m", "hxplore.cli", "mc", "--n", "50", "--r", "3", "--lambda", "0.8",
+                "--seed", "1", "--replicates", str(2**62), "--threads", threads,
+                "--out", str(tmp_path / threads)]
+        t0 = time.perf_counter()
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30,) * 2))
+        assert time.perf_counter() - t0 < 5.0, (threads, proc.stderr)
+        ends.append((proc.returncode, proc.stderr))
+    assert ends[0] == ends[1]
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_lowest_failure_across_shares(monkeypatch):
-    # R = 4 on 2 workers: this process runs chunks 0 and 2, the child 1 and 3
+    # R = 4 on 2 workers: this process runs replicates 0 and 1, the child 2 and 3
     spec, plan = _small_plan(R=4, seed=3)
     bad = {derive_seed(3, 0, 1), derive_seed(3, 0, 2)}
     run = mc_module.run_exploration
