@@ -5,7 +5,7 @@ the acceptance suite.
 Exit codes: 0 success, 1 acceptance-suite failure, 2 usage error, 3 runtime
 fault.  Errors are single-line machine-parseable messages on stderr.  Output
 files are byte-identical across repeated invocations with equal arguments
-and across --threads values.
+and across worker counts: --threads values and HXPLORE_MAX_WORKERS caps.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .mc import (
     DEFAULT_OMEGA,
     CellSpec,
     ExperimentPlan,
+    _fork_map,
     fmt17,
     format_cell_row,
     format_tail_row,
@@ -188,16 +189,35 @@ def _parse_list(text, conv, flag) -> list:
         raise UsageError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
-def _emit(out_path, sections) -> None:
-    """sections: (suffix, iterable of text chunks ending in a newline) pairs, streamed to
-    the files PREFIX.suffix, or to stdout with a blank line between sections."""
-    for i, (suffix, chunks) in enumerate(sections):
-        if out_path:
-            with open(f"{out_path}.{suffix}", "w") as fh:
-                fh.writelines(chunks)
-        else:
+def _json(doc) -> list:
+    """The one ASCII chunk of a JSON section."""
+    return [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()]
+
+
+def _emit(out_path, sections, workers=1) -> None:
+    """sections: (suffix, iterable of ASCII byte chunks ending in a newline) pairs, streamed
+    to stdout in order with a blank line between sections, or to the files PREFIX.suffix.
+    With workers > 1 and two or more sections, a child forked by mc._fork_map writes the
+    last file while this process writes the others; an error either meets is raised here."""
+    if not out_path:
+        for i, (_, chunks) in enumerate(sections):
             sys.stdout.write("\n" if i else "")
-            sys.stdout.writelines(chunks)
+            sys.stdout.writelines(chunk.decode() for chunk in chunks)
+        return
+    groups = [sections[:-1], sections[-1:]] if workers > 1 and len(sections) > 1 else [sections]
+
+    def run_share(w):
+        try:
+            for suffix, chunks in groups[w]:
+                with open(f"{out_path}.{suffix}", "wb") as fh:
+                    fh.writelines(chunks)
+        except Exception as exc:  # a child's error travels back to be raised here
+            return exc
+        return None
+
+    for exc in _fork_map(run_share, len(groups)):
+        if exc is not None:
+            raise exc
 
 
 def _plan(args, spec, replicates=1, collect=("census",)) -> ExperimentPlan:
@@ -235,7 +255,7 @@ def cmd_theory(args) -> int:
             "mean_L1": t.mean_L1, "sd_L1": t.sd_L1,
             "mean_N1": t.mean_N1, "sd_N1": t.sd_N1, "corr": t.corr,
         }
-    _emit(args.out, [("json", [json.dumps(out, indent=2, sort_keys=True) + "\n"])])
+    _emit(args.out, [("json", _json(out))])
     return 0
 
 
@@ -407,15 +427,15 @@ def _csv_block(fields, end):
 
 
 def _csv_rows(cols, lo, hi, end="\n"):
-    """Rows lo+1 .. hi of a CSV table as text chunks of _BLOCK rows: the row number, then
+    """Rows lo+1 .. hi of a CSV table as byte chunks of _BLOCK rows: the row number, then
     the fields of rows a+1 .. b in the arrays cols(a, b), then end."""
     for a in range(lo, hi, _BLOCK):
         b = min(a + _BLOCK, hi)
-        yield _csv_block([np.arange(a + 1, b + 1), *cols(a, b)], end).decode("ascii")
+        yield _csv_block([np.arange(a + 1, b + 1), *cols(a, b)], end)
 
 
 def _trace_csv(run):
-    yield TRACE_HEADER + "\n"
+    yield f"{TRACE_HEADER}\n".encode()
     yield from _csv_rows(lambda a, b: [getattr(run, name)[a:b] for name in TRACE_COLUMNS],
                          0, run.n_steps)
 
@@ -428,7 +448,7 @@ def _components_csv(run):
         t, e = ends[a : b + 1], np.diff(cum[a : b + 1])
         v = np.diff(t)
         return [t[:-1], t[1:], v, e, 1 + (run.config.r - 1) * e - v]  # n(C) = 1 + (r-1) e(C) - |C|
-    yield COMPONENTS_HEADER + "\n"
+    yield f"{COMPONENTS_HEADER}\n".encode()
     yield from _csv_rows(cols, 0, len(ends) - 1)
 
 
@@ -436,11 +456,12 @@ def _doob_csv(dt, gap):
     """Rows t <= t1 carry Shat, later rows leave it empty; every real has mc.fmt17's
     bytes, through _csv_rows' block formatter."""
     cols = [dt.D, dt.Delta, dt.Dstar, dt.DeltaStar, dt.S, dt.Xtilde]
-    yield DOOB_HEADER + "\n"
+    yield f"{DOOB_HEADER}\n".encode()
     yield from _csv_rows(lambda a, b: [c[a:b] for c in cols + [dt.Shat]], 0, dt.t1)
     yield from _csv_rows(lambda a, b: [c[a:b] for c in cols], dt.t1, dt.n_steps, end=",\n")
     yield (f"# V1={fmt17(dt.V1)} V2={fmt17(dt.V2)} V12={fmt17(dt.V12)} "
-           f"lindeberg1={fmt17(dt.lindeberg1)} lindeberg2={fmt17(dt.lindeberg2)} c1={fmt17(gap)}\n")
+           f"lindeberg1={fmt17(dt.lindeberg1)} lindeberg2={fmt17(dt.lindeberg2)} "
+           f"c1={fmt17(gap)}\n").encode()
 
 
 def cmd_run(args) -> int:
@@ -448,6 +469,7 @@ def cmd_run(args) -> int:
     stop, margin = _parse_stop(args)
     spec = CellSpec(n=args.n, r=args.r, p=_resolve_p(args), mode=args.mode or "implicit",
                     stop=stop, margin=margin)
+    workers = _checked(resolve_workers, None)
     collect = ("census", "gap") if args.doob else ("census",)  # c1 is the gap a cell collects
     ctx = _checked(make_context, spec, _plan(args, spec, collect=collect))
     trace = explore(_checked(ctx.config, args.seed))
@@ -459,13 +481,13 @@ def cmd_run(args) -> int:
             "components": [c._asdict() for c in trace.components],
             "complete": trace.complete,
         }
-        sections = [("json", [json.dumps(doc, indent=2, sort_keys=True) + "\n"])]
+        sections = [("json", _json(doc))]
     else:
         sections = [("trace.csv", _trace_csv(trace)), ("components.csv", _components_csv(trace))]
     if ctx.traced:
         dt = ctx.replay(trace)  # the cell's replay, so that a failed replicate's replay fails too
         sections.append(("doob.csv", _doob_csv(dt, approx_gap(trace, dt))))
-    _emit(args.out, sections)
+    _emit(args.out, sections, workers)
     return 0
 
 
@@ -479,7 +501,7 @@ def cmd_mc(args) -> int:
     workers = _checked(resolve_workers, args.threads)
     # make_context checks the cell; replicates run on derived seeds, so any --seed is valid here
     res = _checked(run_cell, spec, plan, workers=workers)
-    csv_text = CELL_CSV_HEADER + "\n" + format_cell_row(res) + "\n"
+    csv_text = f"{CELL_CSV_HEADER}\n{format_cell_row(res)}\n".encode()
     s = res.summary()
     report = [{
         "cell": s["cell"],
@@ -492,8 +514,7 @@ def cmd_mc(args) -> int:
             else bool(abs(s["corr"] - acceptance.CLT_CORR) < acceptance.CLT_CORR_TOL),
         },
     }]
-    json_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _emit(args.out, [("cells.csv", [csv_text]), ("report.json", [json_text])])
+    _emit(args.out, [("cells.csv", [csv_text]), ("report.json", _json(report))])
     return 0
 
 
@@ -505,7 +526,7 @@ def cmd_tails(args) -> int:
     rep = _checked(tail_experiment, args.kind, args.n, args.r, args.eps, grid, args.replicates,
                    args.seed, workers=workers, omega_grid=omega_grid, c_bound=args.bound_c)
     rows = [TAILS_CSV_HEADER, *map(format_tail_row, rep.rows)]
-    sections = [("tails.csv", [f"{row}\n" for row in rows])]
+    sections = [("tails.csv", [f"{row}\n".encode() for row in rows])]
     meta = {
         "kind": rep.kind, "n": rep.n, "r": rep.r, "eps": rep.eps, "R": rep.R,
         "c_bound": rep.c_bound, "measurable": rep.measurable,
@@ -514,7 +535,7 @@ def cmd_tails(args) -> int:
                     "max_residual": rep.max_fit_residual},
         "omega_rows": [{"omega": om, "count": c, "freq": f} for om, c, f in rep.omega_rows],
     }
-    sections.append(("report.json", [json.dumps(meta, indent=2, sort_keys=True) + "\n"]))
+    sections.append(("report.json", _json(meta)))
     _emit(args.out, sections)
     return 0
 
@@ -538,7 +559,7 @@ def cmd_oracle(args) -> int:
             "support": [list(k) for k in dist.support],
             "probability": [float(q) for q in dist.probability],
         }
-    _emit(args.out, [("json", [json.dumps(out, indent=2, sort_keys=True) + "\n"])])
+    _emit(args.out, [("json", _json(out))])
     return 0
 
 

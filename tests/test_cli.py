@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import os
 import time
 import tracemalloc
 import warnings
@@ -67,10 +68,9 @@ def test_run_writes_files(tmp_path, capsys):
     assert doob.splitlines()[-1].startswith("# V1=")
 
 
-def test_run_writer_memory_is_bounded(tmp_path, monkeypatch):
-    """Once the Doob replay is done, writing `run --doob` at n = 1e5 holds
-    less than a quarter of the bytes it writes; a whole-file string alone
-    would hold all of them."""
+def _writer_peak(tmp_path, monkeypatch) -> tuple:
+    """(this process's traced peak while `run --doob` at n = 1e5 writes its files, once
+    the Doob replay is done; the bytes written)."""
     real_gap = cli.approx_gap
 
     def gap_then_trace(*args):
@@ -86,8 +86,64 @@ def test_run_writer_memory_is_bounded(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0
-    written = sum(f.stat().st_size for f in tmp_path.iterdir())
+    return peak, sum(f.stat().st_size for f in tmp_path.iterdir())
+
+
+def test_run_writer_memory_is_bounded(tmp_path, monkeypatch):
+    """On one worker, writing all three files holds less than a quarter of the
+    bytes written; a whole-file string alone would hold all of them."""
+    monkeypatch.setenv("HXPLORE_MAX_WORKERS", "1")
+    peak, written = _writer_peak(tmp_path, monkeypatch)
     assert peak < 0.25 * written, (peak, written)
+
+
+def test_run_writer_memory_is_bounded_at_the_default_count(tmp_path, monkeypatch):
+    """The same bound for this process when a forked child writes the Doob file."""
+    monkeypatch.delenv("HXPLORE_MAX_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the fork happens on one CPU too
+    peak, written = _writer_peak(tmp_path, monkeypatch)
+    assert peak < 0.25 * written, (peak, written)
+
+
+_SMALL_RUN = ["run", "--n", "300", "--r", "3", "--lambda", "1.4", "--seed", "6", "--doob"]
+
+
+@pytest.mark.parametrize("worker_cap, to_file, forks", [
+    (None, True, 1), ("1", True, 0), (None, False, 0),
+])
+def test_run_forks_only_to_write_its_last_file(capsys, monkeypatch, tmp_path,
+                                               worker_cap, to_file, forks):
+    if worker_cap is None:
+        monkeypatch.delenv("HXPLORE_MAX_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("HXPLORE_MAX_WORKERS", worker_cap)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls = []
+    real_fork = os.fork
+
+    def counted_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    argv = _SMALL_RUN + (["--out", str(tmp_path / "run")] if to_file else [])
+    code, out, err = _run(capsys, argv)
+    assert (code, err, len(calls)) == (0, "", forks)
+    assert bool(out) != to_file
+
+
+def test_run_write_error_is_reported_at_every_worker_count(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    (tmp_path / "run.doob.csv").mkdir()  # opening the last file for writing fails
+    errors = []
+    for cap in ("1", "2"):
+        monkeypatch.setenv("HXPLORE_MAX_WORKERS", cap)
+        code, _, err = _run(capsys, _SMALL_RUN + ["--out", str(tmp_path / "run")])
+        assert code == 3 and err.startswith("error: IsADirectoryError:"), err
+        errors.append(err)
+        with pytest.raises(ChildProcessError):  # no child is left behind
+            os.waitpid(-1, os.WNOHANG)
+    assert errors[0] == errors[1]
 
 
 def test_mc_deterministic_across_invocations_and_threads(tmp_path, capsys):
@@ -300,6 +356,9 @@ def test_verify_subset(capsys):
         "--threads", k], None) for k in ("0", "-4")],
     (["verify", "--criteria", "1", "--threads", "0"], None),
     *[(["verify", "--criteria", "1"], cap) for cap in ("0", "-1")],
+    # a cap that run's writer count rejects
+    *[(["run", "--n", "100", "--r", "3", "--lambda", "1.2", "--seed", "1"], cap)
+      for cap in ("0", "abc")],
 ])
 def test_bad_input_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, worker_cap):
     if worker_cap is not None:

@@ -11,16 +11,22 @@ One runtime fault is reachable from valid input: a giant stop with a small margi
 can end a trace before the t1 horizon that the Doob sums and the window events
 need, and the run fails as its Monte Carlo replicate would.  That exit 3 is accepted
 with exactly its message.
+
+A shorter leg runs `run --doob --out` vectors on two workers, where a forked child
+writes the last file, and checks that they write the bytes of one worker.
 """
 
+import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from hxplore.cli import main
 
 CASES_PER_COMMAND = 250
+FORKED_WRITER_CASES = 50
 SECONDS_PER_CASE = 5.0
 T1_FAULT = "replicate too short for the t1 horizon"
 
@@ -156,4 +162,36 @@ def test_drawn_arguments_exit_0_or_2(command, capsys, one_worker, tmp_path, monk
         problem = _check(argv, capsys)
         if problem is not None:
             failures.append((" ".join(argv), problem))
+    assert not failures, "\n".join(f"{a}: {p}" for a, p in failures)
+
+
+def _doob_argv(rnd: random.Random) -> list:
+    """A `run --doob --out o` vector of valid values, so that most vectors reach the
+    writers: one of --eps, --lambda and --p, and each optional flag given half the time."""
+    flags = ["n", "r", rnd.choice(("eps", "lambda", "p")), "seed",
+             *[f for f in ("format", "mode", "omega", "stop") if rnd.random() < 0.5]]
+    argv = ["run", "--doob", "--out", "o"]
+    for flag in flags:
+        argv += [f"--{flag}", rnd.choice(_VALUES[flag][0])]
+    return argv
+
+
+def test_forked_writer_matches_one_worker(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rnd = random.Random("cli-fuzz-forked-writer")
+    failures = []
+    for case in range(FORKED_WRITER_CASES):
+        argv = _doob_argv(rnd)
+        written = []
+        for cap in ("2", "1"):
+            monkeypatch.setenv("HXPLORE_MAX_WORKERS", cap)
+            workdir = tmp_path / f"{case}-{cap}"
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            problem = _check(argv, capsys)
+            if problem is not None:
+                failures.append((" ".join(argv), f"cap {cap}: {problem}"))
+            written.append({f.name: f.read_bytes() for f in Path().iterdir()})
+        if written[0] != written[1]:
+            failures.append((" ".join(argv), f"files differ: {sorted(written[0])}"))
     assert not failures, "\n".join(f"{a}: {p}" for a, p in failures)

@@ -10,6 +10,7 @@ import functools
 import hashlib
 import math
 import operator
+import os
 
 import numpy as np
 import pytest
@@ -257,31 +258,46 @@ def test_golden_tails():
     assert digest == GOLDEN_TAILS
 
 
+def _worker_caps(monkeypatch, tmp_path):
+    """For HXPLORE_MAX_WORKERS = 1, then unset on two CPUs (where `run --out` writes its
+    last file in a forked child): a fresh directory for the outputs."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for cap in ("1", None):
+        if cap is None:
+            monkeypatch.delenv("HXPLORE_MAX_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("HXPLORE_MAX_WORKERS", cap)
+        out = tmp_path / f"cap-{cap}"
+        out.mkdir()
+        yield out
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_golden_cli_run_doob(tmp_path, fmt):
-    prefix = str(tmp_path / "run")
-    code = main(["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "5",
-                 "--doob", "--format", fmt, "--out", prefix])
-    assert code == 0
-    files = sorted(tmp_path.iterdir())
-    assert _sha(*[(f.name, f.read_bytes()) for f in files]) == GOLDEN_CLI[fmt]
+def test_golden_cli_run_doob(tmp_path, monkeypatch, fmt):
+    for out in _worker_caps(monkeypatch, tmp_path):
+        code = main(["run", "--n", "2000", "--r", "3", "--lambda", "1.3", "--seed", "5",
+                     "--doob", "--format", fmt, "--out", str(out / "run")])
+        assert code == 0
+        files = sorted(out.iterdir())
+        assert _sha(*[(f.name, f.read_bytes()) for f in files]) == GOLDEN_CLI[fmt], out.name
 
 
 @pytest.mark.parametrize("name", sorted(WRITER_CASES))
-def test_golden_cli_writer_edge_cases(tmp_path, capsys, name):
-    argv = WRITER_CASES[name]
-    if argv[-1] == "--out":
-        argv = argv + [str(tmp_path / "run")]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    files = {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())}
-    if name == "giant_open":
-        last = files["run.trace.csv"].rstrip(b"\n").rsplit(b"\n", 1)[1].split(b",")
-        assert int(last[6]) > 0  # A at the last step
-    if name == "subcritical":
-        rows = files["run.doob.csv"].splitlines()[1:-1]
-        assert rows and all(row.endswith(b",") for row in rows)
-    assert _sha(out, *sorted(files.items())) == GOLDEN_WRITER[name]
+def test_golden_cli_writer_edge_cases(tmp_path, capsys, monkeypatch, name):
+    for outdir in _worker_caps(monkeypatch, tmp_path):
+        argv = WRITER_CASES[name]
+        if argv[-1] == "--out":
+            argv = argv + [str(outdir / "run")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        files = {f.name: f.read_bytes() for f in sorted(outdir.iterdir())}
+        if name == "giant_open":
+            last = files["run.trace.csv"].rstrip(b"\n").rsplit(b"\n", 1)[1].split(b",")
+            assert int(last[6]) > 0  # A at the last step
+        if name == "subcritical":
+            rows = files["run.doob.csv"].splitlines()[1:-1]
+            assert rows and all(row.endswith(b",") for row in rows)
+        assert _sha(out, *sorted(files.items())) == GOLDEN_WRITER[name], outdir.name
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "n%d_r%d_p%g" % c)
