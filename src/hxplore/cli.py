@@ -503,16 +503,14 @@ def cmd_mc(args) -> int:
     res = _checked(run_cell, spec, plan, workers=workers)
     csv_text = f"{CELL_CSV_HEADER}\n{format_cell_row(res)}\n".encode()
     s = res.summary()
+    clt = {rec.name: rec for rec in acceptance.clt_records(s)}
+    verdicts = {f"ks_z1_below_{acceptance.CLT_KS_Z1}": clt["KS z1"],
+                f"corr_within_{acceptance.CLT_CORR_TOL}_of_sqrt35": clt["corr"]}
     report = [{
         "cell": s["cell"],
         "summary": s,
         **res.aggregate.windows(),
-        "verdicts": {
-            f"ks_z1_below_{acceptance.CLT_KS_Z1}": None if s["ks_z1"] is None
-            else bool(s["ks_z1"] < acceptance.CLT_KS_Z1),
-            f"corr_within_{acceptance.CLT_CORR_TOL}_of_sqrt35": None if s["corr"] is None
-            else bool(abs(s["corr"] - acceptance.CLT_CORR) < acceptance.CLT_CORR_TOL),
-        },
+        "verdicts": {key: None if rec.value is None else rec.passed for key, rec in verdicts.items()},
     }]
     _emit(args.out, [("cells.csv", [csv_text]), ("report.json", _json(report))])
     return 0

@@ -173,9 +173,9 @@ def decompose(run, seq: DriftSequences, t1: int | None = None) -> DoobTrace:
 
 
 def approx_gap(run, doob: DoobTrace) -> float:
-    """Empirical constant for the drift approximation: the max over steps
-    with C_t >= 1 of |X_t - Xtilde_t| n / (t C_t), from a run recorded at
-    level 'full'."""
+    """Empirical constant for the drift approximation: the max over steps of
+    |X_t - Xtilde_t| n / (t C_t), from a run recorded at level 'full'.  Every
+    step has C_t >= 1, as C_1 = 1 and C never decreases."""
     if run.X is None:
         raise ValueError("approx_gap needs a run recorded at level 'full'")
     T = run.n_steps
@@ -183,7 +183,7 @@ def approx_gap(run, doob: DoobTrace) -> float:
         raise ValueError("run and decomposition have different lengths")
     t = np.arange(1, T + 1, dtype=np.float64)
     ratio = np.abs(run.X - doob.Xtilde) * float(run.config.n) / (t * run.C)
-    return float(np.max(ratio[run.C >= 1]))
+    return float(np.max(ratio))
 
 
 def duality_diagnostic(doob: DoobTrace, census, lambda_star: float):

@@ -9,12 +9,14 @@ at the mode and expands outward, which keeps the expected number of terms
 at O(sqrt(Np)) and never leaves double precision.
 
 Array draws come in two steps.  binomial_table(trials, p) depends on the
-trial counts and p alone: per entry, the first few CDF values of the walk
-from k = 0, as inversion thresholds.  sample_binomial_table(rng, table)
-reads one uniform per entry and counts the thresholds it reaches; the rare
-entry that passes all of them walks again from k = 0.  A caller that draws
-from the same trial counts many times (each run of a Monte Carlo cell draws
-its edge counts from the same chunks) builds the table once and keeps it.
+trial counts and p alone: per entry, the first CDF values of the walk from
+k = 0, as inversion thresholds, enough that fewer than one entry is expected
+to pass them all at any mean up to the cutoff.  sample_binomial_table(rng,
+table) reads one uniform per entry and counts the thresholds it reaches; an
+entry that passes all of them, or any entry of a short array, takes the
+scalar walk from k = 0.  A caller that draws from the same trial counts many
+times (each run of a Monte Carlo cell draws its edge counts from the same
+chunks) builds the table once and keeps it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = [
 INVERSION_MEAN_CUTOFF = 30.0
 _MAX_TERMS = 4000
 _SHORT_ARRAY = 64  # tables of arrays up to this long keep P(0) alone and are read entry by entry
-_TABLE_ROWS = 7  # thresholds per entry; at mean 3 about 3% of draws pass all of them
+_TABLE_ROWS = 64  # thresholds per entry at most; mean 29 at 4,096 entries takes 51
 
 
 def _log_pmf(n, k: int, logp: float, logq: float) -> float:
@@ -131,9 +133,9 @@ class BinomialTable(NamedTuple):
     Row k of `cum` holds cum_k = P(0) + ... + P(k) where the pmf recursion
     takes a positive step to k + 1, and +inf where the support ends, so a
     draw is the number of leading rows whose threshold its uniform reaches.
-    Arrays of at most _SHORT_ARRAY entries keep row 0, which is P(0), alone.
-    Entries above INVERSION_MEAN_CUTOFF (indices `big`) read 0 here and take
-    the mode-centred path instead."""
+    Arrays of at most _SHORT_ARRAY entries keep row 0, which is P(0), alone;
+    longer ones, the rows of _table_rows.  Entries above INVERSION_MEAN_CUTOFF
+    (indices `big`) read 0 here and take the mode-centred path instead."""
 
     trials: np.ndarray
     p: float
@@ -144,7 +146,8 @@ class BinomialTable(NamedTuple):
 def _table_rows(mean: float, entries: int) -> int:
     """The fewest table rows, at most _TABLE_ROWS, that fewer than one of
     `entries` draws is expected to pass.  The Poisson(mean) tail, with
-    `mean` the largest mean, bounds each entry's binomial tail."""
+    `mean` the largest mean below the cutoff, bounds each entry's binomial
+    tail; the cap binds only from about 10^7 entries at the cutoff mean."""
     term = math.exp(-mean)
     tail = 1.0
     for k in range(1, _TABLE_ROWS):
@@ -172,7 +175,7 @@ def binomial_table(trials, p: float) -> BinomialTable:
     c = np.where(big_mask, 0.0, trials) if big.size else trials
     if trials.shape[0] <= _SHORT_ARRAY:
         return BinomialTable(trials, p, np.exp(c * logq)[None, :], big)
-    rows = _table_rows(float(mean.max()), trials.shape[0])
+    rows = _table_rows(float(c.max()) * p, trials.shape[0])
     cum = np.empty((rows, trials.shape[0]))
     np.exp(c * logq, out=cum[0])
     pmf = cum[0].copy()
@@ -198,44 +201,19 @@ def binomial_table(trials, p: float) -> BinomialTable:
     return BinomialTable(trials, p, cum, big)
 
 
-def _walk_from_zero(u: np.ndarray, c: np.ndarray, pmf: np.ndarray, pq: float):
-    """_invert_from_zero of every entry, given its uniform, trials and P(0):
-    entry by entry up to _SHORT_ARRAY entries, else over arrays, with one
-    pmf-ratio update per support point applied only to the still-unresolved
-    lanes."""
-    if c.shape[0] <= _SHORT_ARRAY:
-        return [_invert_from_zero(ui, ci, pi, pq) for ui, ci, pi in zip(u.tolist(), c.tolist(), pmf.tolist())]
-    out = np.zeros(c.shape[0], dtype=np.int64)
-    idx = np.arange(c.shape[0])
-    cum = pmf
-    k = 0
-    while idx.size and k < _MAX_TERMS:
-        step = pmf * ((c - k) / (k + 1.0) * pq)
-        unresolved = (u >= cum) & (step > 0.0)
-        if not unresolved.any():
-            break
-        idx = idx[unresolved]
-        c = c[unresolved]
-        u = u[unresolved]
-        pmf = step[unresolved]
-        cum = cum[unresolved] + pmf
-        k += 1
-        out[idx] = k
-    return out
-
-
 def sample_binomial_table(rng: np.random.Generator, table: BinomialTable) -> np.ndarray:
     """One exact draw per entry of the table, from exactly len(table.trials)
     uniforms of `rng`, read in one call.  A draw counts the leading rows of
     `cum` that its uniform reaches, row by row until none does; entries that
-    pass every row, which is every entry with u >= P(0) in a short table,
-    resume the CDF walk from k = 0.  Entries above the cutoff take the
-    mode-centred path with their own uniform."""
+    pass every row, and every entry of a short table, take the scalar CDF
+    walk from k = 0.  Entries above the cutoff take the mode-centred path
+    with their own uniform."""
     trials, p, cum, big = table
     u = rng.random(trials.shape[0])
     pq = p / (1.0 - p)
     if trials.shape[0] <= _SHORT_ARRAY:
-        out = np.array(_walk_from_zero(u, trials, cum[0], pq), dtype=np.int64)
+        out = np.array([_invert_from_zero(ui, ci, pi, pq) for ui, ci, pi in
+                        zip(u.tolist(), trials.tolist(), cum[0].tolist())], dtype=np.int64)
     else:
         out = (u >= cum[0]).astype(np.int64)
         for row in cum[1:]:
@@ -243,9 +221,8 @@ def sample_binomial_table(rng: np.random.Generator, table: BinomialTable) -> np.
             if not hit.any():
                 break
             out += hit
-        past = np.flatnonzero(out == cum.shape[0])
-        if past.size:
-            out[past] = _walk_from_zero(u[past], trials[past], cum[0, past], pq)
+        for i in np.flatnonzero(out == cum.shape[0]).tolist():
+            out[i] = _invert_from_zero(u[i].item(), trials[i].item(), cum[0, i].item(), pq)
     for i in big.tolist():
         out[i] = _sample_mode_centered(u[i], trials[i], p)
     return out

@@ -169,6 +169,23 @@ def test_mc_stdout_sections(capsys):
                       "z1_mean,z1_var,z2_mean,z2_var,ks_z1,ks_z2")
 
 
+def test_mc_corr_verdict_is_criterion_5s_closed_band(tmp_path, capsys, monkeypatch):
+    # with corr in [0.5, 1), the band CLT_CORR -+ 0.5 with CLT_CORR = corr - 0.5 has
+    # corr exactly on its upper edge, which criterion 5's closed band accepts
+    from hxplore import acceptance
+
+    argv = ["mc", "--n", "20000", "--r", "3", "--eps", "0.2", "--replicates", "12", "--seed", "1",
+            "--out", str(tmp_path / "m")]
+    assert _run(capsys, argv)[0] == 0
+    corr = json.loads((tmp_path / "m.report.json").read_text())[0]["summary"]["corr"]
+    assert 0.5 <= corr < 1.0
+    monkeypatch.setattr(acceptance, "CLT_CORR", corr - 0.5)
+    monkeypatch.setattr(acceptance, "CLT_CORR_TOL", 0.5)
+    assert _run(capsys, argv)[0] == 0
+    verdicts = json.loads((tmp_path / "m.report.json").read_text())[0]["verdicts"]
+    assert verdicts["corr_within_0.5_of_sqrt35"] is True
+
+
 def test_tails_csv_schema(tmp_path, capsys):
     prefix = str(tmp_path / "t")
     code, _, _ = _run(capsys, [

@@ -103,8 +103,9 @@ def test_samplers_are_deterministic_given_seed():
 
 
 def test_short_array_path_matches_lane_path(monkeypatch):
-    # the entry-by-entry path for short arrays must return the lane path's draws
-    # and leave the stream where the lane path leaves it
+    # a short array's one-row table, walked entry by entry, must return the
+    # draws of the full table of the same array and leave the stream where the
+    # full table leaves it
     gen = np.random.default_rng(2024)
     for case in range(60):
         size = int(gen.integers(0, 80))
@@ -149,3 +150,19 @@ def test_table_lookup_equals_scalar_walk():
         support_ended += int(np.sum(np.isinf(table.cum)))
         big_seen += table.big.size
     assert rows_passed > 100 and support_ended > 100 and big_seen > 100
+
+
+@pytest.mark.parametrize("mean", [2.0, 4.0, 8.0, 16.0, 29.0])
+def test_table_rows_reach_the_cutoff_mean(mean):
+    # up to the cutoff mean a table has enough rows that almost no entry of
+    # 4,096 passes them all, and its lookup is the scalar walk draw for draw
+    p = 1e-9
+    trials = np.full(4096, math.floor(mean / p))
+    table = randvar_module.binomial_table(trials, p)
+    draws = randvar_module.sample_binomial_table(np.random.default_rng(int(mean)), table)
+    assert int(np.sum(draws >= table.cum.shape[0])) <= 3
+    u = np.random.default_rng(int(mean)).random(trials.size)
+    pmf0 = np.exp(trials * math.log1p(-p))  # P(0) as the table computes it
+    want = [randvar_module._invert_from_zero(ui, c, pmf, p / (1.0 - p))
+            for ui, c, pmf in zip(u.tolist(), trials.tolist(), pmf0.tolist())]
+    assert draws.tolist() == want
