@@ -11,9 +11,13 @@ and across worker counts: --threads values and HXPLORE_MAX_WORKERS caps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -44,6 +48,7 @@ COMPONENTS_HEADER = "index,t_start,t_end,vertices,edges,nullity"
 DOOB_HEADER = "t,D,Delta,Dstar,DeltaStar,S,Xtilde,Shat"
 _BLOCK = 2048  # CSV rows formatted per text chunk
 _MAX_Q = 27  # 5**27 < 2**63: the largest power of five _significands multiplies by
+_MIN_K = 16 - _MAX_Q  # the smallest decimal exponent it handles
 
 
 class UsageError(Exception):
@@ -189,35 +194,54 @@ def _parse_list(text, conv, flag) -> list:
         raise UsageError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
-def _json(doc) -> list:
-    """The one ASCII chunk of a JSON section."""
-    return [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()]
+def _one_row(chunk: bytes):
+    """A table of one row, the ASCII chunk, with no header or trailer."""
+    return 1, lambda lo, hi, first, last: [chunk] * (hi - lo)
+
+
+def _json(doc):
+    """The one-row table of a JSON section."""
+    return _one_row((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _emit(out_path, sections, workers=1) -> None:
-    """sections: (suffix, iterable of ASCII byte chunks ending in a newline) pairs, streamed
-    to stdout in order with a blank line between sections, or to the files PREFIX.suffix.
-    With workers > 1 and two or more sections, a child forked by mc._fork_map writes the
-    last file while this process writes the others; an error either meets is raised here."""
+    """sections: (suffix, table) pairs, where a table is a row count R and part(lo, hi,
+    first, last), the ASCII byte chunks of rows lo .. hi - 1, after the header line if
+    first and before the trailer line if last. Streamed to stdout in order with a blank
+    line between sections, or written to the files PREFIX.suffix: process w of workers
+    writes rows R * w // workers .. R * (w + 1) // workers - 1 of every table, with the
+    header if w = 0 and the trailer if w = workers - 1, even when its share is empty.
+    Process 0 is this one and writes into the files; process w >= 1, a child forked by
+    mc._fork_map, writes into unnamed temporary files that this process appends in order
+    after the join. An error any process meets is raised here."""
     if not out_path:
-        for i, (_, chunks) in enumerate(sections):
+        for i, (_, (rows, part)) in enumerate(sections):
             sys.stdout.write("\n" if i else "")
-            sys.stdout.writelines(chunk.decode() for chunk in chunks)
+            sys.stdout.writelines(chunk.decode() for chunk in part(0, rows, True, True))
         return
-    groups = [sections[:-1], sections[-1:]] if workers > 1 and len(sections) > 1 else [sections]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(f"{out_path}.{suffix}", "wb")) for suffix, _ in sections]
+        folder = os.path.dirname(out_path) or "."
+        spill = [[stack.enter_context(tempfile.TemporaryFile(dir=folder)) for _ in sections]
+                 for _ in range(1, workers)]
 
-    def run_share(w):
-        try:
-            for suffix, chunks in groups[w]:
-                with open(f"{out_path}.{suffix}", "wb") as fh:
-                    fh.writelines(chunks)
-        except Exception as exc:  # a child's error travels back to be raised here
-            return exc
-        return None
+        def run_share(w):
+            try:
+                for fh, (_, (rows, part)) in zip([files, *spill][w], sections):
+                    fh.writelines(part(rows * w // workers, rows * (w + 1) // workers,
+                                       w == 0, w == workers - 1))
+                    fh.flush()
+            except Exception as exc:  # a child's error travels back to be raised here
+                return exc
+            return None
 
-    for exc in _fork_map(run_share, len(groups)):
-        if exc is not None:
-            raise exc
+        for exc in _fork_map(run_share, workers):
+            if exc is not None:
+                raise exc
+        for fh, *spilled in zip(files, *spill):
+            for tmp in spilled:
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh)
 
 
 def _plan(args, spec, replicates=1, collect=("census",)) -> ExperimentPlan:
@@ -263,18 +287,32 @@ def cmd_theory(args) -> int:
 def _digit_tables():
     """Lookup tables of the CSV writer, built on first use and read-only.
 
-    Each 4-digit group 0000 .. 9999 as ASCII read as one little-endian word, then the
-    same with its leading zeros as NUL bytes (0000 all NUL), each group's count of trailing
-    zeros (4 for 0000), the masks of the low j bytes of a word for j = 0 .. 8, and 5**q for
-    q = 0 .. _MAX_Q."""
+    Each 4-digit group 0000 .. 9999 as ASCII read as one little-endian word, then the same
+    with its leading zeros as NUL bytes (0000 all NUL), and 5**q for q = 0 .. _MAX_Q. Then
+    the layouts of _float_fields, one row per decimal exponent k = _MIN_K .. 15, byte
+    K = 0 .. 17 of the last significant digit and sign, in that order: the three words of
+    the mask of the digits before the point, of the mask of the digits after it and of the
+    constant bytes (sign, '0.', the leading zeros, '.' and 'e-XX'), then the bits that move
+    the digits after the point left, and their complement to 64."""
     d = np.arange(10_000)
     place = np.array([1000, 100, 10, 1])
     chars = (d[:, None] // place % 10 + 48).astype(np.uint8)
     lead = np.where(d[:, None] < place, 0, chars).astype(np.uint8)
-    zeros = sum(d % 10**j == 0 for j in range(1, 5)).astype(np.uint8)
-    low_bytes = np.array([2 ** (8 * j) - 1 for j in range(9)], np.uint64)
-    tables = (chars.view("<u4").ravel().astype(np.uint64), lead.view("<u4").ravel(), zeros,
-              low_bytes, np.uint64(5) ** np.arange(_MAX_Q + 1, dtype=np.uint64))
+    k = np.arange(_MIN_K, 16)[:, None, None, None]
+    K, sign, at = np.arange(18)[:, None, None], np.arange(2)[:, None], np.arange(24)
+    small = (k < 0) & (k >= -4)  # 0.000ddd, with no digit before the point
+    whole = np.where(k >= 0, k + 1, k < -4)  # the digits before the point, at bytes 1 ..
+    shape = (len(k), len(K), len(sign), len(at))
+    text = np.where(small & (at >= 1) & (at <= 1 - k), 48, 45 * sign * (at == 0))
+    text = np.where((at == np.where(small, 2, whole + 1)) & (K > whole), 46, text)
+    exp = np.where(at == 19, 101, np.where(at == 20, 45, 48 + np.where(at == 21, -k // 10, -k % 10)))
+    text = np.where((k < -4) & (at >= 19) & (at <= 22), exp, text)
+    words = [np.broadcast_to(b, shape).astype(np.uint8).reshape(-1, 24).view("<u8").T.copy()
+             for b in (255 * ((at >= 1) & (at <= whole)), 255 * ((at > whole) & (at <= K)), text)]
+    left = np.broadcast_to(8 * np.where(small, 1 - k, 1)[..., 0], shape[:3]).ravel()
+    tables = (chars.view("<u4").ravel().astype(np.uint64), lead.view("<u4").ravel(),
+              np.uint64(5) ** np.arange(_MAX_Q + 1, dtype=np.uint64), *words,
+              left.astype(np.uint64), (64 - left).astype(np.uint64))
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -311,18 +349,17 @@ def _significands(v):
     of ten by one; the flag is false where either fails."""
     bits = v.view(np.uint64)  # a subnormal gets a wrong M here, but lies outside the range
     M = (bits & (2**52 - 1)) | 2**52
-    E = (bits >> 52).astype(np.int16) - 1022
-    k = np.floor(np.log10(v)).astype(np.int16)
+    k = np.floor(np.log10(v)).astype(np.intp)
     q = 16 - k
-    s = 53 - E - q
+    s = 1075 - (bits >> 52).view(np.intp) - q  # 53 - E - q
     ok = (q >= 0) & (q <= _MAX_Q) & (s >= 1) & (s <= 63)
-    f = _digit_tables()[-1][np.where(ok, q, 0)]
-    fl, fh, ml, mh = (w.astype(np.uint32) for w in (f, f >> 32, M, M >> 32))
-    s = np.where(ok, s, 1).astype(np.uint8)
-    hi = np.multiply(mh, fh, dtype=np.uint64)
-    mid = np.multiply(ml, fh, dtype=np.uint64)
-    mid += np.multiply(mh, fl, dtype=np.uint64)
-    lo = np.multiply(ml, fl, dtype=np.uint64)
+    f = np.take(_digit_tables()[2], np.where(ok, q, 0))
+    s = np.where(ok, s, 1).view(np.uint64)
+    fl, fh, ml, mh = f & 2**32 - 1, f >> 32, M & 2**32 - 1, M >> 32
+    hi = mh * fh
+    mid = ml * fh
+    mid += mh * fl
+    lo = ml * fl
     hi += mid >> 32
     mid <<= 32
     lo += mid
@@ -330,94 +367,84 @@ def _significands(v):
     n = hi << (64 - s)
     n |= lo >> s
     half = np.uint64(1) << (s - 1)
-    up = ((lo & half) != 0) & (((lo & (half - 1)) != 0) | ((n & 1) != 0))
+    up = (lo & ((half << 1) - 1)) + (n & 1) > half  # the remainder passes half, or ties at odd n
     ok &= (n >= 10**16) & (n + up < 10**17)
-    return n + up, k.astype(np.int8), ok
+    return n + up, k, ok
 
 
-def _digit_bytes(n, k, neg):
-    """The byte table that _layout reads, one row of four little-endian words per
-    significand n of exponent k: sign, point (NUL when no digit follows it), 'e', '-',
-    '000' and the 17 digits with the trailing zeros after the point as NULs, then the two
-    digits of -k."""
-    quad, _, zeros4, low_bytes, _ = _digit_tables()
-    lead, rest = np.divmod(n, 10**16)
-    g1, g2 = np.divmod((rest // 10**8).astype(np.uint32), 10_000)
-    g3, g4 = np.divmod((rest % 10**8).astype(np.uint32), 10_000)
-    tz = zeros4[g4] + (g4 == 0) * (zeros4[g3] + (g3 == 0) * (zeros4[g2] + (g2 == 0) * zeros4[g1]))
-    whole = np.where(k >= 0, k + 1, k < -4)  # digits before the point, never dropped
-    keep = np.maximum(17 - tz, whole)
-    table = np.empty((len(n), 4), "<u8")
-    table[:, 0] = quad[lead] << 32 | 101 << 16 | 45 << 24
-    table[:, 0] |= np.where(neg, np.uint64(45), 0) | np.where(keep > whole, np.uint64(46 << 8), 0)
-    table[:, 1] = (quad[g1] | quad[g2] << 32) & low_bytes[np.clip(keep - 1, 0, 8)]
-    table[:, 2] = (quad[g3] | quad[g4] << 32) & low_bytes[np.clip(keep - 9, 0, 8)]
-    e = -k.astype(np.int16)  # read below -4 only
-    table[:, 3] = (48 + e // 10 | (48 + e % 10) << 8).astype(np.uint64)
-    return table.view(np.uint8)
-
-
-# the bytes of _digit_bytes' rows
-_SIGN, _POINT, _E, _MINUS, _ZERO, _DIGITS, _EXP = 0, 1, 2, 3, 4, range(7, 24), 24
-
-
-@functools.cache
-def _layout(x):
-    """The bytes of a _digit_bytes row that spell a value of decimal exponent x (cached,
-    read-only): fixed notation for -4 <= x <= 16, d.ddde-XX below."""
-    digits = list(_DIGITS)
-    if x >= 0:
-        cols = [_SIGN, *digits[: x + 1], _POINT, *digits[x + 1 :]]
-    elif x >= -4:
-        cols = [_SIGN, _ZERO, _POINT, *[_ZERO] * (-x - 1), *digits]
-    else:
-        cols = [_SIGN, digits[0], _POINT, *digits[1:], _E, _MINUS, _EXP, _EXP + 1]
-    cols = np.array(cols)
-    cols.flags.writeable = False
-    return cols
+def _digit_words(n):
+    """The 17 digits of each n < 10**17 as ASCII in three little-endian words, digit i at
+    byte i + 1, and the byte of the last nonzero digit (0 for n = 0)."""
+    quad = _digit_tables()[0]
+    a = n // 10**10  # d0 .. d6
+    b = n // 100
+    c = n - b * 100  # d15 d16
+    b -= a * 10**8  # d7 .. d14
+    hi_a, hi_b = a // 10**4, b // 10**4
+    a -= hi_a * 10**4
+    b -= hi_b * 10**4
+    words = [np.take(quad, hi_a.view(np.intp)), np.take(quad, hi_b.view(np.intp)),
+             np.take(quad, c.view(np.intp)) >> 16]
+    words[0] ^= 48  # byte 0 of the group d0 d1 d2 is a '0'
+    words[0] |= np.take(quad, a.view(np.intp)) << 32
+    words[1] |= np.take(quad, b.view(np.intp)) << 32
+    # the top set bit of a word's digit values, read off their float64 exponent, over 8
+    top = [(w & 0x0F0F0F0F0F0F0F0F).view(np.intp).astype(np.float64).view(np.intp) >> 52
+           for w in words]
+    last = np.maximum(np.maximum(top[0], top[1] + 64), top[2] + 128) - 1023 >> 3
+    return words, np.maximum(last, 0, out=last)
 
 
 def _float_fields(x):
-    """The floats x as '%.17g' writes them: one row of ASCII bytes each, NUL-padded.
+    """The floats x as '%.17g' writes them: one row of 24 ASCII bytes each, NUL-padded.
 
-    Zeros are written in bulk. A finite x with 1e-11 < |x| < 2**51 gets its 17 correctly
-    rounded digits from _significands, its trailing zeros after the point dropped by a
-    mask, and one _layout per decimal exponent; nan, inf and the rest go through the '%'
-    operator one at a time."""
-    neg = np.signbit(x)
-    fast = np.flatnonzero(np.isfinite(x) & (x != 0))
-    n, k, ok = _significands(np.abs(x[fast]))
-    slow = np.concatenate([np.flatnonzero(~np.isfinite(x)), fast[~ok]])
-    exact = np.flatnonzero(ok)
-    order = exact[np.argsort(k[exact], kind="stable")]  # by exponent: a radix sort of int8
-    fast, n, k = fast[order], n[order], k[order]
-    table = _digit_bytes(n, k, neg[fast])
-
-    ends = np.flatnonzero(np.diff(k)) + 1
-    groups = [(a, b, _layout(int(k[a]))) for a, b in zip([0, *ends], [*ends, len(k)]) if b > a]
-    zero = np.flatnonzero(x == 0)
+    A finite x with 1e-11 < |x| < 2**51 gets its 17 correctly rounded digits from
+    _significands, as the words of _digit_words. Its row keeps the digits before the point
+    where they are, moves the rest left past the point (or past '0.' and the leading
+    zeros), drops the trailing zeros after the point, and ORs in the sign, '0.', the
+    leading zeros, '.' and 'e-XX': every mask, shift and constant is read from the
+    _digit_tables layout of its exponent, last significant digit and sign. A zero reads
+    as the digits 000..., which the layout of exponent 0 writes as '0'; nan, inf and the
+    rest go through the '%' operator one at a time."""
+    *_, before, after, const, left, right = _digit_tables()
+    fast = np.isfinite(x) & (x != 0)
+    n, k, ok = _significands(np.where(fast, np.abs(x), 1.0))
+    ok &= fast
+    n[~ok] = 0
+    k[~ok] = 0
+    words, last = _digit_words(n)
+    del n
+    row = ((k - _MIN_K) * 18 + last) * 2 + np.signbit(x)
+    up, down = np.take(left, row), np.take(right, row)
+    out = np.empty((len(x), 3), np.uint64)
+    carry = 0
+    for j, word in enumerate(words):
+        rest = word & np.take(after[j], row)
+        word &= np.take(before[j], row)
+        word |= np.take(const[j], row)
+        word |= rest << up
+        word |= carry
+        out[:, j] = word
+        carry = rest >> down
+    slow = np.flatnonzero(~ok & (x != 0))
     text = [("%.17g" % v).encode() for v in x[slow].tolist()]
-    width = max([2 * (len(zero) > 0), *(len(c) for _, _, c in groups), *map(len, text)])
-    out = np.zeros((len(x), width), np.uint8)
-    for a, b, c in groups:
-        out[fast[a:b], : len(c)] = table[a:b, c]
-    out[zero, 0] = np.where(neg[zero], 45, 0)
-    out[zero, 1] = 48
+    out = out.view(np.uint8)
     if text:
-        out[slow] = np.array(text, f"S{width}").view(np.uint8).reshape(len(text), width)
+        out[slow] = np.array(text, "S24").view(np.uint8).reshape(len(text), 24)
     return out
 
 
 def _csv_block(fields, end):
     """The ASCII bytes of one block of CSV rows: the arrays fields joined by commas, each
     row ending with end. Integer arrays are written as '%d' writes them, float arrays as
-    mc.fmt17 does (all of them in one _float_fields call); the fields are NUL-padded byte
-    rows, and one compaction drops the NULs."""
+    mc.fmt17 does: all of them in one _float_fields call, row by row, whose 24-byte rows
+    are then dealt back to their columns. The fields are NUL-padded byte rows, and one
+    compaction drops the NULs."""
     rows = len(fields[0])
     floats = [f for f in fields if f.dtype.kind == "f"]
     if floats:
         text = iter(_float_fields(np.column_stack(floats).ravel())
-                    .reshape(rows, len(floats), -1).swapaxes(0, 1))
+                    .reshape(rows, len(floats), 24).swapaxes(0, 1))
     comma = np.full((rows, 1), 44, np.uint8)
     parts = []
     for f in fields:
@@ -434,10 +461,21 @@ def _csv_rows(cols, lo, hi, end="\n"):
         yield _csv_block([np.arange(a + 1, b + 1), *cols(a, b)], end)
 
 
+def _csv_table(header, rows, body, trailer=b""):
+    """The table of a CSV section: rows lo .. hi - 1 are the chunks body(lo, hi), after the
+    header line and before the trailer bytes."""
+    def part(lo, hi, first, last):
+        if first:
+            yield f"{header}\n".encode()
+        yield from body(lo, hi)
+        if last:
+            yield trailer
+    return rows, part
+
+
 def _trace_csv(run):
-    yield f"{TRACE_HEADER}\n".encode()
-    yield from _csv_rows(lambda a, b: [getattr(run, name)[a:b] for name in TRACE_COLUMNS],
-                         0, run.n_steps)
+    return _csv_table(TRACE_HEADER, run.n_steps, functools.partial(
+        _csv_rows, lambda a, b: [getattr(run, name)[a:b] for name in TRACE_COLUMNS]))
 
 
 def _components_csv(run):
@@ -448,20 +486,21 @@ def _components_csv(run):
         t, e = ends[a : b + 1], np.diff(cum[a : b + 1])
         v = np.diff(t)
         return [t[:-1], t[1:], v, e, 1 + (run.config.r - 1) * e - v]  # n(C) = 1 + (r-1) e(C) - |C|
-    yield f"{COMPONENTS_HEADER}\n".encode()
-    yield from _csv_rows(cols, 0, len(ends) - 1)
+    return _csv_table(COMPONENTS_HEADER, len(ends) - 1, functools.partial(_csv_rows, cols))
 
 
 def _doob_csv(dt, gap):
     """Rows t <= t1 carry Shat, later rows leave it empty; every real has mc.fmt17's
     bytes, through _csv_rows' block formatter."""
     cols = [dt.D, dt.Delta, dt.Dstar, dt.DeltaStar, dt.S, dt.Xtilde]
-    yield f"{DOOB_HEADER}\n".encode()
-    yield from _csv_rows(lambda a, b: [c[a:b] for c in cols + [dt.Shat]], 0, dt.t1)
-    yield from _csv_rows(lambda a, b: [c[a:b] for c in cols], dt.t1, dt.n_steps, end=",\n")
-    yield (f"# V1={fmt17(dt.V1)} V2={fmt17(dt.V2)} V12={fmt17(dt.V12)} "
-           f"lindeberg1={fmt17(dt.lindeberg1)} lindeberg2={fmt17(dt.lindeberg2)} "
-           f"c1={fmt17(gap)}\n").encode()
+
+    def body(lo, hi):
+        yield from _csv_rows(lambda a, b: [c[a:b] for c in cols + [dt.Shat]], lo, min(hi, dt.t1))
+        yield from _csv_rows(lambda a, b: [c[a:b] for c in cols], max(lo, dt.t1), hi, end=",\n")
+    trailer = (f"# V1={fmt17(dt.V1)} V2={fmt17(dt.V2)} V12={fmt17(dt.V12)} "
+               f"lindeberg1={fmt17(dt.lindeberg1)} lindeberg2={fmt17(dt.lindeberg2)} "
+               f"c1={fmt17(gap)}\n").encode()
+    return _csv_table(DOOB_HEADER, dt.n_steps, body, trailer)
 
 
 def cmd_run(args) -> int:
@@ -512,7 +551,7 @@ def cmd_mc(args) -> int:
         **res.aggregate.windows(),
         "verdicts": {key: None if rec.value is None else rec.passed for key, rec in verdicts.items()},
     }]
-    _emit(args.out, [("cells.csv", [csv_text]), ("report.json", _json(report))])
+    _emit(args.out, [("cells.csv", _one_row(csv_text)), ("report.json", _json(report))])
     return 0
 
 
@@ -524,7 +563,7 @@ def cmd_tails(args) -> int:
     rep = _checked(tail_experiment, args.kind, args.n, args.r, args.eps, grid, args.replicates,
                    args.seed, workers=workers, omega_grid=omega_grid, c_bound=args.bound_c)
     rows = [TAILS_CSV_HEADER, *map(format_tail_row, rep.rows)]
-    sections = [("tails.csv", [f"{row}\n".encode() for row in rows])]
+    sections = [("tails.csv", _one_row("".join(f"{row}\n" for row in rows).encode()))]
     meta = {
         "kind": rep.kind, "n": rep.n, "r": rep.r, "eps": rep.eps, "R": rep.R,
         "c_bound": rep.c_bound, "measurable": rep.measurable,

@@ -11,8 +11,8 @@ runs build its edge-count tables, CellContext.tables, once a chunk.  Both
 are freed with the context.  With workers > 1 a cell runs in this process
 and workers - 1 forked children, one contiguous range of replicates each;
 the children inherit the context and fill their own copies of its tables,
-and nothing is pickled but each child's results.  `hxplore run --out` writes
-its last file in a child forked by the same _fork_map.
+and nothing is pickled but each child's results.  `hxplore run --out` splits
+the rows of every table by the same rule, through the same _fork_map.
 CellContext.replay is the one Doob replay of a run, for a replicate and its
 `hxplore run --doob` replay alike.  A cell's statistics are read off its
 replicate results in replicate-index order, neutralizing floating-point

@@ -113,6 +113,8 @@ _SMALL_RUN = ["run", "--n", "300", "--r", "3", "--lambda", "1.4", "--seed", "6",
 ])
 def test_run_forks_only_to_write_its_last_file(capsys, monkeypatch, tmp_path,
                                                worker_cap, to_file, forks):
+    # on two CPUs, `run --out` forks one child, which writes the second half of every
+    # table's rows; one worker, or stdout, writes everything in this process
     if worker_cap is None:
         monkeypatch.delenv("HXPLORE_MAX_WORKERS", raising=False)
     else:
@@ -130,6 +132,27 @@ def test_run_forks_only_to_write_its_last_file(capsys, monkeypatch, tmp_path,
     code, out, err = _run(capsys, argv)
     assert (code, err, len(calls)) == (0, "", forks)
     assert bool(out) != to_file
+
+
+def test_run_tables_split_alike_on_every_cpu_count(capsys, monkeypatch, tmp_path):
+    # components.csv has a single row here, so most shares of it are empty, yet its header
+    # and the Doob trailer are each written once
+    monkeypatch.delenv("HXPLORE_MAX_WORKERS", raising=False)
+    argv = ["run", "--n", "6", "--r", "2", "--eps", "0.5", "--seed", "7", "--stop", "giant",
+            "--doob", "--out"]
+    outputs = []
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus-{cpus}"
+        out.mkdir()
+        code, _, err = _run(capsys, argv + [str(out / "run")])
+        assert (code, err) == (0, "")
+        assert sorted(f.name for f in out.iterdir()) == [
+            "run.components.csv", "run.doob.csv", "run.trace.csv"]
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0]["run.components.csv"].count(b"\n") == 2
+    assert outputs[0]["run.doob.csv"].count(b"# V1=") == 1
+    assert all(files == outputs[0] for files in outputs[1:])
 
 
 def test_run_write_error_is_reported_at_every_worker_count(capsys, monkeypatch, tmp_path):

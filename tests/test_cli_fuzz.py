@@ -13,7 +13,8 @@ need, and the run fails as its Monte Carlo replicate would.  That exit 3 is acce
 with exactly its message.
 
 A shorter leg runs `run --doob --out` vectors on two workers, where a forked child
-writes the last file, and checks that they write the bytes of one worker.
+writes the second half of every table's rows, and checks that they write the bytes of
+one worker.
 """
 
 import os

@@ -259,15 +259,16 @@ def test_golden_tails():
 
 
 def _worker_caps(monkeypatch, tmp_path):
-    """For HXPLORE_MAX_WORKERS = 1, then unset on two CPUs (where `run --out` writes its
-    last file in a forked child): a fresh directory for the outputs."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for cap in ("1", None):
+    """For HXPLORE_MAX_WORKERS = 1 on two CPUs, then unset on two and on three CPUs (where
+    `run --out` splits every table's rows between this process and forked children): a
+    fresh directory for the outputs."""
+    for cpus, cap in ((2, "1"), (2, None), (3, None)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
         if cap is None:
             monkeypatch.delenv("HXPLORE_MAX_WORKERS", raising=False)
         else:
             monkeypatch.setenv("HXPLORE_MAX_WORKERS", cap)
-        out = tmp_path / f"cap-{cap}"
+        out = tmp_path / f"cpus-{cpus}-cap-{cap}"
         out.mkdir()
         yield out
 

@@ -85,6 +85,31 @@ def test_fast_range_edges():
     _check_floats(np.concatenate([x, -x, np.nextafter(x, np.inf), np.nextafter(x, 0)]))
 
 
+def test_floats_match_percent_g_in_every_layout():
+    # for each exponent k of the fast range and each count m = 1 .. 17 of significant
+    # digits, the first of a fixed list of decimals d.ddd..e k whose double '%.17g' writes
+    # with m digits: the 17-digit case, trailing zeros inside the digits, and m = 1, where
+    # the point is dropped; no double is written with one digit at k = -7, -6 and -5
+    values, missing = [], []
+    for k in range(cli._MIN_K, 16):
+        for m in range(1, 18):
+            ends = [str(d) for d in range(1, 10)] if m == 1 else [
+                f"{t:02d}" for t in range(11, 100) if t % 10]
+            for end in ends:
+                digits = "141421356237309"[: m - len(end)] + end
+                v = float(f"{digits[0]}.{digits[1:]}e{k}")
+                if len(("%.17g" % v).partition("e")[0].replace(".", "").strip("0")) == m:
+                    values.append(v)
+                    break
+            else:
+                missing.append((k, m))
+    assert missing == [(-7, 1), (-6, 1), (-5, 1)]
+    x = np.array(values)
+    _, k, ok = cli._significands(x)
+    assert ok.all() and sorted(set(k.tolist())) == list(range(cli._MIN_K, 16))
+    _check_floats(np.concatenate([x, -x]))
+
+
 def test_ints_match_percent_d():
     rng = np.random.default_rng(5)
     edges = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 1, -9999, 9999,
