@@ -194,30 +194,31 @@ def _parse_list(text, conv, flag) -> list:
         raise UsageError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
-def _one_row(chunk: bytes):
-    """A table of one row, the ASCII chunk, with no header or trailer."""
-    return 1, lambda lo, hi, first, last: [chunk] * (hi - lo)
+def _no_rows(lo, hi):
+    """The body of a table that is all head."""
+    return ()
 
 
 def _json(doc):
-    """The one-row table of a JSON section."""
-    return _one_row((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+    """The table of a JSON section: a head with no rows."""
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(), 0, _no_rows, b""
 
 
 def _emit(out_path, sections, workers=1) -> None:
-    """sections: (suffix, table) pairs, where a table is a row count R and part(lo, hi,
-    first, last), the ASCII byte chunks of rows lo .. hi - 1, after the header line if
-    first and before the trailer line if last. Streamed to stdout in order with a blank
-    line between sections, or written to the files PREFIX.suffix: process w of workers
-    writes rows R * w // workers .. R * (w + 1) // workers - 1 of every table, with the
-    header if w = 0 and the trailer if w = workers - 1, even when its share is empty.
-    Process 0 is this one and writes into the files; process w >= 1, a child forked by
-    mc._fork_map, writes into unnamed temporary files that this process appends in order
-    after the join. An error any process meets is raised here."""
+    """sections: (suffix, table) pairs; a table is (head, R, body, tail), the ASCII bytes of
+    its head, its row count, body(lo, hi) the byte chunks of rows lo .. hi - 1, and the bytes
+    of its tail. Streamed to stdout in order with a blank line between sections, or written
+    to the files PREFIX.suffix: process w of workers writes rows R * w // workers ..
+    R * (w + 1) // workers - 1 of every table, process 0 the heads and the last process the
+    tails. Process 0 is this one and writes into the files, so it alone writes a section of
+    one head; process w >= 1, a child forked by mc._fork_map, writes into unnamed temporary
+    files that this process appends in order after the join. mc._fork_map raises the error
+    of the lowest process that meets one."""
     if not out_path:
-        for i, (_, (rows, part)) in enumerate(sections):
-            sys.stdout.write("\n" if i else "")
-            sys.stdout.writelines(chunk.decode() for chunk in part(0, rows, True, True))
+        for i, (_, (head, rows, body, tail)) in enumerate(sections):
+            sys.stdout.write(("\n" if i else "") + head.decode())
+            sys.stdout.writelines(chunk.decode() for chunk in body(0, rows))
+            sys.stdout.write(tail.decode())
         return
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(f"{out_path}.{suffix}", "wb")) for suffix, _ in sections]
@@ -226,18 +227,13 @@ def _emit(out_path, sections, workers=1) -> None:
                  for _ in range(1, workers)]
 
         def run_share(w):
-            try:
-                for fh, (_, (rows, part)) in zip([files, *spill][w], sections):
-                    fh.writelines(part(rows * w // workers, rows * (w + 1) // workers,
-                                       w == 0, w == workers - 1))
-                    fh.flush()
-            except Exception as exc:  # a child's error travels back to be raised here
-                return exc
-            return None
+            for fh, (_, (head, rows, body, tail)) in zip([files, *spill][w], sections):
+                fh.write(head if w == 0 else b"")
+                fh.writelines(body(rows * w // workers, rows * (w + 1) // workers))
+                fh.write(tail if w == workers - 1 else b"")
+                fh.flush()
 
-        for exc in _fork_map(run_share, workers):
-            if exc is not None:
-                raise exc
+        _fork_map(run_share, workers)
         for fh, *spilled in zip(files, *spill):
             for tmp in spilled:
                 tmp.seek(0)
@@ -329,9 +325,11 @@ def _int_fields(v):
     out = np.empty((len(u), groups), "<u4")
     rest = u
     for j in range(groups - 1, 0, -1):
-        rest, low = np.divmod(rest, 10_000)
+        high = rest // 10_000
+        low = rest - high * 10_000
         # a group at or above the leading digit drops its leading zeros
         out[:, j] = np.where(u < 10 ** (4 * (groups - j)), quad_lead[low], quad[low])
+        rest = high
     out[:, 0] = quad_lead[rest]
     digits = out.view(np.uint8)
     digits[u == 0, -1] = 48
@@ -461,21 +459,9 @@ def _csv_rows(cols, lo, hi, end="\n"):
         yield _csv_block([np.arange(a + 1, b + 1), *cols(a, b)], end)
 
 
-def _csv_table(header, rows, body, trailer=b""):
-    """The table of a CSV section: rows lo .. hi - 1 are the chunks body(lo, hi), after the
-    header line and before the trailer bytes."""
-    def part(lo, hi, first, last):
-        if first:
-            yield f"{header}\n".encode()
-        yield from body(lo, hi)
-        if last:
-            yield trailer
-    return rows, part
-
-
 def _trace_csv(run):
-    return _csv_table(TRACE_HEADER, run.n_steps, functools.partial(
-        _csv_rows, lambda a, b: [getattr(run, name)[a:b] for name in TRACE_COLUMNS]))
+    return f"{TRACE_HEADER}\n".encode(), run.n_steps, functools.partial(
+        _csv_rows, lambda a, b: [getattr(run, name)[a:b] for name in TRACE_COLUMNS]), b""
 
 
 def _components_csv(run):
@@ -486,7 +472,7 @@ def _components_csv(run):
         t, e = ends[a : b + 1], np.diff(cum[a : b + 1])
         v = np.diff(t)
         return [t[:-1], t[1:], v, e, 1 + (run.config.r - 1) * e - v]  # n(C) = 1 + (r-1) e(C) - |C|
-    return _csv_table(COMPONENTS_HEADER, len(ends) - 1, functools.partial(_csv_rows, cols))
+    return f"{COMPONENTS_HEADER}\n".encode(), len(ends) - 1, functools.partial(_csv_rows, cols), b""
 
 
 def _doob_csv(dt, gap):
@@ -500,7 +486,7 @@ def _doob_csv(dt, gap):
     trailer = (f"# V1={fmt17(dt.V1)} V2={fmt17(dt.V2)} V12={fmt17(dt.V12)} "
                f"lindeberg1={fmt17(dt.lindeberg1)} lindeberg2={fmt17(dt.lindeberg2)} "
                f"c1={fmt17(gap)}\n").encode()
-    return _csv_table(DOOB_HEADER, dt.n_steps, body, trailer)
+    return f"{DOOB_HEADER}\n".encode(), dt.n_steps, body, trailer
 
 
 def cmd_run(args) -> int:
@@ -551,7 +537,7 @@ def cmd_mc(args) -> int:
         **res.aggregate.windows(),
         "verdicts": {key: None if rec.value is None else rec.passed for key, rec in verdicts.items()},
     }]
-    _emit(args.out, [("cells.csv", _one_row(csv_text)), ("report.json", _json(report))])
+    _emit(args.out, [("cells.csv", (csv_text, 0, _no_rows, b"")), ("report.json", _json(report))])
     return 0
 
 
@@ -563,7 +549,7 @@ def cmd_tails(args) -> int:
     rep = _checked(tail_experiment, args.kind, args.n, args.r, args.eps, grid, args.replicates,
                    args.seed, workers=workers, omega_grid=omega_grid, c_bound=args.bound_c)
     rows = [TAILS_CSV_HEADER, *map(format_tail_row, rep.rows)]
-    sections = [("tails.csv", _one_row("".join(f"{row}\n" for row in rows).encode()))]
+    sections = [("tails.csv", ("".join(f"{row}\n" for row in rows).encode(), 0, _no_rows, b""))]
     meta = {
         "kind": rep.kind, "n": rep.n, "r": rep.r, "eps": rep.eps, "R": rep.R,
         "c_bound": rep.c_bound, "measurable": rep.measurable,

@@ -10,13 +10,14 @@ config once and builds a traced cell's drift table, CellContext.drift; its
 runs build its edge-count tables, CellContext.tables, once a chunk.  Both
 are freed with the context.  With workers > 1 a cell runs in this process
 and workers - 1 forked children, one contiguous range of replicates each;
-the children inherit the context and fill their own copies of its tables,
-and nothing is pickled but each child's results.  `hxplore run --out` splits
-the rows of every table by the same rule, through the same _fork_map.
-CellContext.replay is the one Doob replay of a run, for a replicate and its
-`hxplore run --doob` replay alike.  A cell's statistics are read off its
-replicate results in replicate-index order, neutralizing floating-point
-non-associativity.
+the children inherit the context and fill their own copies of its tables.
+_fork_map is the one transport between processes: nothing is pickled but
+what a child's share returns or raises, and this process raises the lowest
+share's exception.  `hxplore run --out` splits the rows of every table by the
+same rule.  CellContext.replay is the one Doob replay of a run, for a
+replicate and its `hxplore run --doob` replay alike.  A cell's statistics
+are read off its replicate results in replicate-index order, neutralizing
+floating-point non-associativity.
 """
 
 from __future__ import annotations
@@ -360,22 +361,24 @@ def _replay_command(ctx: CellContext, seed: int) -> str:
     return " ".join(argv)
 
 
-def _run_range(ctx: CellContext, master_seed: int, salt: int, lo: int, hi: int):
+def _run_range(ctx: CellContext, master_seed: int, salt: int, lo: int, hi: int) -> list:
+    """_run_replicate of replicates lo .. hi - 1 on their derived seeds; raises RuntimeError
+    naming the first that fails, its seed and the command that replays it."""
     out = []
     seeds = derive_seed(master_seed, salt, np.arange(lo, hi, dtype=np.uint64))
     for rep, seed, rng in zip(range(lo, hi), seeds.tolist(), seeded_generators(seeds)):
         try:
             out.append(_run_replicate(ctx, seed, rng))
-        except Exception as exc:  # reported upstream with the replicate's seed
-            return out, (f"replicate {rep} (seed {seed}) failed: {exc!r}; "
-                         f"replay: {_replay_command(ctx, seed)}")
-    return out, None
+        except Exception as exc:
+            raise RuntimeError(f"replicate {rep} (seed {seed}) failed: {exc!r}; "
+                               f"replay: {_replay_command(ctx, seed)}") from None
+    return out
 
 
 def _fork_share(run_share, w: int):
-    """Fork a child that writes one pickle of run_share(w) to a pipe and ends
-    with os._exit, running no atexit handler and flushing no inherited stdio
-    buffer; returns (pid, the pipe's read end)."""
+    """Fork a child that writes one pickle to a pipe, (True, run_share(w)) or (False, the
+    exception it raised), and ends with os._exit, running no atexit handler and flushing
+    no inherited stdio buffer; returns (pid, the pipe's read end)."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -387,8 +390,12 @@ def _fork_share(run_share, w: int):
         code = 1
         try:
             os.close(rfd)
+            try:
+                result = True, run_share(w)
+            except Exception as exc:  # raised by the parent, in share order
+                result = False, exc
             with open(wfd, "wb") as fh:
-                pickle.dump(run_share(w), fh, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
@@ -397,11 +404,12 @@ def _fork_share(run_share, w: int):
 
 
 def _fork_map(run_share, workers: int) -> list:
-    """[run_share(w) for w in range(workers)]: share 0 in this process, share w
-    in forked child w.  A child that exits nonzero, dies by a signal or sends a
-    short pickle raises RuntimeError naming it and its exit status (-N: signal
-    N).  No child outlives the call: when anything raises, KeyboardInterrupt
-    included, every child still running is killed and reaped."""
+    """[run_share(w) for w in range(workers)]: share 0 in this process, share w in
+    forked child w.  Raises the exception of the lowest share that raises, share 0's
+    directly.  A child that exits nonzero (as when its exception cannot be pickled),
+    dies by a signal or sends a short pickle raises RuntimeError naming it and its exit
+    status (-N: signal N).  No child outlives the call: when anything raises,
+    KeyboardInterrupt included, every child still running is killed and reaped."""
     children = {}
     try:
         for w in range(1, workers):
@@ -413,40 +421,22 @@ def _fork_map(run_share, workers: int) -> list:
                 data = reader.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[w]
-            if status == 0:
-                try:
-                    shares.append(pickle.loads(data))
-                    continue
-                except (EOFError, pickle.UnpicklingError):
-                    pass
-            raise RuntimeError(f"worker {w} exited with status {status} "
-                               f"after sending {len(data)} bytes")
+            try:
+                ok, value = pickle.loads(data) if status == 0 else (None, None)
+            except (EOFError, pickle.UnpicklingError):
+                ok = None  # no result arrived
+            if ok is None:
+                raise RuntimeError(f"worker {w} exited with status {status} "
+                                   f"after sending {len(data)} bytes")
+            if not ok:
+                raise value
+            shares.append(value)
         return shares
     finally:
         for pid, reader in children.values():
             reader.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _map_replicates(ctx, R: int, master_seed: int, salt: int, workers: int) -> list:
-    """_run_replicate of every replicate rep in range(R), on the seed
-    derive_seed(master_seed, salt, rep).  Of `shares` processes, process w
-    runs the replicates R * w // shares up to R * (w + 1) // shares - 1:
-    process 0 is this one, the others forked children (see _fork_map).
-    Raises RuntimeError naming the lowest failed replicate, its derived seed
-    and the command that replays it."""
-    shares = max(1, min(workers, R))
-
-    def run_share(w):
-        return _run_range(ctx, master_seed, salt, R * w // shares, R * (w + 1) // shares)
-
-    reps = []
-    for out, error in _fork_map(run_share, shares):
-        if error is not None:
-            raise RuntimeError(error)
-        reps += out
-    return reps
 
 
 def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
@@ -480,6 +470,10 @@ def make_context(spec: CellSpec, plan: ExperimentPlan) -> CellContext:
 
 def run_cell(spec: CellSpec, plan: ExperimentPlan, cell_index: int = 0,
              workers: int = 1) -> CellResult:
+    """The cell's R replicates, rep on the seed derive_seed(plan.master_seed, cell_index, rep).
+    Of `shares` = min(workers, R) processes, process w runs replicates R * w // shares ..
+    R * (w + 1) // shares - 1 through _fork_map.  Raises RuntimeError naming the cell and
+    the lowest failed replicate, its seed and the command that replays it, or a dead worker."""
     ctx = make_context(spec, plan)
     if spec.stop == "giant" and ctx.eps**3 * ctx.n < 1.0:
         warnings.warn(
@@ -487,8 +481,13 @@ def run_cell(spec: CellSpec, plan: ExperimentPlan, cell_index: int = 0,
             "inside the critical window, CLT targets unreliable",
             stacklevel=2,
         )
+    R, shares = plan.replicates, max(1, min(workers, plan.replicates))
+
+    def run_share(w):
+        return _run_range(ctx, plan.master_seed, cell_index, R * w // shares, R * (w + 1) // shares)
+
     try:
-        reps = _map_replicates(ctx, plan.replicates, plan.master_seed, cell_index, workers)
+        reps = [rep for out in _fork_map(run_share, shares) for rep in out]
     except RuntimeError as exc:
         raise RuntimeError(f"cell {spec.name()} aborted: {exc}") from None
     return CellResult(spec=spec, aggregate=MCAggregate(tuple(reps), ctx))

@@ -1,4 +1,4 @@
-"""The benchmark's Monte Carlo workloads, run once each through bench/workloads.py
+"""The benchmark's workloads, run once each through bench/workloads.py
 as the benchmark runs them, so that a change to the names they read from
 hxplore fails here and not only in a benchmark run."""
 
@@ -16,7 +16,8 @@ from tracer import Tracer  # noqa: E402
 pytestmark = pytest.mark.filterwarnings("ignore:.*inside the critical window")
 
 
-@pytest.mark.parametrize("workload", [workloads.CltCell(), workloads.TinyOracle()],
+@pytest.mark.parametrize("workload", [workloads.CltCell(), workloads.TinyOracle(),
+                                      workloads.TraceDoob()],
                          ids=lambda w: w.name)
 def test_workload_checks_pass(tmp_path, workload):
     st = workload.setup(1, str(tmp_path))

@@ -120,7 +120,7 @@ FORK = ("mc", "_fork_share")
 
 
 def test_cells_are_split_only_by_the_fork_map():
-    # a second scheduler could deal replicates differently from mc._map_replicates
+    # a second scheduler could deal replicates differently from mc.run_cell
     imports, forks = [], []
     for name in MODULES:
         tree = ast.parse(Path(hxplore.__file__).with_name(f"{name}.py").read_text())
@@ -143,3 +143,19 @@ def test_cells_are_split_only_by_the_fork_map():
             if used == "fork" and id(node) not in owner:
                 forks.append((name, node.lineno))
     assert imports == [] and forks == []
+
+
+def test_only_the_fork_map_pickles():
+    # results and exceptions cross processes only through mc._fork_map and its child
+    users = []
+    for name in MODULES:
+        tree = ast.parse(Path(hxplore.__file__).with_name(f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            users += [name for module in modules if module.partition(".")[0] == "pickle"]
+    assert users == ["mc"]

@@ -189,6 +189,37 @@ def test_killed_worker_raises_instead_of_hanging(monkeypatch):
     _no_child_left()
 
 
+def test_fork_map_raises_the_lowest_failed_share():
+    # each child's exception crosses the pipe; the parent raises share 1's, not share 2's
+    def run_share(w):
+        if w == 1:
+            raise KeyError("share 1")
+        if w == 2:
+            raise ValueError("share 2")
+        return w
+
+    assert mc_module._fork_map(lambda w: w * w, 3) == [0, 1, 4]
+    with pytest.raises(KeyError, match="share 1"):
+        mc_module._fork_map(run_share, 3)
+    _no_child_left()
+
+
+def test_unpicklable_child_exception_is_a_worker_failure():
+    class Local(Exception):  # a class defined here cannot be pickled by reference
+        pass
+
+    def run_share(w):
+        if w:
+            raise Local("cannot cross the pipe")
+        return w
+
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="worker 1 exited with status 1 "):
+        mc_module._fork_map(run_share, 2)
+    assert time.perf_counter() - t0 < 5.0
+    _no_child_left()
+
+
 def test_cell_row_is_identical_across_calls_and_table_caches():
     # each replicate draws its edge counts from its cell's tables; a table that
     # leaked state between runs would change the second row or a later run
