@@ -64,7 +64,7 @@ import heapq
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -233,20 +233,17 @@ def _step_counts(rand, m: int, ap: int, rr: int, k: int, u) -> tuple:
     _companion_sets.
     """
     if k == 1:
-        xi = 0
-        rem_act = ap
-        rem_tot = m
+        rem_act, rem_tot = ap, m  # the active others and all others not drawn yet
         for x in u:
             if x * rem_tot < rem_act:
-                xi += 1
                 rem_act -= 1
             rem_tot -= 1
-        return rr - xi, xi, 0
+        return rr - ap + rem_act, ap - rem_act, 0
     sets = _companion_sets(rand, m, rr, k)
     union = set().union(*sets)
-    xi = len([v for v in union if v < ap])
-    zeta = 0  # sum of |S_i & S_j| over pairs: C(c, 2) for a vertex in c of the sets
-    if len(union) < k * rr:
+    xi = len([v for v in union if v < ap]) if ap else 0
+    zeta = k * rr - len(union)  # the sum of |S_i & S_j| over pairs when no vertex is in 3 sets
+    if k > 2 and zeta:  # C(c, 2) for a vertex in c of the sets
         zeta = sum(c * (c - 1) // 2 for c in Counter(v for s in sets for v in s).values())
     return len(union) - xi, xi, zeta
 
@@ -440,9 +437,8 @@ def _edge_count_table(n: int, rr: int, p: float, t: int) -> BinomialTable:
 def _run_implicit(config: ExplorationConfig, record: str, rng, tables: dict | None) -> RunResult:
     n, r, p = config.n, config.r, config.p
     rr = r - 1
-    t0c = -1 if config.census_t0 is None else int(config.census_t0)
     # the first close after stop_after is T_1, which starts the giant stop rule's margin
-    stop_after = t0c if config.stop_rule == "giant" else n
+    stop_after = int(config.census_t0) if config.stop_rule == "giant" else n
     margin = config.margin
 
     full = record == "full"
@@ -489,11 +485,11 @@ def _run_implicit(config: ExplorationConfig, record: str, rng, tables: dict | No
                 break
             continue
 
-        # a short chunk: step by step, as the block walk's fixed cost would not pay
-        u_min = reduce(np.minimum, u_rows.T).tolist()  # row minima, column by column
+        # a short chunk: step by step, as the block walk's fixed cost would not pay; rows[i] is
+        # row lo + i of the uniform block, as far as the chunk's steps can read
+        lo, rows = j, u_rows[j:j + hi - t].tolist()
         ct, ce = [], []
-        rec = ([], [], [], [], [])
-        rec_A, rec_xi, rec_E, rec_eta, rec_zeta = rec
+        rec = ([], [], [], [], [])  # at level 'full', per step: A, xi, edge counts, eta, zeta
         for k in ks.tolist():
             t += 1
             ap = A - 1 if A else 0
@@ -504,25 +500,21 @@ def _run_implicit(config: ExplorationConfig, record: str, rng, tables: dict | No
                 if k == 1:
                     if j == groups:
                         u_rows = _uniform_groups(rng, rr, n - t + 1)
-                        u_min = reduce(np.minimum, u_rows.T).tolist()  # row minima, column by column
-                        j = 0
+                        lo, rows, j = 0, u_rows.tolist(), 0
                     # each companion uniform x has x * (n - t - rr + 1) >= ap, so the kernel
                     # finds no active companion: its xi = 0 outcome
-                    if u_min[j] * (n - t - rr + 1) >= ap:
+                    if min(rows[j - lo]) * (n - t - rr + 1) >= ap:
                         eta, xi, zeta = rr, 0, 0
                     else:
-                        eta, xi, zeta = _step_counts(None, n - t, ap, rr, 1, u_rows[j].tolist())
+                        eta, xi, zeta = _step_counts(None, n - t, ap, rr, 1, rows[j - lo])
                     j += 1
                 else:
                     eta, xi, zeta = _step_counts(rng.random, n - t, ap, rr, k, None)
                 A = ap + eta
                 total_edges += k
             if full:
-                rec_A.append(A)
-                rec_xi.append(xi)
-                rec_E.append(k)
-                rec_eta.append(eta)
-                rec_zeta.append(zeta)
+                for col, x in zip(rec, (A, xi, k, eta, zeta)):
+                    col.append(x)
             if A == 0:
                 ct.append(t)
                 ce.append(total_edges)
@@ -556,17 +548,11 @@ def _result(config, record, n_steps, close_t, close_e, total_edges, A_end,
     the record level that keeps them)."""
     rr = config.r - 1
     C_end = len(close_t) + (A_end > 0)  # components started: the closed ones and an open one
-    res = RunResult(
-        config=config,
-        n_steps=n_steps,
-        complete=n_steps >= config.n,
-        components_closed=len(close_t),
-        total_edges=total_edges,
-        # every vertex but the C_end roots was discovered once, as part of some eta_t
-        total_nullity=rr * total_edges - (n_steps + A_end - C_end),
-        **_census(close_t, close_e, rr, -1 if config.census_t0 is None else config.census_t0,
-                  n_steps),
-    )
+    # every vertex but the C_end roots was discovered once, as part of some eta_t
+    res = RunResult(config, n_steps, n_steps >= config.n, len(close_t), total_edges,
+                    rr * total_edges - (n_steps + A_end - C_end),
+                    *_census(close_t, close_e, rr, -1 if config.census_t0 is None else config.census_t0,
+                             n_steps))
     if record == "full":
         res.A = np.asarray(A, dtype=np.int64)
         res.xi = np.asarray(xi, dtype=np.int64)
@@ -591,15 +577,20 @@ def _component(close_t, close_e, rr: int, i: int) -> ComponentRecord:
     return ComponentRecord(i + 1, t_start, t_start + v, v, e, 1 + rr * e - v)  # n(C) = 1 + (r-1) e(C) - |C|
 
 
-def _census(close_t, close_e, rr: int, t0: int, n_steps: int) -> dict:
-    """Census fields of RunResult from a component table given as the close
-    times and the cumulative edge counts at each close (lists or int64
-    arrays), anchored at cutoff t0 (none when t0 < 0): largest and
-    second-largest component orders, the largest component's edge count and
-    nullity (ties broken toward the earliest-explored component), the window
-    quantities Z, T_0, T_1 with the order and nullity of the component
-    closing at T_1, and C_{t0+1}.  Tables of at most _SHORT_TABLE components
-    are reduced in Python ints, as numpy's per-call cost would not pay."""
+_CENSUS_FIELDS = ("L1", "L2", "M1", "N1", "l1_tie", "Z", "T0", "T1", "c_t0p1", "giant_vertices",
+                  "giant_nullity")
+
+
+def _census(close_t, close_e, rr: int, t0: int, n_steps: int) -> tuple:
+    """The values of RunResult's census fields, _CENSUS_FIELDS, in that order, from a
+    component table given as the close times and the cumulative edge counts
+    at each close (lists or int64 arrays), anchored at cutoff t0 (none when
+    t0 < 0): largest and second-largest component orders, the largest
+    component's edge count and nullity (ties broken toward the
+    earliest-explored component), the window quantities Z, T_0, T_1 with the
+    order and nullity of the component closing at T_1, and C_{t0+1}.  Tables
+    of at most _SHORT_TABLE components are reduced in Python ints, as numpy's
+    per-call cost would not pay."""
     if len(close_t) > _SHORT_TABLE:
         close_t = np.asarray(close_t, dtype=np.int64)
         sizes = close_t.copy()
@@ -616,17 +607,17 @@ def _census(close_t, close_e, rr: int, t0: int, n_steps: int) -> dict:
         i = sizes.index(L1)
         sizes[i] = 0
         L2 = max(sizes)
-    largest = _component(close_t, close_e, rr, i)
+    M1 = int(close_e[i]) - (int(close_e[i - 1]) if i else 0)
     Z = bisect_right(close_t, t0) if t0 >= 0 else 0  # components closed by t0
+    T0 = int(close_t[Z - 1]) if Z else 0
     T1 = giant_v = giant_null = None
-    if 0 <= t0 < close_t[-1]:
-        giant = _component(close_t, close_e, rr, Z)
-        T1, giant_v, giant_null = giant.t_end, giant.vertices, giant.nullity
-    return dict(L1=L1, L2=L2,
-                M1=largest.edges, N1=largest.nullity, l1_tie=L2 == L1,
-                Z=Z, T0=int(close_t[Z - 1]) if Z else 0, T1=T1,
-                c_t0p1=Z + 1 if 0 <= t0 < n_steps else None,  # the Z closed ones and the current one
-                giant_vertices=giant_v, giant_nullity=giant_null)
+    if 0 <= t0 < close_t[-1]:  # the giant window's component closes at T_1
+        T1 = int(close_t[Z])
+        giant_v = T1 - T0
+        giant_null = 1 + rr * (int(close_e[Z]) - (int(close_e[Z - 1]) if Z else 0)) - giant_v
+    # n(C) = 1 + (r-1) e(C) - |C|; C_{t0+1} counts the Z closed components and the current one
+    return (L1, L2, M1, 1 + rr * M1 - L1, L2 == L1, Z, T0, T1, Z + 1 if 0 <= t0 < n_steps else None,
+            giant_v, giant_null)
 
 
 def materialize(n: int, r: int, p: float, rng: np.random.Generator) -> list:
@@ -667,8 +658,7 @@ def _run_explicit(config: ExplorationConfig, record: str, rng) -> RunResult:
     A = 0
     total_edges = 0
     t = 0
-    t0c = -1 if config.census_t0 is None else int(config.census_t0)
-    stop_after = t0c if config.stop_rule == "giant" else n
+    stop_after = int(config.census_t0) if config.stop_rule == "giant" else n
     T1 = None
     while t < n:
         t += 1
@@ -680,18 +670,19 @@ def _run_explicit(config: ExplorationConfig, record: str, rng) -> RunResult:
                 cursor += 1
             v = cursor
             ap = 0
+        status[v] = 2
         revealed = []
+        eta = 0  # the unseen vertices of the revealed edges turn active
         for idx in incidence[v]:
             if alive[idx]:
                 alive[idx] = 0
                 revealed.append(edges[idx])
-        status[v] = 2
-        newly = {u for e in revealed for u in e if status[u] == 0}
-        for u in newly:
-            status[u] = 1
-            heapq.heappush(heap, u)
+                for u in edges[idx]:
+                    if status[u] == 0:
+                        status[u] = 1
+                        heapq.heappush(heap, u)
+                        eta += 1
         k = len(revealed)
-        eta = len(newly)
         A = ap + eta
         total_edges += k
         if full:
@@ -731,4 +722,5 @@ def census(run: RunResult, t0: int) -> RunResult:
     if run.close_t is None:
         raise ValueError("census needs a run recorded at level 'full'")
     return replace(run, config=replace(run.config, census_t0=t0),
-                   **_census(run.close_t, run.close_e, run.config.r - 1, t0, run.n_steps))
+                   **dict(zip(_CENSUS_FIELDS, _census(run.close_t, run.close_e, run.config.r - 1, t0,
+                                                      run.n_steps))))

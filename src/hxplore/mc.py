@@ -11,13 +11,15 @@ runs build its edge-count tables, CellContext.tables, once a chunk.  Both
 are freed with the context.  With workers > 1 a cell runs in this process
 and workers - 1 forked children, one contiguous range of replicates each;
 the children inherit the context and fill their own copies of its tables.
+`hxplore run --out` splits the rows of every table by the same rule.
 _fork_map is the one transport between processes: nothing is pickled but
 what a child's share returns or raises, and this process raises the lowest
-share's exception.  `hxplore run --out` splits the rows of every table by the
-same rule.  CellContext.replay is the one Doob replay of a run, for a
-replicate and its `hxplore run --doob` replay alike.  A cell's statistics
-are read off its replicate results in replicate-index order, neutralizing
-floating-point non-associativity.
+share's exception.  A child's records cross as plain tuples, which pickle
+faster; this process rebuilds each ReplicateStats once.  CellContext.replay
+is the one Doob replay of a run, for a replicate and its `hxplore run
+--doob` replay alike.  A cell's statistics are read off its replicate
+results in replicate-index order, neutralizing floating-point
+non-associativity.
 """
 
 from __future__ import annotations
@@ -327,26 +329,24 @@ class CellResult:
 def _run_replicate(ctx: CellContext, seed: int, rng) -> ReplicateStats:
     res = run_exploration(ctx.config(seed), record="full" if ctx.traced else "none", rng=rng,
                           tables=ctx.tables)
+    if not ctx.traced:
+        return ReplicateStats(res.L1, res.L2, res.N1, res.Z, res.T0, res.T1, res.c_t0p1)
     max_s_pre = max_s_t1 = duality = v1 = v2 = v12 = l1 = l2 = gap = None
-    if ctx.traced:
-        dt = ctx.replay(res)
-        if "windows" in ctx.collect:
-            upto = min(res.n_steps, ctx.t1 + (ctx.t0 or 0))
-            abs_s = np.abs(dt.S)
-            max_s_pre = float(np.max(abs_s[:upto]))
-            max_s_t1 = float(np.max(abs_s[: ctx.t1]))
-            if res.T1 is not None:
-                duality = duality_diagnostic(dt, res, ctx.lambda_star)
-        if "doob" in ctx.collect:
-            v1, v2, v12 = dt.V1, dt.V2, dt.V12
-            l1, l2 = dt.lindeberg1, dt.lindeberg2
-        if "gap" in ctx.collect:
-            gap = approx_gap(res, dt)
-    return ReplicateStats(
-        L1=res.L1, L2=res.L2, N1=res.N1, Z=res.Z, T0=res.T0, T1=res.T1, c_t0p1=res.c_t0p1,
-        max_s_pre=max_s_pre, max_s_t1=max_s_t1, duality=duality,
-        v1=v1, v2=v2, v12=v12, lind1=l1, lind2=l2, gap=gap,
-    )
+    dt = ctx.replay(res)
+    if "windows" in ctx.collect:
+        upto = min(res.n_steps, ctx.t1 + (ctx.t0 or 0))
+        abs_s = np.abs(dt.S)
+        max_s_pre = float(np.max(abs_s[:upto]))
+        max_s_t1 = float(np.max(abs_s[: ctx.t1]))
+        if res.T1 is not None:
+            duality = duality_diagnostic(dt, res, ctx.lambda_star)
+    if "doob" in ctx.collect:
+        v1, v2, v12 = dt.V1, dt.V2, dt.V12
+        l1, l2 = dt.lindeberg1, dt.lindeberg2
+    if "gap" in ctx.collect:
+        gap = approx_gap(res, dt)
+    return ReplicateStats(res.L1, res.L2, res.N1, res.Z, res.T0, res.T1, res.c_t0p1,
+                          max_s_pre, max_s_t1, duality, v1, v2, v12, l1, l2, gap)
 
 
 def _replay_command(ctx: CellContext, seed: int) -> str:
@@ -483,13 +483,15 @@ def run_cell(spec: CellSpec, plan: ExperimentPlan, cell_index: int = 0,
         )
     R, shares = plan.replicates, max(1, min(workers, plan.replicates))
 
-    def run_share(w):
-        return _run_range(ctx, plan.master_seed, cell_index, R * w // shares, R * (w + 1) // shares)
+    def run_share(w):  # a child's records cross the fork as plain tuples, which pickle faster
+        out = _run_range(ctx, plan.master_seed, cell_index, R * w // shares, R * (w + 1) // shares)
+        return out if w == 0 else list(map(tuple, out))
 
     try:
-        reps = [rep for out in _fork_map(run_share, shares) for rep in out]
+        first, *rest = _fork_map(run_share, shares)
     except RuntimeError as exc:
         raise RuntimeError(f"cell {spec.name()} aborted: {exc}") from None
+    reps = first + [ReplicateStats._make(rep) for out in rest for rep in out]
     return CellResult(spec=spec, aggregate=MCAggregate(tuple(reps), ctx))
 
 

@@ -84,7 +84,8 @@ def solve_rho(lam: float) -> float:
 
     Bracketed bisection on (0, 1) down to RHO_BRACKET_WIDTH (the sign change is
     guaranteed there), then two Newton polish steps.  rho = 0 is always a
-    root, so the bracket starts strictly inside the interval.
+    root, so the bracket starts strictly inside the interval.  From lambda near
+    36.4, where f rounds to 0 at the bracket's top, rho is the double of 1 - e^-lambda.
     """
     _check_super(lam)
     if lam > 700.0:
@@ -97,8 +98,10 @@ def solve_rho(lam: float) -> float:
 
     lo = 1e-15
     hi = 1.0 - 0.5 * math.exp(-lam)
-    if not (f(lo) > 0.0 > f(hi)):
+    if not f(lo) > 0.0:
         raise ValueError(f"failed to bracket survival fixed point for lambda={lam}")
+    if not f(hi) < 0.0:  # the bracket cannot close below 1
+        return 1.0 - math.exp(-lam)
     while hi - lo > RHO_BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:

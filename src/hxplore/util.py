@@ -55,9 +55,10 @@ def colex_unrank(rank: int, r: int) -> tuple:
     out = []
     hi = rank + r  # binom(rank + r, r) > rank
     for i in range(r, 1, -1):
-        # the largest a with binom(a, i) <= rank, by bisection: binom(lo, i) <= rank < binom(hi, i)
-        lo = i - 1
-        while hi - lo > 1:
+        # the largest a with binom(a, i) <= rank: by an integer square root at i = 2, else by
+        # bisection with binom(lo, i) <= rank < binom(hi, i)
+        lo = (1 + math.isqrt(8 * rank + 1)) // 2 if i == 2 else i - 1
+        while i > 2 and hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if math.comb(mid, i) <= rank else (lo, mid)
         out.append(lo)

@@ -35,6 +35,13 @@ def test_theory_with_targets(capsys):
     assert abs(doc["clt_targets"]["corr"] - math.sqrt(0.6)) < 1e-12
 
 
+def test_theory_at_a_large_lambda(capsys):
+    # rho_lambda lies within an ulp of 1 from lambda near 36.4 up to the 700 guard
+    code, out, _ = _run(capsys, ["theory", "--r", "3", "--lambda", "36.5"])
+    assert code == 0
+    assert 0.0 < json.loads(out)["rho_lambda"] <= 1.0
+
+
 def test_theory_usage_conflicts(capsys):
     code, _, err = _run(capsys, ["theory", "--r", "3", "--lambda", "2", "--eps", "0.1"])
     assert code == 2 and "usage-error" in err

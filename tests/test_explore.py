@@ -346,6 +346,9 @@ def test_census_matches_array_formulas(monkeypatch, short_table):
         assert 1 <= explore_module._SHORT_TABLE < 70
     else:
         monkeypatch.setattr(explore_module, "_SHORT_TABLE", short_table)
+    fields = [f.name for f in dataclasses.fields(explore_module.RunResult)]
+    census_fields = tuple(fields[fields.index("L1"):fields.index("giant_nullity") + 1])
+    assert explore_module._CENSUS_FIELDS == census_fields  # RunResult's order
     rng = np.random.default_rng(70)
     for _ in range(400):
         size = int(rng.integers(1, 71))
@@ -356,9 +359,11 @@ def test_census_matches_array_formulas(monkeypatch, short_table):
         for t0 in (-1, 0, int(rng.integers(0, n_steps + 2)), int(close_t[-1]), n_steps):
             want = _array_census(close_t, close_e, rr, t0, n_steps)
             for table in ((close_t, close_e), (close_t.tolist(), close_e.tolist())):
-                got = explore_module._census(*table, rr, t0, n_steps)
+                values = explore_module._census(*table, rr, t0, n_steps)
+                assert len(values) == len(explore_module._CENSUS_FIELDS)
+                got = dict(zip(explore_module._CENSUS_FIELDS, values))
                 assert got == want, (size, t0)
-                assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+                assert {k: type(x) for k, x in got.items()} == {k: type(x) for k, x in want.items()}
 
 
 def _walker_configs(count: int, seed: int) -> list:

@@ -21,6 +21,7 @@ from hxplore.mc import (
     CellSpec,
     ExperimentPlan,
     MCAggregate,
+    ReplicateStats,
     TAILS_CSV_HEADER,
     format_cell_row,
     make_context,
@@ -70,6 +71,22 @@ def test_worker_count_does_not_change_results():
             rows.append((format_cell_row(res), tuple(res.aggregate.z1), res.aggregate.reps,
                          res.aggregate.windows()))
         assert rows[0] == rows[1] == rows[2]
+
+
+def test_records_keep_their_type_across_the_fork():
+    # a child's records cross the fork as plain tuples, and a plain tuple compares equal to
+    # the ReplicateStats it came from; so check the type of each record, and its fields by name
+    tiny = CellSpec(n=5, r=3, p=0.15, mode="implicit", stop="full")
+    cells = [(tiny, ExperimentPlan(cells=(tiny,), replicates=50, master_seed=7,
+                                   collect=("census", "l1law"))),
+             _small_plan(collect=("census", "windows", "doob", "gap"), R=6)]
+    for spec, plan in cells:
+        records = []
+        for w in (1, 2, 3):
+            reps = run_cell(spec, plan, workers=w).aggregate.reps
+            assert [type(rep) for rep in reps] == [ReplicateStats] * plan.replicates
+            records.append([rep._asdict() for rep in reps])
+        assert records[0] == records[1] == records[2]
 
 
 def test_a_cell_forks_workers_minus_one_children(monkeypatch):

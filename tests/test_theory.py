@@ -46,6 +46,38 @@ def test_solve_rho_degenerate_limit():
     assert abs(rho / 2e-6 - 1.0) < 0.01
 
 
+# solve_rho's bits on a grid of lambda in (1, 36.3], where its bracket closes below 1
+RHO_BITS = (
+    (1.0000001, "0x1.ad7f25eb71c08p-23"),
+    (1.001, "0x1.05cb7d62f1c4dp-9"),
+    (1.05, "0x1.7fcd7f5cda0a6p-4"),
+    (1.15, "0x1.fdf4c9d9b72aap-3"),
+    (1.2, "0x1.413a22a286f9bp-2"),
+    (1.5, "0x1.2a6649ac4368dp-1"),
+    (2.0, "0x1.97f7c26efbf2bp-1"),
+    (3.0, "0x1.e186912f46296p-1"),
+    (5.0, "0x1.fc6d7d927f92cp-1"),
+    (10.0, "0x1.fffa0bf066835p-1"),
+    (20.0, "0x1.ffffffee4b79ap-1"),
+    (30.0, "0x1.ffffffffffcb5p-1"),
+    (36.0, "0x1.ffffffffffffep-1"),
+    (36.3, "0x1.ffffffffffffep-1"),
+)
+
+
+@pytest.mark.parametrize("lam,bits", RHO_BITS)
+def test_solve_rho_keeps_its_bits_where_the_bracket_closes(lam, bits):
+    assert solve_rho(lam).hex() == bits
+
+
+@pytest.mark.parametrize("lam", [36.4, 40.0, 700.0])
+def test_solve_rho_up_to_its_guard(lam):
+    # the root lies within an ulp or two of 1 here, where the bracket's top rounds to a zero of f
+    rho = solve_rho(lam)
+    assert 0.0 < rho <= 1.0
+    assert abs(1.0 - rho - math.exp(-lam * rho)) <= 2.0**-52
+
+
 def test_fixed_point_residuals_on_grid():
     for r, lam in GRID:
         c = derived_constants(r, lam)
