@@ -1,7 +1,7 @@
 """Statistical utilities for the Monte Carlo layer: standard normal CDF,
-Kolmogorov-Smirnov distance, Pearson chi-square goodness of fit with a
-regularized-incomplete-gamma tail, Wilson score intervals, and streaming
-bivariate moments.
+Kolmogorov-Smirnov distance, Pearson chi-square goodness of fit with its
+closed-form tail at integer degrees of freedom, Wilson score intervals, and
+streaming bivariate moments.
 
 All of it is self-contained (math + numpy); nothing here depends on the
 simulation modules.
@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "normal_cdf",
     "ks_distance",
-    "gamma_q",
     "chi_square_sf",
     "chi_square_gof",
     "wilson_interval",
@@ -47,62 +46,25 @@ def ks_distance(samples) -> float:
     return float(np.max(np.maximum(i / n - f, f - (i - 1.0) / n)))
 
 
-def _gamma_q_series(a: float, x: float) -> float:
-    # P(a, x) lower series; returns Q = 1 - P
-    term = 1.0 / a
-    total = term
-    k = a
-    for _ in range(500):
-        k += 1.0
-        term *= x / k
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    logp = a * math.log(x) - x - math.lgamma(a)
-    return max(0.0, 1.0 - total * math.exp(logp))
-
-
-def _gamma_q_cf(a: float, x: float) -> float:
-    # Q(a, x) continued fraction, modified Lentz
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    logp = a * math.log(x) - x - math.lgamma(a)
-    return math.exp(logp) * h
-
-
-def gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a)."""
-    if a <= 0.0 or x < 0.0:
-        raise ValueError("gamma_q needs a > 0 and x >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return _gamma_q_series(a, x)
-    return _gamma_q_cf(a, x)
-
-
 def chi_square_sf(stat: float, dof: int) -> float:
-    """Upper tail probability of the chi-square distribution."""
-    if dof < 1:
-        raise ValueError(f"dof must be >= 1, got {dof}")
-    return gamma_q(0.5 * dof, 0.5 * stat)
+    """Upper tail probability of the chi-square distribution at an integer
+    dof, as a finite sum (Abramowitz & Stegun, section 26.4).  With
+    y = stat / 2 and h = (dof mod 2) / 2, it is the sum of
+    y^k e^-y / Gamma(k + 1) over k = h, h + 1, ... below dof / 2, plus
+    erfc(sqrt y) when dof is odd."""
+    if not isinstance(dof, (int, np.integer)) or dof < 1:
+        raise ValueError(f"dof must be an integer >= 1, got {dof!r}")
+    if not 0.0 <= stat < math.inf:
+        raise ValueError(f"stat must be finite and >= 0, got {stat!r}")
+    y = 0.5 * stat
+    if y == 0.0:
+        return 1.0
+    log_y = math.log(y)
+    h = 0.5 * (dof % 2)
+    total = math.erfc(math.sqrt(y)) if h else 0.0
+    for k in range(dof // 2):
+        total += math.exp((h + k) * log_y - y - math.lgamma(h + k + 1.0))
+    return total
 
 
 def chi_square_gof(observed: dict, probs: dict):

@@ -8,7 +8,6 @@ from hxplore.stats import (
     BivariateMoments,
     chi_square_gof,
     chi_square_sf,
-    gamma_q,
     ks_distance,
     normal_cdf,
     wilson_interval,
@@ -38,17 +37,73 @@ _NORMAL_CDF_REFERENCE = [
     (7.5, 0.9999999999999681),
 ]
 
-_GAMMA_Q_REFERENCE = [
-    (0.5, 0.2, 0.5270892568655381),
-    (0.5, 3.0, 0.01430587843542964),
-    (1.0, 1.0, 0.36787944117144233),
-    (2.5, 0.7, 0.924313272801667),
-    (2.5, 6.0, 0.03478778050624185),
-    (5.0, 2.0, 0.9473469826562888),
-    (5.0, 11.0, 0.015104600652178418),
-    (10.0, 25.0, 0.00022147663824878357),
-    (0.05, 0.001, 0.27282077094707735),
-    (7.5, 7.5, 0.45141721122572526),
+# (stat, dof, upper tail): the rows of an earlier reference table for the
+# regularized upper incomplete gamma Q(a, x) with 2a an integer, read as
+# chi-square tails at stat = 2x and dof = 2a
+_CHI_SQUARE_SF_AS_GAMMA_Q = [
+    (0.4, 1, 0.5270892568655381),
+    (6.0, 1, 0.01430587843542964),
+    (2.0, 2, 0.36787944117144233),
+    (1.4, 5, 0.924313272801667),
+    (12.0, 5, 0.03478778050624185),
+    (4.0, 10, 0.9473469826562888),
+    (22.0, 10, 0.015104600652178418),
+    (50.0, 20, 0.00022147663824878357),
+    (15.0, 15, 0.45141721122572526),
+]
+
+# (dof, stat, upper tail to 40 digits), computed once by 60-digit
+# arbitrary-precision evaluation; the tails at stat 1500 and dof 1, 2 and 3
+# lie below the smallest double and read 0.0
+_CHI_SQUARE_SF_REFERENCE = [
+    (1, 1e-06, "9.992021155721778748308193551113461174630e-1"),
+    (1, 0.5, "4.795001221869534623172533461080354712635e-1"),
+    (1, 7.3, "6.895461063618972216526109268062383723473e-3"),
+    (1, 40.0, "2.539628589470864970653362077014451130605e-10"),
+    (1, 250.0, "2.596807039340185856931805706078370993061e-56"),
+    (1, 1500.0, "3.915109884715374720125345377778645358486e-328"),
+    (2, 1e-06, "9.999995000001249999791666692708330729167e-1"),
+    (2, 0.5, "7.788007830714048682451702669783206472968e-1"),
+    (2, 7.3, "2.599112877875534358064103955738822080183e-2"),
+    (2, 40.0, "2.061153622438557827965940380155820976376e-9"),
+    (2, 250.0, "5.166420632837860980252718607357557864276e-55"),
+    (2, 1500.0, "1.901684963475006439995456236734016375233e-326"),
+    (3, 1e-06, "9.999999997340385595208200470564994040598e-1"),
+    (3, 0.5, "9.188914116546758593641153235202644204448e-1"),
+    (3, 7.3, "6.292623645904316155298671262328559430794e-2"),
+    (3, 40.0, "1.065509033425586081504872344301095164561e-8"),
+    (3, 250.0, "6.543750030967993599276075128292641970260e-54"),
+    (3, 1500.0, "5.880489844011167661121319430684870115646e-325"),
+    (7, 1e-06, "9.999999999999999999999924011023760524904e-1"),
+    (7, 0.5, "9.994464813904249654893733527125063944614e-1"),
+    (7, 7.3, "3.983264579760523589210398843076517328665e-1"),
+    (7, 40.0, "1.258790387371308778973055191680151735551e-6"),
+    (7, 250.0, "2.770711708247298289160299362786369024837e-50"),
+    (7, 1200.0, "7.061924746633293711532547607146528776850e-255"),
+    (8, 1e-06, "9.999999999999999999999999973958343749998e-1"),
+    (8, 0.5, "9.998666303494859376168462021362293727013e-1"),
+    (8, 7.3, "5.046378000679686195288225271413511269544e-1"),
+    (8, 40.0, "3.203719780476998383935059997555531070947e-6"),
+    (8, 250.0, "1.722791179945691230567751378330379673716e-49"),
+    (8, 1200.0, "9.589294017602432092593404194856131116053e-254"),
+    (20, 1e-06, "1.000000000000000000000000000000000000000"),
+    (20, 0.5, "9.999999999997905751460002638883974585011e-1"),
+    (20, 7.3, "9.955787882774722800532587499514585528788e-1"),
+    (20, 40.0, "4.995412308307587166189271786748858788314e-3"),
+    (20, 250.0, "1.142309352316371498093040365712961185917e-41"),
+    (20, 1500.0, "3.982564943176597205689702882870562781232e-306"),
+    (41, 1e-06, "1.000000000000000000000000000000000000000"),
+    (41, 0.5, "9.999999999999999999999999999999676686384e-1"),
+    (41, 7.3, "9.999999990511394730235426243912492013575e-1"),
+    (41, 40.0, "5.149516203003768132790497393080219390815e-1"),
+    (41, 250.0, "8.769064303180207349657093667871934389083e-32"),
+    (41, 1500.0, "4.181796217011157602819090884190080711905e-288"),
+    (200, 1e-06, "1.000000000000000000000000000000000000000"),
+    (200, 40.0, "9.999999999999999999999999999999999996511e-1"),
+    (200, 150.0, "9.966475585018130081102592075028274197724e-1"),
+    (200, 200.0, "4.867012017208513351426857434359708365291e-1"),
+    (200, 250.0, "9.379131668826096107215512888457097059712e-3"),
+    (200, 1500.0, "1.003642829061433888208805824145080686759e-197"),
 ]
 
 
@@ -57,10 +112,23 @@ def test_normal_cdf_reference_values():
         assert abs(normal_cdf(x) - want) <= 1e-13 * max(1.0, abs(want))
 
 
-def test_gamma_q_reference_values():
-    for a, x, want in _GAMMA_Q_REFERENCE:
-        assert abs(gamma_q(a, x) - want) <= 1e-12 * max(1.0, want) + 1e-15
-    assert gamma_q(3.0, 0.0) == 1.0
+def test_chi_square_sf_reference_values():
+    for stat, dof, want in _CHI_SQUARE_SF_AS_GAMMA_Q:
+        assert abs(chi_square_sf(stat, dof) - want) <= 1e-12 * want
+    for dof, stat, digits in _CHI_SQUARE_SF_REFERENCE:
+        want = float(digits)
+        # a tail that underflows must read 0.0, not NaN
+        assert abs(chi_square_sf(stat, dof) - want) <= 1e-12 * want, (dof, stat)
+        assert chi_square_sf(0.0, dof) == 1.0
+
+
+def test_chi_square_sf_rejects_bad_input():
+    for dof in (0, -1, 2.5):
+        with pytest.raises(ValueError):
+            chi_square_sf(1.0, dof)
+    for stat in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            chi_square_sf(stat, 3)
 
 
 def test_chi_square_sf_against_known():
