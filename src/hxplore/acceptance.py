@@ -41,7 +41,8 @@ from .util import comb0, seeded_generators
 
 __all__ = ["CheckResult", "Record", "clt_records", "format_line", "run_all", "CRITERIA"]
 
-RLAM_GRID = [(r, lam) for r in (2, 3, 4, 7) for lam in (1.05, 1.2, 1.5, 2.0)]
+RLAM_GRID = [(r, lam) for r in (2, 3, 4, 7) for lam in (1.05, 1.2, 1.5, 2.0)] + [
+    (7, 30.0), (10, 30.0), (10, 100.0)]
 
 # (cal) frozen bands and constants, fixed once from pilot runs
 SERIES_BAND_RHO = (0.08, 0.20)       # cubic remainder: ratio ~ 1/8 per halving, pilot 0.128-0.138

@@ -1,8 +1,9 @@
 """Deterministic theory layer for the supercritical random r-uniform
-hypergraph: branching-process fixed points, the dual parameter, giant
-component vertex/nullity fractions, the drift function g and its companion
-h, finite-n drift sequences, and the standardization targets used by the
-Monte Carlo layer.
+hypergraph: the branching-process fixed point rho_lambda, the one equation
+solved here; the dual parameter and the giant component vertex/nullity
+fractions, each in closed form from rho_lambda; the drift function g and its
+companion h, finite-n drift sequences, and the standardization targets used
+by the Monte Carlo layer.
 
 Everything here is a pure function of its inputs and safe for concurrent
 use.
@@ -74,11 +75,6 @@ def lambda_from_p(n: int, r: int, p: float) -> float:
     return p * float(n) ** (r - 1) / math.factorial(r - 2)
 
 
-def _check_super(lam: float) -> None:
-    if not lam > 1.0:
-        raise ValueError(f"lambda must exceed 1 (supercritical), got {lam}")
-
-
 def solve_rho(lam: float) -> float:
     """Unique positive solution of 1 - rho = exp(-lambda rho) for lambda > 1.
 
@@ -87,7 +83,8 @@ def solve_rho(lam: float) -> float:
     root, so the bracket starts strictly inside the interval.  From lambda near
     36.4, where f rounds to 0 at the bracket's top, rho is the double of 1 - e^-lambda.
     """
-    _check_super(lam)
+    if not lam > 1.0:
+        raise ValueError(f"lambda must exceed 1 (supercritical), got {lam}")
     if lam > 700.0:
         raise ValueError("lambda too large for double-precision fixed point")
 
@@ -120,48 +117,23 @@ def solve_rho(lam: float) -> float:
 
 
 def dual_lambda(lam: float) -> float:
-    """Dual parameter: the unique solution < 1 of x e^-x = lambda e^-lambda.
-
-    Solved directly by bisection plus Newton polish on (0, 1), then
-    cross-checked against the equivalent closed form lambda (1 - rho_lambda).
-    """
-    _check_super(lam)
-    target = lam * math.exp(-lam)
-
-    def f(x):
-        return x * math.exp(-x) - target
-
-    lo, hi = 0.0, 1.0  # f(0) = -target < 0, f(1) = 1/e - target > 0 for lam > 1
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(2):
-        fpx = (1.0 - x) * math.exp(-x)
-        if fpx != 0.0:
-            x -= f(x) / fpx
-    alt = lam * (1.0 - solve_rho(lam))
-    if abs(x - alt) > 1e-9:
-        raise ValueError(f"dual parameter solvers disagree for lambda={lam}: {x} vs {alt}")
-    return x
+    """Dual parameter: the unique solution < 1 of x e^-x = lambda e^-lambda,
+    read off rho_lambda as lambda (1 - rho_lambda) = lambda e^(-lambda rho_lambda)."""
+    return lam * math.exp(-lam * solve_rho(lam))
 
 
 def rho_r(r: int, lam: float) -> float:
-    """Giant-component vertex fraction: 1 - rho_r = (1 - rho_lambda)^(1/(r-1))."""
+    """Giant-component vertex fraction: 1 - rho_r = (1 - rho_lambda)^(1/(r-1))
+    = e^(-lambda rho_lambda/(r-1)), through expm1 so it keeps its digits near 1."""
     _check_params(r)
-    _check_super(lam)
-    return 1.0 - (1.0 - solve_rho(lam)) ** (1.0 / (r - 1))
+    return -math.expm1(-lam * solve_rho(lam) / (r - 1))
 
 
 def rho_star(r: int, lam: float) -> float:
     """Giant-component nullity fraction (lam/r)(1 - (1-rho_r)^r) - rho_r."""
     _check_params(r)
-    _check_super(lam)
-    rr = rho_r(r, lam)
-    return (lam / r) * (1.0 - (1.0 - rr) ** r) - rr
+    rho = solve_rho(lam)
+    return (lam / r) * -math.expm1(-lam * rho * r / (r - 1)) + math.expm1(-lam * rho / (r - 1))
 
 
 def derived_constants(r: int, lam: float) -> DerivedConstants:

@@ -42,6 +42,20 @@ def test_theory_at_a_large_lambda(capsys):
     assert 0.0 < json.loads(out)["rho_lambda"] <= 1.0
 
 
+def test_theory_near_one_and_at_large_lambda(capsys):
+    code, out, _ = _run(capsys, ["theory", "--r", "3", "--eps", "1e-8"])
+    assert code == 0
+    assert abs(json.loads(out)["lambda_star"] - 0.99999999) < 1e-15
+    code, out, _ = _run(capsys, ["theory", "--r", "3", "--lambda", "300"])
+    assert code == 0 and json.loads(out)["lambda_star"] > 0.0
+    # 1 - rho_lambda rounds to 0 at lambda = 40, yet rho_r stays below 1 and mean_L1 below n
+    code, out, _ = _run(capsys, ["theory", "--r", "10", "--lambda", "40", "--n", "2000"])
+    doc = json.loads(out)
+    assert code == 0
+    assert abs(doc["rho_r"] - 0.988256) < 1e-6
+    assert doc["clt_targets"]["mean_L1"] < 2000.0
+
+
 def test_theory_usage_conflicts(capsys):
     code, _, err = _run(capsys, ["theory", "--r", "3", "--lambda", "2", "--eps", "0.1"])
     assert code == 2 and "usage-error" in err

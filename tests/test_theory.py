@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -96,6 +97,42 @@ def test_dual_lambda_examples():
     las15 = dual_lambda(1.5)
     assert las15 < 1.0
     assert abs(las15 * math.exp(-las15) - 1.5 * math.exp(-1.5)) < 1e-12
+
+
+# lambda, then lambda*, rho_r at r = 3 and rho_r at r = 10 to 25 digits, from 50-digit mpmath:
+# lambda* = -W0(-lambda e^-lambda) and rho_r = -expm1(log(lambda* / lambda) / (r - 1))
+REFERENCE = (
+    (1 + 1e-9, "0.9999999989999999179262958", "1.000000081907037528578639e-9", "2.222222405102058847563236e-10"),
+    (1 + 1e-8, "0.9999999900000001274413751", "9.999999855891958692579197e-9", "2.222222198840188153573431e-9"),
+    (1 + 1e-6, "0.9999990000006667484887508", "9.99999166585122387404396e-7", "2.222221234385763371668153e-7"),
+    (1.0001, "0.9999000066662222658241912", "9.999166738881297586372889e-5", "2.222123463556621246367786e-5"),
+    (1.05, "0.9516130710734533336351195", "0.04800306569448535085233603", "0.01087234512465871130082858"),
+    (1.2, "0.8235620027505387586842288", "0.171566738379739894993747", "0.04096378751479816113204977"),
+    (2.0, "0.4063757399599599076769581", "0.549236347982692870455558", "0.1622783237330383881075563"),
+    (5.0, "0.03488576825572369630124087", "0.9164706419805303468280631", "0.4240182824086054552646769"),
+    (10.0, "0.000454205553464826900933564", "0.9932605226206713409510022", "0.6707903982969550819384891"),
+    (20.0, "4.122307414811296375409126e-8", "0.9999546000693017528033616", "0.8916319762817415629634167"),
+    (30.0, "2.80728689065993324116121e-12", "0.9999996940976794977448338", "0.9643260066527364749362436"),
+    (36.5, "5.135045250428462069148259e-15", "0.9999999881388798486561397", "0.982674147964124904955355"),
+    (40.0, "1.699341702116635886907916e-16", "0.999999997938846377561442", "0.9882563715429786363615983"),
+    (100.0, "3.720075976020835962959696e-42", "0.9999999999999999999998071", "0.999985054661475218554441"),
+    (300.0, "1.544460066723604134346459e-128", "1.0", "0.9999999999999966617622046"),
+    (700.0, "6.901773580631839599693761e-302", "1.0", "1.0"),
+)
+
+
+def _ulps(x, ref):
+    return float(abs(Decimal(x) - Decimal(ref)) / Decimal(math.ulp(float(ref))))
+
+
+@pytest.mark.parametrize("lam,lam_star,rho3,rho10", REFERENCE, ids=[repr(row[0]) for row in REFERENCE])
+def test_closed_forms_match_the_reference(lam, lam_star, rho3, rho10):
+    las = dual_lambda(lam)
+    assert 0.0 < las < 1.0
+    assert _ulps(las, lam_star) <= (2.0 if lam <= 3.0 else 16.0)
+    if lam >= 1.05:  # below, rho_r inherits solve_rho's error, which grows like 1/eps
+        assert _ulps(rho_r(3, lam), rho3) <= 6.0
+        assert _ulps(rho_r(10, lam), rho10) <= 6.0
 
 
 def test_duality_sandwich():
