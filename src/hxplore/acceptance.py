@@ -209,6 +209,7 @@ def criterion_trace_identities(workers):
         X, A, C = tr.X, tr.A, tr.C
         eta_inc = np.diff(np.concatenate([[0], X])) + 1
         prevmin = np.minimum.accumulate(np.concatenate([[0], X]))[:-1]
+        edges_by = np.concatenate([[0], np.cumsum(tr.edge_counts)])  # edges found by step t
         cen = census(tr, t0=cfg.census_t0)
         holds = {
             "X = A - C": (X == A - C).all(),
@@ -222,6 +223,8 @@ def criterion_trace_identities(workers):
             "component nullity = 1 + (r-1) e - |C|":
                 all(c.nullity == 1 + rr * c.edges - c.vertices for c in tr.components),
             "(r-1) M1 = L1 + N1 - 1": rr * cen.M1 == cen.L1 + cen.N1 - 1,
+            "component edges = edge counts over its steps":
+                all(c.edges == edges_by[c.t_end] - edges_by[c.t_start] for c in tr.components),
             "T0 <= t0 < T1": cen.T1 is None or cen.T0 <= cfg.census_t0 < cen.T1,
         }
         at = f"(n={cfg.n}, r={cfg.r}, mode={cfg.mode})"
@@ -360,7 +363,7 @@ def criterion_martingale_shape(workers):
                  hi=LINDEBERG_LIMIT, strict=True)
 
 
-@_criterion(11, "deterministic mc output and its streaming (L1, N1) moments")
+@_criterion(11, "deterministic mc output and its exact (L1, N1) moments")
 def criterion_determinism(workers):
     spec = CellSpec(n=20_000, r=3, eps=0.2, stop="giant")
     plan = ExperimentPlan(cells=(spec,), replicates=40, master_seed=SEED_DETERMINISM,
@@ -369,13 +372,14 @@ def criterion_determinism(workers):
     rows = [(format_cell_row(res), tuple(res.aggregate.z1), tuple(res.aggregate.values("duality")))
             for res in results]
     yield Record("mc output equal at workers 1, 2, 1", rows[0] == rows[1] == rows[2], True, True)
-    # the cell's one-pass fold of (L1, N1) against two passes over the same values
+    # the cell's moments from exact integer sums against numpy's two passes over the same values
     agg = results[0].aggregate
     biv = agg.biv
     x, y = (np.array(agg.values(name), dtype=np.float64) for name in ("L1", "N1"))
-    dx, dy = x - x.mean(), y - y.mean()
-    for name, want in (("mean_x", x.mean()), ("m2x", dx @ dx), ("cxy", dx @ dy), ("m2y", dy @ dy)):
-        yield Record(f"relative error of the fold's {name} against two passes",
+    dx, dy, dof = x - x.mean(), y - y.mean(), agg.count - 1
+    for name, want in (("mean_x", x.mean()), ("var_x", dx @ dx / dof), ("cov", dx @ dy / dof),
+                       ("var_y", dy @ dy / dof)):
+        yield Record(f"relative error of the exact {name} against two passes",
                      abs(getattr(biv, name) - float(want)) / max(1.0, abs(float(want))), hi=1e-9)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .doob import DoobTrace, approx_gap, decompose, duality_diagnostic
 from .explore import ExplorationConfig, run_exploration
-from .stats import BivariateMoments, ks_distance, wilson_interval
+from .stats import PairMoments, ks_distance, pair_moments, wilson_interval
 from .theory import (
     CltTargets, DriftSequences, clt_targets, drift_sequences, dual_lambda, lambda_from_p,
     p_from_lambda, rho_r,
@@ -237,12 +237,9 @@ class MCAggregate:
         return len(self.reps)
 
     @property
-    def biv(self) -> BivariateMoments:
-        """The bivariate moments of (L1, N1)."""
-        biv = BivariateMoments()
-        for rep in self.reps:
-            biv.add(float(rep.L1), float(rep.N1))
-        return biv
+    def biv(self) -> PairMoments:
+        """The moments of (L1, N1), from their exact integer sums."""
+        return pair_moments([rep.L1 for rep in self.reps], [rep.N1 for rep in self.reps])
 
     @property
     def z1(self) -> list:

@@ -49,8 +49,8 @@ from .util import colex_rank
 
 __all__ = ["ExactDistribution", "StepLaw", "enumerate_all", "enumerate_step"]
 
-MAX_EDGES_SMALL_N = 28  # the edge-count limit at n <= 8
-MAX_EDGES_GENERAL = 20
+MAX_N = 39  # both oracles' vertex limit: enumerate_all costs about n^4 at r >= n - 1
+MAX_EDGES = 28
 MAX_STEP_FAMILY = 22
 _CHUNK = 1 << 21
 
@@ -159,10 +159,9 @@ def enumerate_all(n: int, r: int, p: float, workers: int = 1) -> ExactDistributi
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if n < 1 or r < 2:
-        raise ValueError("need n >= 1 and r >= 2")
-    limit = MAX_EDGES_SMALL_N if n <= 8 else MAX_EDGES_GENERAL
-    ne = _binom_within(n, r, limit, f"binom(n, r) at n = {n}")
+    if not 1 <= n <= MAX_N or r < 2:
+        raise ValueError(f"need r >= 2 and 1 <= n <= {MAX_N}, the enumeration limit")
+    ne = _binom_within(n, r, MAX_EDGES, f"binom(n, r) at n = {n}")
 
     c = _connected_counts(n, r)
     counts: dict = {}
@@ -230,8 +229,8 @@ def enumerate_step(n: int, r: int, p: float, explored, active) -> StepLaw:
     if any, else the minimum unseen vertex, and every subset of the
     binom(n - t, r - 1) tested r-sets is enumerated.
     """
-    if n < 1 or r < 2:
-        raise ValueError("need n >= 1 and r >= 2")
+    if not 1 <= n <= MAX_N or r < 2:
+        raise ValueError(f"need r >= 2 and 1 <= n <= {MAX_N}, the enumeration limit")
     explored = list(explored)
     active = set(active)
     if len(set(explored)) != len(explored):

@@ -1,7 +1,7 @@
 """Statistical utilities for the Monte Carlo layer: standard normal CDF,
 Kolmogorov-Smirnov distance, Pearson chi-square goodness of fit with its
 closed-form tail at integer degrees of freedom, Wilson score intervals, and
-streaming bivariate moments.
+the exact moments of integer pairs.
 
 All of it is self-contained (math + numpy); nothing here depends on the
 simulation modules.
@@ -10,7 +10,8 @@ simulation modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import index, mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,8 @@ __all__ = [
     "chi_square_sf",
     "chi_square_gof",
     "wilson_interval",
-    "BivariateMoments",
+    "PairMoments",
+    "pair_moments",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -119,41 +121,32 @@ def wilson_interval(successes: int, trials: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass
-class BivariateMoments:
-    """Streaming bivariate moments: means, M2s, and the cross co-moment."""
+class PairMoments(NamedTuple):
+    """Sample means, variances (ddof 1), covariance and correlation of pairs (x, y)."""
 
-    count: int = 0
-    mean_x: float = 0.0
-    mean_y: float = 0.0
-    m2x: float = 0.0
-    m2y: float = 0.0
-    cxy: float = 0.0
+    mean_x: float
+    var_x: float | None
+    mean_y: float
+    var_y: float | None
+    cov: float | None
+    corr: float | None
 
-    def add(self, x: float, y: float) -> None:
-        self.count += 1
-        dx = x - self.mean_x
-        dy = y - self.mean_y
-        self.mean_x += dx / self.count
-        self.mean_y += dy / self.count
-        self.m2x += dx * (x - self.mean_x)
-        self.m2y += dy * (y - self.mean_y)
-        self.cxy += dx * (y - self.mean_y)
 
-    @property
-    def var_x(self):
-        return None if self.count < 2 else self.m2x / (self.count - 1)
-
-    @property
-    def var_y(self):
-        return None if self.count < 2 else self.m2y / (self.count - 1)
-
-    @property
-    def cov(self):
-        return None if self.count < 2 else self.cxy / (self.count - 1)
-
-    @property
-    def corr(self):
-        if self.count < 2 or self.m2x <= 0.0 or self.m2y <= 0.0:
-            return None
-        return self.cxy / math.sqrt(self.m2x * self.m2y)
+def pair_moments(xs, ys) -> PairMoments:
+    """The moments of the integer pairs (xs[i], ys[i]) from their exact sums in Python
+    ints.  Each mean, variance and covariance is one int / int division, so it is
+    correctly rounded: var x = (R sum x^2 - (sum x)^2) / (R (R - 1)).  corr is
+    c / sqrt(a b) over those numerators, within 2 ulps.  The variances and cov are
+    None below 2 pairs, and corr also when a coordinate is constant."""
+    xs, ys = list(map(index, xs)), list(map(index, ys))  # Python ints: the sums are exact
+    R = len(xs)
+    if R == 0 or len(ys) != R:
+        raise ValueError(f"need as many ys as xs, at least one, got {R} and {len(ys)}")
+    sx, sy = sum(xs), sum(ys)
+    if R < 2:
+        return PairMoments(sx / R, None, sy / R, None, None, None)
+    a = R * sum(map(mul, xs, xs)) - sx * sx
+    b = R * sum(map(mul, ys, ys)) - sy * sy
+    c = R * sum(map(mul, xs, ys)) - sx * sy
+    d = R * (R - 1)
+    return PairMoments(sx / R, a / d, sy / R, b / d, c / d, c / math.sqrt(a * b) if a and b else None)

@@ -88,6 +88,10 @@ EXAMPLES = [
     ["oracle", "--n", "9", "--r", "2", "--p", "0.1"],
     ["oracle", "--n", "5", "--r", "3", "--p", "0.1", "--step", "--active", "9"],
     ["oracle", "--n", "5", "--r", "3", "--p", "0.1", "--step", "--explored", "0,1,2,3,4"],
+    # r >= n - 1 keeps binom(n, r) small while the count costs about n^4, and a step of a
+    # billion vertices built range(n) before its family guard
+    ["oracle", "--n", "200", "--r", "200", "--p", "0.3"],
+    ["oracle", "--step", "--n", "1000000000", "--r", "1000000001", "--p", "0.3"],
     # supercritical cells whose t1 = floor(rho_r n) is 0, so no window events
     ["mc", "--n", "8", "--r", "4", "--lambda", "1.2", "--seed", "1", "--replicates", "2"],
     ["mc", "--n", "5", "--r", "3", "--eps", "0.2", "--seed", "0", "--replicates", "2",

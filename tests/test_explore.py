@@ -47,8 +47,10 @@ def _trace_identities(tr, n, r):
     assert ((tr.xi <= tr.nullity_inc) & (tr.nullity_inc <= tr.xi + tr.zeta)).all()
     assert sum(c.vertices for c in tr.components) == n
     assert tr.X[-1] == -len(tr.components)
+    edges_by = np.concatenate([[0], np.cumsum(tr.edge_counts)])  # edges found by step t
     for c in tr.components:
         assert c.nullity == 1 + rr * c.edges - c.vertices
+        assert c.edges == edges_by[c.t_end] - edges_by[c.t_start]
         assert c.vertices == c.t_end - c.t_start
     # nullity is additive over components and matches the global formula
     assert sum(c.nullity for c in tr.components) == tr.total_nullity

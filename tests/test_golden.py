@@ -110,7 +110,7 @@ GOLDEN_CENSUS = {
     "implicit_r3_n4097": "a2eaa86db90c21e7de9aa875d16dcadf7ebfa77dab4c8e9a63df31b214b4eeab",
     "implicit_r3_stop8192": "507da09367ac5a9a1ee528389a68d6e3f841ab8800606f645a8cd338a206a4fe",
 }
-GOLDEN_CELL = "ddab16725788e65cbb8749e69e1c6b3e8d4e12058206a55a573c4a4c2eb8d738"
+GOLDEN_CELL = "795a48553ad175dda0cfbca916e4b08a1f34044dc1ef89b85f50b83204c1864d"
 GOLDEN_TAILS = "1037f0d7cf5b34d5deb50ccf49e77dc4558d943019d10c3e86afeb2cbf199cd0"
 GOLDEN_CLI = {
     "csv": "e0555ffd0fd3e5633fe454d7d09419ee62f2e2644e592779d240cf621ff9ceea",

@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import pickle
 import resource
@@ -7,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +274,24 @@ def test_single_replicate_reports_absent_variance():
     s = res.summary()
     assert s["var_L1"] is None and s["R"] == 1
     assert s["mean_L1"] == float(res.aggregate.biv.mean_x)
+
+
+def test_cell_moments_are_correctly_rounded():
+    # GOLDEN_CELL's cell: each mean, variance and covariance is its exact value rounded
+    # once, and corr lands within 2 ulps
+    spec, plan = _small_plan(R=6, seed=2024)
+    agg = run_cell(spec, plan, workers=1).aggregate
+    xs, ys = agg.values("L1"), agg.values("N1")
+    mx, my = Fraction(sum(xs), len(xs)), Fraction(sum(ys), len(ys))
+    vx, vy, cov = (sum((a - ma) * (b - mb) for a, b in zip(u, v)) / (len(xs) - 1)
+                   for u, ma, v, mb in ((xs, mx, xs, mx), (ys, my, ys, my), (xs, mx, ys, my)))
+    biv = agg.biv
+    assert (biv.mean_x, biv.var_x, biv.mean_y, biv.var_y, biv.cov) == tuple(
+        map(float, (mx, vx, my, vy, cov)))
+    corr2 = cov * cov / (vx * vy)
+    corr = math.copysign(math.isqrt(corr2.numerator * 4**100 // corr2.denominator) / 2**100,
+                         cov)
+    assert abs(biv.corr - corr) <= 2 * math.ulp(corr)
 
 
 def test_standardization_round_trip():

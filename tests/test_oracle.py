@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hxplore.oracle import MAX_EDGES_GENERAL, MAX_EDGES_SMALL_N, enumerate_all, enumerate_step
+from hxplore.oracle import MAX_EDGES, MAX_N, enumerate_all, enumerate_step
 from hxplore.util import colex_rank
 
 
@@ -100,10 +100,9 @@ def test_total_probability_and_nullity_relation():
 
 def test_strata_edge_counts_are_binomial():
     # summed over (L1, N1, L2), the strata at edge count e count every e-subset of the
-    # binom(n, r) possible edges: every (n, r) under the size guard, up to r = n + 1
-    cases = [(n, r) for n in range(1, 21) for r in range(2, n + 2)
-             if math.comb(n, r) <= (MAX_EDGES_SMALL_N if n <= 8 else MAX_EDGES_GENERAL)]
-    assert (8, 2) in cases and (6, 3) in cases
+    # binom(n, r) possible edges: every (n, r) under the size guard up to n = 28, up to r = n + 1
+    cases = [(n, r) for n in range(1, 29) for r in range(2, n + 2) if math.comb(n, r) <= MAX_EDGES]
+    assert (8, 2) in cases and (6, 3) in cases and (28, 27) in cases
     for n, r in cases:
         ne = math.comb(n, r)
         by_edges = [0] * (ne + 1)
@@ -133,6 +132,13 @@ def test_parallel_enumeration_identical():
 def test_size_guard():
     with pytest.raises(ValueError):
         enumerate_all(9, 2, 0.1)  # 36 possible edges
+    # one possible edge, or none, but n past the vertex limit
+    for n, r in ((MAX_N + 1, MAX_N + 1), (MAX_N + 1, MAX_N + 2)):
+        with pytest.raises(ValueError, match="enumeration limit"):
+            enumerate_all(n, r, 0.1)
+        with pytest.raises(ValueError, match="enumeration limit"):
+            enumerate_step(n, r, 0.1, explored=[], active=[])
+    assert enumerate_all(MAX_N, MAX_N, 0.1).support == [(1, 0, 1), (MAX_N, 0, 0)]
 
 
 def test_tie_break_smallest_vertex():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from hxplore.stats import (
-    BivariateMoments,
     chi_square_gof,
     chi_square_sf,
     ks_distance,
     normal_cdf,
+    pair_moments,
     wilson_interval,
 )
 
@@ -190,23 +190,23 @@ def test_wilson_interval_coverage():
         assert hits >= 930
 
 
-def test_bivariate_moments_match_numpy():
-    rng = np.random.default_rng(3)
-    xs = rng.normal(size=1000)
-    ys = rng.normal(size=1000) + 0.3 * xs
-    bm = BivariateMoments()
-    for x, y in zip(xs, ys):
-        bm.add(float(x), float(y))
-    assert abs(bm.var_x - xs.var(ddof=1)) < 1e-10
-    assert abs(bm.var_y - ys.var(ddof=1)) < 1e-10
-    want_cov = float(np.cov(xs, ys, ddof=1)[0, 1])
-    assert abs(bm.cov - want_cov) < 1e-10
-    want_corr = float(np.corrcoef(xs, ys)[0, 1])
-    assert abs(bm.corr - want_corr) < 1e-10
+def test_pair_moments_keep_a_spread_that_floats_lose():
+    # near 2**62 a float's ulp is 1024, so float() maps all three values to 2**62
+    base = 2**62
+    xs, ys = [base, base + 1, base + 2], [5, 3, 1]
+    assert len({float(x) for x in xs}) == 1
+    m = pair_moments(xs, ys)
+    assert (m.mean_x, m.var_x, m.mean_y, m.var_y, m.cov, m.corr) == (float(base + 1), 1.0, 3.0,
+                                                                      4.0, -2.0, -1.0)
 
 
-def test_moments_single_observation():
-    m = BivariateMoments()
-    m.add(4.2, -1.0)
-    assert (m.mean_x, m.mean_y) == (4.2, -1.0)
-    assert m.var_x is None and m.var_y is None and m.cov is None and m.corr is None
+def test_pair_moments_none_rules():
+    assert pair_moments([4], [-1]) == (4.0, None, -1.0, None, None, None)
+    m = pair_moments([2, 2, 2], [1, 5, 6])
+    assert (m.var_x, m.cov, m.corr) == (0.0, 0.0, None) and m.var_y == 7.0
+    with pytest.raises(ValueError):
+        pair_moments([], [])
+    with pytest.raises(ValueError):
+        pair_moments([1, 2], [1])
+    with pytest.raises(TypeError):
+        pair_moments([1.5, 2.0], [1, 2])  # integers only, whose sums are exact
