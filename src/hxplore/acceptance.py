@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .doob import conditional_moments
-from .explore import ExplorationConfig, census, explore
+from .explore import ExplorationConfig, explore
 from .mc import (
     CellSpec,
     ExperimentPlan,
@@ -210,7 +210,7 @@ def criterion_trace_identities(workers):
         eta_inc = np.diff(np.concatenate([[0], X])) + 1
         prevmin = np.minimum.accumulate(np.concatenate([[0], X]))[:-1]
         edges_by = np.concatenate([[0], np.cumsum(tr.edge_counts)])  # edges found by step t
-        cen = census(tr, t0=cfg.census_t0)
+        giant = max(tr.components, key=lambda c: c.vertices)  # the first largest
         holds = {
             "X = A - C": (X == A - C).all(),
             "X increments = eta - 1": (eta_inc == tr.eta).all(),
@@ -222,10 +222,13 @@ def criterion_trace_identities(workers):
             "X_n = -c(H)": X[-1] == -len(tr.components),
             "component nullity = 1 + (r-1) e - |C|":
                 all(c.nullity == 1 + rr * c.edges - c.vertices for c in tr.components),
-            "(r-1) M1 = L1 + N1 - 1": rr * cen.M1 == cen.L1 + cen.N1 - 1,
+            "(r-1) M1 = L1 + N1 - 1": rr * tr.M1 == tr.L1 + tr.N1 - 1,
             "component edges = edge counts over its steps":
                 all(c.edges == edges_by[c.t_end] - edges_by[c.t_start] for c in tr.components),
-            "T0 <= t0 < T1": cen.T1 is None or cen.T0 <= cfg.census_t0 < cen.T1,
+            "T0 <= t0 < T1": tr.T1 is None or tr.T0 <= cfg.census_t0 < tr.T1,
+            # each eta_t finds the component's vertices but its root
+            "N1 = nullity increments over the largest component's steps":
+                tr.N1 == tr.nullity_inc[giant.t_start:giant.t_end].sum(),
         }
         at = f"(n={cfg.n}, r={cfg.r}, mode={cfg.mode})"
         failures += [(identity, at) for identity, ok in holds.items() if not ok]

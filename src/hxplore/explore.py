@@ -139,27 +139,21 @@ class ComponentRecord(NamedTuple):
 @dataclass
 class RunResult:
     """Everything one exploration run produces.  The census fields (L1 to
-    giant_nullity) are anchored at config.census_t0; the per-step arrays and
-    the component table are kept at record level 'full' only.  L2 is a lower
+    T1) are anchored at config.census_t0; the per-step arrays and the
+    component table are kept at record level 'full' only.  L2 is a lower
     bound when the run is not complete."""
 
     config: ExplorationConfig
     n_steps: int
     complete: bool
     components_closed: int
-    total_edges: int
-    total_nullity: int
     L1: int
     L2: int
     M1: int
     N1: int
-    l1_tie: bool
     Z: int
     T0: int
     T1: int | None
-    c_t0p1: int | None  # C_{t0+1}
-    giant_vertices: int | None
-    giant_nullity: int | None  # nullity gathered between T0 and T1
     close_t: np.ndarray | None = None  # the component table at level 'full': close times
     close_e: np.ndarray | None = None  # and the cumulative edge counts at each close
     A: np.ndarray | None = None
@@ -531,7 +525,7 @@ def _run_implicit(config: ExplorationConfig, record: str, rng, tables: dict | No
             break
 
     recorded = [_joined(col) for col in zip(*cols)] if cols else [None] * 5
-    return _result(config, record, t, _joined(close_t), _joined(close_e), total_edges, A, *recorded)
+    return _result(config, record, t, _joined(close_t), _joined(close_e), *recorded)
 
 
 def _joined(parts: list):
@@ -540,19 +534,14 @@ def _joined(parts: list):
     return parts[0] if len(parts) == 1 else np.concatenate([np.asarray(x, dtype=np.int64) for x in parts])
 
 
-def _result(config, record, n_steps, close_t, close_e, total_edges, A_end,
-            A, xi, E, eta, zeta) -> RunResult:
-    """RunResult of either engine from its final counts, its component table
+def _result(config, record, n_steps, close_t, close_e, A, xi, E, eta, zeta) -> RunResult:
+    """RunResult of either engine from its step count, its component table
     (the close times and the cumulative edge counts at each close, as lists
     or int64 arrays) and its recorded per-step columns (None or empty below
     the record level that keeps them)."""
     rr = config.r - 1
-    C_end = len(close_t) + (A_end > 0)  # components started: the closed ones and an open one
-    # every vertex but the C_end roots was discovered once, as part of some eta_t
-    res = RunResult(config, n_steps, n_steps >= config.n, len(close_t), total_edges,
-                    rr * total_edges - (n_steps + A_end - C_end),
-                    *_census(close_t, close_e, rr, -1 if config.census_t0 is None else config.census_t0,
-                             n_steps))
+    res = RunResult(config, n_steps, n_steps >= config.n, len(close_t),
+                    *_census(close_t, close_e, rr, -1 if config.census_t0 is None else config.census_t0))
     if record == "full":
         res.A = np.asarray(A, dtype=np.int64)
         res.xi = np.asarray(xi, dtype=np.int64)
@@ -577,20 +566,18 @@ def _component(close_t, close_e, rr: int, i: int) -> ComponentRecord:
     return ComponentRecord(i + 1, t_start, t_start + v, v, e, 1 + rr * e - v)  # n(C) = 1 + (r-1) e(C) - |C|
 
 
-_CENSUS_FIELDS = ("L1", "L2", "M1", "N1", "l1_tie", "Z", "T0", "T1", "c_t0p1", "giant_vertices",
-                  "giant_nullity")
+_CENSUS_FIELDS = ("L1", "L2", "M1", "N1", "Z", "T0", "T1")
 
 
-def _census(close_t, close_e, rr: int, t0: int, n_steps: int) -> tuple:
-    """The values of RunResult's census fields, _CENSUS_FIELDS, in that order, from a
-    component table given as the close times and the cumulative edge counts
-    at each close (lists or int64 arrays), anchored at cutoff t0 (none when
-    t0 < 0): largest and second-largest component orders, the largest
-    component's edge count and nullity (ties broken toward the
-    earliest-explored component), the window quantities Z, T_0, T_1 with the
-    order and nullity of the component closing at T_1, and C_{t0+1}.  Tables
-    of at most _SHORT_TABLE components are reduced in Python ints, as numpy's
-    per-call cost would not pay."""
+def _census(close_t, close_e, rr: int, t0: int) -> tuple:
+    """RunResult's census fields, _CENSUS_FIELDS in that order, from a component
+    table given as the close times and the cumulative edge counts at each close
+    (lists or int64 arrays), anchored at cutoff t0 (none when t0 < 0): largest and
+    second-largest component orders, the largest component's edge count and
+    nullity (ties broken toward the earliest-explored component), Z (components
+    closed by t0), T_0 and T_1 (the last close by t0 and the first after it).
+    Tables of at most _SHORT_TABLE components are reduced in Python ints, as
+    numpy's per-call cost would not pay."""
     if len(close_t) > _SHORT_TABLE:
         close_t = np.asarray(close_t, dtype=np.int64)
         sizes = close_t.copy()
@@ -608,16 +595,10 @@ def _census(close_t, close_e, rr: int, t0: int, n_steps: int) -> tuple:
         sizes[i] = 0
         L2 = max(sizes)
     M1 = int(close_e[i]) - (int(close_e[i - 1]) if i else 0)
-    Z = bisect_right(close_t, t0) if t0 >= 0 else 0  # components closed by t0
+    Z = bisect_right(close_t, t0) if t0 >= 0 else 0
     T0 = int(close_t[Z - 1]) if Z else 0
-    T1 = giant_v = giant_null = None
-    if 0 <= t0 < close_t[-1]:  # the giant window's component closes at T_1
-        T1 = int(close_t[Z])
-        giant_v = T1 - T0
-        giant_null = 1 + rr * (int(close_e[Z]) - (int(close_e[Z - 1]) if Z else 0)) - giant_v
-    # n(C) = 1 + (r-1) e(C) - |C|; C_{t0+1} counts the Z closed components and the current one
-    return (L1, L2, M1, 1 + rr * M1 - L1, L2 == L1, Z, T0, T1, Z + 1 if 0 <= t0 < n_steps else None,
-            giant_v, giant_null)
+    T1 = int(close_t[Z]) if 0 <= t0 < close_t[-1] else None
+    return L1, L2, M1, 1 + rr * M1 - L1, Z, T0, T1  # n(C) = 1 + (r-1) e(C) - |C|
 
 
 def materialize(n: int, r: int, p: float, rng: np.random.Generator) -> list:
@@ -703,7 +684,7 @@ def _run_explicit(config: ExplorationConfig, record: str, rng) -> RunResult:
         if T1 is not None and t - T1 >= config.margin:
             break
 
-    return _result(config, record, t, close_t, close_e, total_edges, A, *rec)
+    return _result(config, record, t, close_t, close_e, *rec)
 
 
 def explore(config: ExplorationConfig) -> RunResult:
@@ -712,15 +693,11 @@ def explore(config: ExplorationConfig) -> RunResult:
 
 
 def census(run: RunResult, t0: int) -> RunResult:
-    """The run with its census fields re-anchored at cutoff t0: largest and
-    second-largest component orders, the largest component's edge count and
-    nullity (ties broken toward the earliest-explored component), and the
-    window quantities Z, T_0, T_1 with the nullity collected between T_0
-    and T_1.  Needs a run recorded at level 'full'."""
+    """The run with its census fields, L1 to T1 (see _census), re-anchored at
+    cutoff t0.  Needs a run recorded at level 'full'."""
     if t0 < 0:
         raise ValueError("t0 must be nonnegative")
     if run.close_t is None:
         raise ValueError("census needs a run recorded at level 'full'")
     return replace(run, config=replace(run.config, census_t0=t0),
-                   **dict(zip(_CENSUS_FIELDS, _census(run.close_t, run.close_e, run.config.r - 1, t0,
-                                                      run.n_steps))))
+                   **dict(zip(_CENSUS_FIELDS, _census(run.close_t, run.close_e, run.config.r - 1, t0))))

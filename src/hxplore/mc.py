@@ -150,13 +150,16 @@ class ExperimentPlan:
 
 
 class ReplicateStats(NamedTuple):
+    """A replicate's census (L1, L2, N1, Z, T0, T1), then what its cell collects;
+    c_t0p1 is C_{t0+1}, read off the walk of a windows run that reaches step t0 + 1."""
+
     L1: int
     L2: int
     N1: int
     Z: int
     T0: int
     T1: int | None
-    c_t0p1: int | None
+    c_t0p1: int | None = None
     max_s_pre: float | None = None
     max_s_t1: float | None = None
     duality: tuple | None = None  # (T1 - t1, Xtilde_{t1} / (1 - lambda*))
@@ -265,8 +268,9 @@ class MCAggregate:
     def windows(self) -> dict:
         """The frequencies of the window events E1 (few components by the cutoff),
         E2 (the martingale stays small up to t1 + t0), E3 (T1 lands within t0 of
-        t1) and all three, the duality correlation, and whether Z + 1 = C_{t0+1}
-        held in every run; None, None and False when the cell collected no windows."""
+        t1) and all three, the duality correlation, and whether the census's Z and the
+        walk's C_{t0+1} gave Z + 1 = C_{t0+1} in every run that reached step t0 + 1;
+        None, None and False when the cell collected no windows."""
         ctx = self.ctx
         if "windows" not in ctx.collect:
             return {"window_freqs": None, "duality_corr": None, "z_identity_ok": False}
@@ -327,10 +331,11 @@ def _run_replicate(ctx: CellContext, seed: int, rng) -> ReplicateStats:
     res = run_exploration(ctx.config(seed), record="full" if ctx.traced else "none", rng=rng,
                           tables=ctx.tables)
     if not ctx.traced:
-        return ReplicateStats(res.L1, res.L2, res.N1, res.Z, res.T0, res.T1, res.c_t0p1)
-    max_s_pre = max_s_t1 = duality = v1 = v2 = v12 = l1 = l2 = gap = None
+        return ReplicateStats(res.L1, res.L2, res.N1, res.Z, res.T0, res.T1)
+    c_t0p1 = max_s_pre = max_s_t1 = duality = v1 = v2 = v12 = l1 = l2 = gap = None
     dt = ctx.replay(res)
     if "windows" in ctx.collect:
+        c_t0p1 = int(res.C[ctx.t0]) if ctx.t0 < res.n_steps else None
         upto = min(res.n_steps, ctx.t1 + (ctx.t0 or 0))
         abs_s = np.abs(dt.S)
         max_s_pre = float(np.max(abs_s[:upto]))
@@ -342,7 +347,7 @@ def _run_replicate(ctx: CellContext, seed: int, rng) -> ReplicateStats:
         l1, l2 = dt.lindeberg1, dt.lindeberg2
     if "gap" in ctx.collect:
         gap = approx_gap(res, dt)
-    return ReplicateStats(res.L1, res.L2, res.N1, res.Z, res.T0, res.T1, res.c_t0p1,
+    return ReplicateStats(res.L1, res.L2, res.N1, res.Z, res.T0, res.T1, c_t0p1,
                           max_s_pre, max_s_t1, duality, v1, v2, v12, l1, l2, gap)
 
 

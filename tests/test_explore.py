@@ -53,8 +53,8 @@ def _trace_identities(tr, n, r):
         assert c.edges == edges_by[c.t_end] - edges_by[c.t_start]
         assert c.vertices == c.t_end - c.t_start
     # nullity is additive over components and matches the global formula
-    assert sum(c.nullity for c in tr.components) == tr.total_nullity
-    assert tr.total_nullity == len(tr.components) + rr * tr.total_edges - n
+    assert sum(c.nullity for c in tr.components) == tr.nullity_inc.sum()
+    assert tr.nullity_inc.sum() == len(tr.components) + rr * tr.edge_counts.sum() - n
 
 
 def test_config_validation():
@@ -156,7 +156,7 @@ def test_explicit_mode_reveals_each_edge_once():
     tr = explore(cfg)
     rng = np.random.default_rng(21)
     edges = materialize(40, 3, 0.004, rng)
-    assert tr.total_edges == len(edges)
+    assert tr.edge_counts.sum() == len(edges)
 
 
 def test_materialize_edge_count_distribution():
@@ -251,13 +251,13 @@ def test_census_t0_window_identities():
         cfg = ExplorationConfig(n=3000, r=3, p=p, seed=seed, census_t0=200)
         res = run_exploration(cfg, record="full")
         assert res.T0 <= 200
+        assert res.C[200] == res.Z + 1  # C_{t0+1}: the Z closed components and the current one
         if res.T1 is not None:
             assert res.T1 > 200
-            assert res.Z + 1 == res.c_t0p1
-            # giant window nullity matches the T1 component's nullity
+            # the T1 component spans the giant window, and its nullity is gathered there
             comp = [c for c in res.components if c.t_end == res.T1][0]
-            assert res.giant_nullity == comp.nullity
-            assert res.giant_vertices == comp.vertices == res.T1 - res.T0
+            assert comp.vertices == res.T1 - res.T0
+            assert comp.nullity == res.nullity_inc[res.T0:res.T1].sum()
 
 
 def test_stop_rule_giant_truncates():
@@ -319,7 +319,7 @@ def test_online_census_equals_posthoc():
             cen.L1, cen.L2, cen.M1, cen.N1, cen.Z, cen.T0, cen.T1)
 
 
-def _array_census(close_t, close_e, rr, t0, n_steps) -> dict:
+def _array_census(close_t, close_e, rr, t0) -> dict:
     """The census as numpy reductions over the whole table: the formulas the
     census must keep on either side of its table-length branch."""
     sizes = np.diff(close_t, prepend=0)
@@ -328,16 +328,8 @@ def _array_census(close_t, close_e, rr, t0, n_steps) -> dict:
     rest = np.delete(sizes, i)
     L2 = int(rest.max()) if rest.size else 0
     Z = int(close_t.searchsorted(t0, "right")) if t0 >= 0 else 0
-    T1 = giant_v = giant_null = None
-    if 0 <= t0 < close_t[-1]:
-        T1 = int(close_t[Z])
-        giant_v = T1 - (int(close_t[Z - 1]) if Z else 0)
-        giant_e = int(close_e[Z] - (close_e[Z - 1] if Z else 0))
-        giant_null = 1 + rr * giant_e - giant_v
-    return dict(L1=v, L2=L2, M1=e, N1=1 + rr * e - v, l1_tie=L2 == v, Z=Z,
-                T0=int(close_t[Z - 1]) if Z else 0, T1=T1,
-                c_t0p1=Z + 1 if 0 <= t0 < n_steps else None,
-                giant_vertices=giant_v, giant_nullity=giant_null)
+    return dict(L1=v, L2=L2, M1=e, N1=1 + rr * e - v, Z=Z, T0=int(close_t[Z - 1]) if Z else 0,
+                T1=int(close_t[Z]) if 0 <= t0 < close_t[-1] else None)
 
 
 @pytest.mark.parametrize("short_table", [None, 0, 10**9])
@@ -349,7 +341,7 @@ def test_census_matches_array_formulas(monkeypatch, short_table):
     else:
         monkeypatch.setattr(explore_module, "_SHORT_TABLE", short_table)
     fields = [f.name for f in dataclasses.fields(explore_module.RunResult)]
-    census_fields = tuple(fields[fields.index("L1"):fields.index("giant_nullity") + 1])
+    census_fields = tuple(fields[fields.index("L1"):fields.index("T1") + 1])
     assert explore_module._CENSUS_FIELDS == census_fields  # RunResult's order
     rng = np.random.default_rng(70)
     for _ in range(400):
@@ -359,9 +351,9 @@ def test_census_matches_array_formulas(monkeypatch, short_table):
         n_steps = int(close_t[-1] + rng.integers(0, 4))
         rr = int(rng.integers(1, 10))
         for t0 in (-1, 0, int(rng.integers(0, n_steps + 2)), int(close_t[-1]), n_steps):
-            want = _array_census(close_t, close_e, rr, t0, n_steps)
+            want = _array_census(close_t, close_e, rr, t0)
             for table in ((close_t, close_e), (close_t.tolist(), close_e.tolist())):
-                values = explore_module._census(*table, rr, t0, n_steps)
+                values = explore_module._census(*table, rr, t0)
                 assert len(values) == len(explore_module._CENSUS_FIELDS)
                 got = dict(zip(explore_module._CENSUS_FIELDS, values))
                 assert got == want, (size, t0)

@@ -2,6 +2,7 @@
 __all__ and the package's re-exports with it."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hxplore
+from hxplore.explore import RunResult
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(hxplore.__path__))
 
@@ -159,3 +161,19 @@ def test_only_the_fork_map_pickles():
                 continue
             users += [name for module in modules if module.partition(".")[0] == "pickle"]
     assert users == ["mc"]
+
+
+def test_every_run_result_field_is_read():
+    # a field that no code in src/ or bench/ names, as an attribute or a string, is stale
+    named = set()
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "bench").rglob("*.py")]):
+        tree = ast.parse(path.read_text())
+        body = {id(node) for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef) and cls.name == "RunResult" for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if id(node) not in body and isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif id(node) not in body and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    assert [f.name for f in dataclasses.fields(RunResult) if f.name not in named] == []

@@ -32,7 +32,7 @@ from hxplore.util import comb0
 
 
 TRACE_COLUMNS = ("edge_counts", "eta", "xi", "zeta", "nullity_inc", "A", "C", "X", "new_component")
-CENSUS_FIELDS = ("L1", "L2", "M1", "N1", "Z", "T0", "T1", "c_t0p1", "l1_tie")
+CENSUS_FIELDS = ("L1", "L2", "M1", "N1", "Z", "T0", "T1")
 COMPONENT_FIELDS = ("index", "t_start", "t_end", "vertices", "edges", "nullity")
 
 
@@ -155,21 +155,37 @@ def _sha(*parts) -> str:
     return h.hexdigest()
 
 
+def _derived(res) -> dict:
+    """Values that the digests below were pinned with, derived from a full
+    record's public columns: C_{t0+1} as Z + 1, whether L1 is tied, the
+    edge and nullity totals (every vertex but the C_n roots is found once,
+    in some eta_t), and the order and nullity of the component closing at T1."""
+    t0, n_steps, rr = res.config.census_t0, res.n_steps, res.config.r - 1
+    edges = int(res.edge_counts.sum())
+    giant = [c for c in res.components if c.t_end == res.T1]
+    return dict(c_t0p1=res.Z + 1 if t0 is not None and 0 <= t0 < n_steps else None,
+                l1_tie=res.L2 == res.L1, total_edges=edges,
+                total_nullity=rr * edges - (n_steps + int(res.A[-1]) - int(res.C[-1])),
+                giant_vertices=giant[0].vertices if giant else None,
+                giant_nullity=giant[0].nullity if giant else None)
+
+
 def _run_digest(res) -> str:
     parts = []
     for name in TRACE_COLUMNS:
         a = np.ascontiguousarray(getattr(res, name))
         parts += [name, a.dtype.str, a.shape, a.tobytes()]
     parts.append([tuple(getattr(c, f) for f in COMPONENT_FIELDS) for c in res.components])
-    parts.append([getattr(res, f) for f in CENSUS_FIELDS])
-    parts.append((res.n_steps, res.complete, res.components_closed, res.total_edges,
-                  res.total_nullity, res.giant_vertices, res.giant_nullity))
+    d = _derived(res)
+    parts.append([*(getattr(res, f) for f in CENSUS_FIELDS), d["c_t0p1"], d["l1_tie"]])
+    parts.append((res.n_steps, res.complete, res.components_closed, d["total_edges"],
+                  d["total_nullity"], d["giant_vertices"], d["giant_nullity"]))
     return _sha(*parts)
 
 
 def _census_digest(cen) -> str:
-    return _sha([getattr(cen, f) for f in ("L1", "L2", "M1", "N1", "Z", "T0", "T1", "l1_tie",
-                                            "giant_nullity")])
+    d = _derived(cen)
+    return _sha([*(getattr(cen, f) for f in CENSUS_FIELDS), d["l1_tie"], d["giant_nullity"]])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -195,7 +211,7 @@ def test_golden_cases_cover_the_engine_paths():
     for name in ("implicit_r3_giant", "explicit_r3_full"):
         assert np.any(_full(name).edge_counts >= 2), name
     for name in ("implicit_r3_tie", "explicit_r2_tie"):
-        assert _full(name).l1_tie, name
+        assert _derived(_full(name))["l1_tie"], name
     # one-edge steps use r - 1 presampled uniforms each, refilled 8192 at a time
     for name in ("implicit_r3_refill", "implicit_r4_refill"):
         res = _full(name)

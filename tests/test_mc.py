@@ -353,6 +353,16 @@ def test_window_stats_smoke():
                                      "z_identity_ok": False}
 
 
+def test_window_z_identity_catches_a_census_fault(monkeypatch):
+    # C_{t0+1} comes from the walk, so a census whose Z is one short fails the identity
+    from bisect import bisect_right
+    monkeypatch.setattr(explore_module, "bisect_right", lambda a, x: bisect_right(a, x) - 1)
+    spec, plan = _small_plan(collect=("census", "windows"), R=20)
+    agg = run_cell(spec, plan, workers=2).aggregate
+    assert len(agg.values("c_t0p1")) == 20
+    assert agg.windows()["z_identity_ok"] is False
+
+
 def test_subcritical_cell_cannot_collect_windows():
     spec = CellSpec(n=1000, r=3, lam=0.8, stop="full")
     plan = ExperimentPlan(cells=(spec,), replicates=2, master_seed=1,
