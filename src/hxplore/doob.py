@@ -53,17 +53,19 @@ def _moments(n: int, r: int, p: float, t, ap, up) -> tuple:
     (mean_eta, var_eta, mean_xi, var_xi, cov_xi_eta, pi1, pi2).  With
     c = binom(n-t-1, r-2) tested sets covering one fixed other vertex and
     c2 = binom(n-t-2, r-3) covering a fixed pair, inclusion-exclusion gives
-    pi2 = 1 - 2 (1-p)^c + (1-p)^(2c - c2)."""
+    pi2 = 1 - 2 (1-p)^c + (1-p)^(2c - c2) = pi1^2 + (1-p)^(2c) expm1(-c2 log(1-p)),
+    computed in the second form: the first one's order-1 terms cancel for sparse p."""
     c1 = comb_float(n - t - 1.0, r - 2)
     c2 = comb_float(n - t - 2.0, r - 3)
     logq = math.log1p(-p)
     pi1 = -np.expm1(c1 * logq)
-    pi2 = 1.0 - 2.0 * np.exp(c1 * logq) + np.exp((2.0 * c1 - c2) * logq)
+    dep = np.exp(2.0 * c1 * logq) * np.expm1(-c2 * logq)  # pi2 - pi1^2
+    pi2 = pi1 * pi1 + dep
     mean_eta = up * pi1
     var_eta = up * pi1 + up * (up - 1.0) * pi2 - mean_eta * mean_eta
     mean_xi = ap * pi1
     var_xi = ap * pi1 + ap * (ap - 1.0) * pi2 - mean_xi * mean_xi
-    cov = ap * up * (pi2 - pi1 * pi1)
+    cov = ap * up * dep
     return mean_eta, var_eta, mean_xi, var_xi, cov, pi1, pi2
 
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -43,6 +44,31 @@ def test_graph_case_pairs_are_independent():
     cm = conditional_moments(40, 2, 0.03, t=6, active_excl=5, unseen_excl=29)
     assert abs(cm.pi2 - cm.pi1**2) < 1e-15
     assert abs(cm.cov_xi_eta) < 1e-12
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6, 10**8])
+def test_pair_cover_does_not_cancel_at_r2(n):
+    # pi2 = p^2 exactly at r = 2; the form 1 - 2 q + q^2 left -0.23 of it at n = 1e8
+    p = 1.2 / n
+    cm = conditional_moments(n, 2, p, 1, 0, n - 1)
+    assert abs(cm.pi2 / p**2 - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n, lam, t, active", [(2000, 1.3, 1500, 20), (3 * 10**5, 1.15, 1000, 50),
+                                               (10**6, 1.2, 10, 3), (10**7, 1.5, 5 * 10**6, 100),
+                                               (10**8, 1.1, 1, 0)])
+def test_pair_cover_matches_50_digit_inclusion_exclusion(n, lam, t, active):
+    # r = 3: pi2 = 1 - 2 q^c + q^(2c - 1) with c = n - t - 1, evaluated in 50-digit decimal
+    p = lam / comb0(n - 1, 2)
+    cm = conditional_moments(n, 3, p, t, active, n - t - active)
+    c = n - t - 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        q = 1 - decimal.Decimal(p)
+        exact = 1 - 2 * q**c + q ** (2 * c - 1)
+        assert abs(float((decimal.Decimal(cm.pi2) - exact) / exact)) < 1e-14
+        cov = active * (n - t - active) * (exact - (1 - q**c) ** 2)
+        assert abs(cm.cov_xi_eta - float(cov)) <= 1e-14 * abs(float(cov))
 
 
 def test_moment_invariants():

@@ -110,11 +110,11 @@ GOLDEN_CENSUS = {
     "implicit_r3_n4097": "a2eaa86db90c21e7de9aa875d16dcadf7ebfa77dab4c8e9a63df31b214b4eeab",
     "implicit_r3_stop8192": "507da09367ac5a9a1ee528389a68d6e3f841ab8800606f645a8cd338a206a4fe",
 }
-GOLDEN_CELL = "795a48553ad175dda0cfbca916e4b08a1f34044dc1ef89b85f50b83204c1864d"
+GOLDEN_CELL = "e02c04c818eb0abe888275e3eeaf766d718225bc590dff89f1b375b0f14de591"
 GOLDEN_TAILS = "1037f0d7cf5b34d5deb50ccf49e77dc4558d943019d10c3e86afeb2cbf199cd0"
 GOLDEN_CLI = {
-    "csv": "e0555ffd0fd3e5633fe454d7d09419ee62f2e2644e592779d240cf621ff9ceea",
-    "json": "454ce0a9e45d089c4320ebff9ea1002e45d933d97da5d7f09c6e612eb7721c6f",
+    "csv": "7ebee1a3a634c60058f9a080a63ada4d18e5635697af9645a59497cf3ce12437",
+    "json": "9bcdcbf12416f770ac033f9b07c19e82a70c094cacb415cb66d7d1ce1662cffc",
 }
 # edge cases of the `hxplore run --doob` CSV writer: the sections on stdout, a giant stop
 # that ends inside an open component, and a subcritical run (t1 = 0, every Shat empty)
@@ -141,8 +141,8 @@ GOLDEN_ORACLE = {
 }
 GOLDEN_CLI_ORACLE = "3fb067cbe6471cc8ae22fed795cbfa938b9bd693f2e0eb21e52a01d24cdcf420"
 GOLDEN_WRITER = {
-    "stdout": "3675a3dad8e0680d58edf66dc63c54aeed5e4b9cf05cba83011b1faa6e05318c",
-    "giant_open": "ce37fa1f547fb23c4a8111ba55c43110fd82d6c9224046043f5e8277cfbaa739",
+    "stdout": "925795ec20d092f55c251fc2231998f10ce00adeb01b257318c61b078fd0d23d",
+    "giant_open": "07799c57a997d9c8c9bedc481c711066ab528c23da26299c71652c12b118a064",
     "subcritical": "1f7ae4bcbf7c21e6b8bccf2f518468aa8387dbf10efed2678c6c20758f7f4509",
 }
 
